@@ -14,7 +14,7 @@ that show where the mechanism lives and where it genuinely fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,21 +158,7 @@ def verify(matrices, mu: float | None = None) -> APReport:
     report = check_hypotheses(matrices, mu=mu)
     disc = ap_discrepancy(matrices)
     bound = C_IMPL * report.n / np.sqrt(report.mu)
-    return APReport(
-        n=report.n,
-        dim=report.dim,
-        norms=report.norms,
-        second_values=report.second_values,
-        gaps=report.gaps,
-        mu=report.mu,
-        pair_norms=report.pair_norms,
-        pair_ratios=report.pair_ratios,
-        cond_dominant_direction=report.cond_dominant_direction,
-        cond_mu_floor=report.cond_mu_floor,
-        cond_no_cancellation=report.cond_no_cancellation,
-        discrepancy=disc,
-        bound=float(bound),
-    )
+    return replace(report, discrepancy=disc, bound=float(bound))
 
 
 @dataclass(frozen=True)
@@ -191,9 +177,13 @@ class OverlapBracket:
         return not bool(np.any(self.violations))
 
 
-def overlap_bracket(matrices, mu: float | None = None) -> OverlapBracket:
+def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     """Compute top-direction overlaps and check the two-sided pair-ratio
     bracket.
+
+    ``report`` is :func:`check_hypotheses` (or :func:`verify`) of the same
+    matrices; its pair ratios and ``mu`` set the bracket, so the factors
+    are not validated a second time.
 
     For each factor, the top right-singular direction is where the
     dominant stretch happens; its image line must nearly align with the
@@ -201,12 +191,13 @@ def overlap_bracket(matrices, mu: float | None = None) -> OverlapBracket:
     when a factor's top singular value is degenerate (relative gap below
     ``1e-8``): the mechanism requires lines, not planes.
     """
-    mats = _validated_factors(matrices)
+    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
     n = len(mats)
     d = mats[0].shape[0]
+    if (n, d) != (report.n, report.dim):
+        raise ValidationError("report does not describe these matrices")
     if d == 1:
         overlaps = np.ones(n - 1)
-        tops: list[np.ndarray] = []
     else:
         tops = []
         images = []
@@ -224,15 +215,14 @@ def overlap_bracket(matrices, mu: float | None = None) -> OverlapBracket:
         overlaps = np.array(
             [abs(float(np.vdot(tops[j + 1], images[j]))) for j in range(n - 1)]
         )
-    rep = check_hypotheses(mats, mu=mu)
-    lower = rep.pair_ratios - 2.0 / rep.mu
-    upper = rep.pair_ratios + 1.0 / rep.mu
+    lower = report.pair_ratios - 2.0 / report.mu
+    upper = report.pair_ratios + 1.0 / report.mu
     slack = 1e-12
     violations = (overlaps < lower - slack) | (overlaps > upper + slack)
     return OverlapBracket(
         overlaps=overlaps,
-        pair_ratios=rep.pair_ratios,
-        mu=rep.mu,
+        pair_ratios=report.pair_ratios,
+        mu=report.mu,
         lower=lower,
         upper=upper,
         violations=violations,

@@ -111,25 +111,16 @@ def _common_options(fn):
                       help="output directory")(fn)
     fn = click.option("--seed", default=None, type=int,
                       help="override numerics.seed")(fn)
-    fn = click.option("--threads", default=1, type=int, show_default=True,
-                      help="worker hint; affects speed only, never results")(fn)
     return fn
 
 
-def _load(config_path: str, seed: int | None, threads: int) -> ExperimentConfig:
-    if threads < 1:
-        raise ConfigError("--threads must be positive")
-    cfg = parse_config_file(config_path)
-    if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("--seed must fit in 64 bits")
-        cfg.values["numerics.seed"] = int(seed)
-    return cfg
-
-
-def _dispatch(subcommand: str, config_path, out_dir, seed, threads, body):
+def _dispatch(subcommand: str, config_path, out_dir, seed, body):
     try:
-        cfg = _load(config_path, seed, threads)
+        cfg = parse_config_file(config_path)
+        if seed is not None:
+            if not 0 <= seed < 2**64:
+                raise ConfigError("--seed must fit in 64 bits")
+            cfg.values["numerics.seed"] = int(seed)
         run = _Run(cfg, out_dir, subcommand)
         run.stage("load")
         body(cfg, run)
@@ -151,7 +142,7 @@ def main():
 
 @main.command()
 @_common_options
-def exponents(config_path, out_dir, seed, threads):
+def exponents(config_path, out_dir, seed):
     """Finite-scale exponent table over the parameter grid."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -167,12 +158,12 @@ def exponents(config_path, out_dir, seed, threads):
                     tol=max(1e-9, float(cfg["numerics.tol_quad"])))
         run.emit("", ["E", "n", "j", "lambda"], list(table.rows()))
 
-    _dispatch("exponents", config_path, out_dir, seed, threads, body)
+    _dispatch("exponents", config_path, out_dir, seed, body)
 
 
 @main.command(name="ap-verify")
 @_common_options
-def ap_verify(config_path, out_dir, seed, threads):
+def ap_verify(config_path, out_dir, seed):
     """Avalanche-principle report for matrices read from ap.matrix_file."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -180,9 +171,8 @@ def ap_verify(config_path, out_dir, seed, threads):
         if not path:
             raise ConfigError("ap.matrix_file is required for ap-verify")
         mats = read_matrix_blocks(path)
-        mu_arg = float(cfg["ap.mu"]) or None
-        report = avalanche.verify(mats, mu=mu_arg)
-        bracket = avalanche.overlap_bracket(mats, mu=mu_arg)
+        report = avalanche.verify(mats, mu=float(cfg["ap.mu"]) or None)
+        bracket = avalanche.overlap_bracket(mats, report)
         run.stage("compute")
         run.emit(
             "factors",
@@ -204,12 +194,12 @@ def ap_verify(config_path, out_dir, seed, threads):
               report.discrepancy, report.bound)],
         )
 
-    _dispatch("ap-verify", config_path, out_dir, seed, threads, body)
+    _dispatch("ap-verify", config_path, out_dir, seed, body)
 
 
 @main.command(name="ap-demo-projections")
 @_common_options
-def ap_demo_projections(config_path, out_dir, seed, threads):
+def ap_demo_projections(config_path, out_dir, seed):
     """Projection-family sweep: discrepancy versus epsilon."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -227,12 +217,12 @@ def ap_demo_projections(config_path, out_dir, seed, threads):
             rows,
         )
 
-    _dispatch("ap-demo-projections", config_path, out_dir, seed, threads, body)
+    _dispatch("ap-demo-projections", config_path, out_dir, seed, body)
 
 
 @main.command(name="ldt")
 @_common_options
-def ldt_cmd(config_path, out_dir, seed, threads):
+def ldt_cmd(config_path, out_dir, seed):
     """Deviation-set measures, decay fit, almost invariance, monotonicity."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -279,12 +269,12 @@ def ldt_cmd(config_path, out_dir, seed, threads):
              for n, v in zip(mono.scales, mono.values)],
         )
 
-    _dispatch("ldt", config_path, out_dir, seed, threads, body)
+    _dispatch("ldt", config_path, out_dir, seed, body)
 
 
 @main.command(name="rates")
 @_common_options
-def rates_cmd(config_path, out_dir, seed, threads):
+def rates_cmd(config_path, out_dir, seed):
     """Dyadic rate series, Richardson proxy, C/n table, R(n) sequence."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -309,12 +299,12 @@ def rates_cmd(config_path, out_dir, seed, threads):
               rseq.tail_max, rseq.median, rseq.bounded)],
         )
 
-    _dispatch("rates", config_path, out_dir, seed, threads, body)
+    _dispatch("rates", config_path, out_dir, seed, body)
 
 
 @main.command(name="dichotomy")
 @_common_options
-def dichotomy_cmd(config_path, out_dir, seed, threads):
+def dichotomy_cmd(config_path, out_dir, seed):
     """Exponential-versus-1/n classification of the rate series."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -338,12 +328,12 @@ def dichotomy_cmd(config_path, out_dir, seed, threads):
         run.emit("evidence", ["l", "second_difference", "threshold"],
                  list(verdict.evidence))
 
-    _dispatch("dichotomy", config_path, out_dir, seed, threads, body)
+    _dispatch("dichotomy", config_path, out_dir, seed, body)
 
 
 @main.command(name="holder")
 @_common_options
-def holder_cmd(config_path, out_dir, seed, threads):
+def holder_cmd(config_path, out_dir, seed):
     """Hölder-exponent regression over the parameter window."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -375,12 +365,12 @@ def holder_cmd(config_path, out_dir, seed, threads):
         )
         run.emit("pairs", ["distance", "dlambda"], list(est.pair_rows))
 
-    _dispatch("holder", config_path, out_dir, seed, threads, body)
+    _dispatch("holder", config_path, out_dir, seed, body)
 
 
 @main.command(name="random")
 @_common_options
-def random_cmd(config_path, out_dir, seed, threads):
+def random_cmd(config_path, out_dir, seed):
     """Random matrix products: exponent ladder, LD rows, verdict."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -407,12 +397,12 @@ def random_cmd(config_path, out_dir, seed, threads):
               v.noise_floor)],
         )
 
-    _dispatch("random", config_path, out_dir, seed, threads, body)
+    _dispatch("random", config_path, out_dir, seed, body)
 
 
 @main.command(name="dioph")
 @_common_options
-def dioph_cmd(config_path, out_dir, seed, threads):
+def dioph_cmd(config_path, out_dir, seed):
     """Diophantine-quality scan of the shift frequency."""
 
     def body(cfg: ExperimentConfig, run: _Run):
@@ -427,7 +417,7 @@ def dioph_cmd(config_path, out_dir, seed, threads):
                  [(base.omega[0], base.dio_exponent, n_max, c_est, worst)])
         run.emit("records", ["n", "value"], records)
 
-    _dispatch("dioph", config_path, out_dir, seed, threads, body)
+    _dispatch("dioph", config_path, out_dir, seed, body)
 
 
 if __name__ == "__main__":

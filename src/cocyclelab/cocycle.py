@@ -1,9 +1,9 @@
 """Shift bases, analytic cocycle families, and finite-scale exponents.
 
 A family is a map ``(x, E) -> A(x, E)`` in GL(d) over a torus shift.
-Scale-``n`` products are accumulated with a per-step renormalization
-(divide by the current spectral norm, add its log to a running scale),
-so orbits of length 10^5+ never overflow.
+Scale-``n`` products go through :func:`linalg.scaled_product`, which
+renormalizes at every step (divide by the current spectral norm, add its
+log to a running scale), so orbits of length 10^5+ never overflow.
 
 Per-point log singular values come from the top-growth of the exterior
 power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
@@ -204,79 +204,19 @@ class CocycleFamily:
         Returns shape ``(len(checkpoints), B)``; ``checkpoints`` defaults
         to ``(n,)`` and must be increasing with final entry ``n``.
         """
-        if n < 1:
-            raise ValidationError("orbit length must be at least 1")
-        cps = tuple(checkpoints) if checkpoints is not None else (n,)
-        if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
-            raise ValidationError("checkpoints must be increasing and end at n")
         xs = as_points(xs, self.base.nu)
-        nbatch = xs.shape[0]
-        logs = np.zeros(nbatch, dtype=np.float64)
-        out = np.empty((len(cps), nbatch), dtype=np.float64)
-        prod: np.ndarray | None = None
-        ci = 0
-        for j in range(1, n + 1):
-            factors = linalg.compound_batch(
-                self.evaluate_batch(self.base.orbit_points(xs, j), E), p
-            )
-            prod = factors if prod is None else np.matmul(factors, prod)
-            nrm = linalg.spectral_norm_batch(prod)
-            if not np.all(np.isfinite(nrm)) or np.any(nrm <= 0.0):
-                raise NumericalRefusal(
-                    f"degenerate factor in orbit product at step {j} (E={E})"
-                )
-            prod /= nrm[:, np.newaxis, np.newaxis]
-            logs += np.log(nrm)
-            if j == cps[ci]:
-                out[ci] = logs
-                ci += 1
-        return out
-
-    def product_orbit(self, x, E: float, n: int) -> "ScaledProduct":
-        """Scale-``n`` product over the orbit of ``x``, renormalized every
-        step; ``log_scale`` is reproducible bit for bit."""
-        if n < 1:
-            raise ValidationError("orbit length must be at least 1")
-        xs = as_points(x, self.base.nu)
-        logs = 0.0
-        prod: np.ndarray | None = None
-        for j in range(1, n + 1):
-            m = self.evaluate_batch(self.base.orbit_points(xs, j), E)[0]
-            prod = m if prod is None else m @ prod
-            nrm = float(linalg.spectral_norm_batch(prod[np.newaxis])[0])
-            if not np.isfinite(nrm) or nrm <= 0.0:
-                raise NumericalRefusal(f"singular cocycle factor at step {j}, E={E}")
-            prod = prod / nrm
-            logs += np.log(nrm)
-        return ScaledProduct(normalized=prod, log_scale=float(logs), length=n)
-
-    def log_singular_profile(self, x, E: float, n: int) -> np.ndarray:
-        """Per-point profile ``(1/n) log sigma_j(A^(n)_x)``, j = 1..d,
-        via compound top growth."""
-        xs = as_points(x, self.base.nu)
-        partial = np.empty(self.dim + 1, dtype=np.float64)
-        partial[0] = 0.0
-        for p in range(1, self.dim + 1):
-            partial[p] = self.orbit_lognorms(E, xs, n, p=p)[0, 0]
-        return np.diff(partial) / n
-
-    def profile_batch(self, E: float, xs: np.ndarray, n: int) -> np.ndarray:
-        """Stack of per-point profiles, shape ``(d, B)``."""
-        xs = as_points(xs, self.base.nu)
-        partial = np.zeros((self.dim + 1, xs.shape[0]), dtype=np.float64)
-        for p in range(1, self.dim + 1):
-            partial[p] = self.orbit_lognorms(E, xs, n, p=p)[0]
-        return np.diff(partial, axis=0) / n
+        factors = (
+            linalg.compound_batch(self.evaluate_batch(self.base.orbit_points(xs, j), E), p)
+            for j in range(1, n + 1)
+        )
+        try:
+            return linalg.scaled_product(factors, n, checkpoints)[0]
+        except NumericalRefusal as exc:
+            raise NumericalRefusal(f"{exc} (E={E})") from None
 
     def finite_scale_exponents(self, E: float, n: int, m: int) -> np.ndarray:
         """Grid-averaged exponents ``lambda_{j,n}(E)``, j = 1..d."""
-        if m < 1:
-            raise ValidationError("grid size must be at least 1")
-        xs = torus_grid(self.base.nu, m)
-        partial = np.zeros(self.dim + 1, dtype=np.float64)
-        for p in range(1, self.dim + 1):
-            partial[p] = pairwise_mean(self.orbit_lognorms(E, xs, n, p=p)[0])
-        return np.diff(partial) / n
+        return self.exponent_ladder(E, (n,), m)[n]
 
     def exponent_ladder(
         self, E: float, scales: tuple[int, ...], m: int
@@ -325,24 +265,6 @@ class CocycleFamily:
         pts = torus_grid(self.base.nu, m)
         top, low = linalg.extreme_singular_values_batch(self.evaluate_batch(pts, E))
         return float(np.max(np.log(top))), float(np.max(-np.log(low)))
-
-
-@dataclass(frozen=True)
-class ScaledProduct:
-    """A matrix product stored as ``exp(log_scale) * normalized`` with
-    ``||normalized|| = 1``."""
-
-    normalized: np.ndarray
-    log_scale: float
-    length: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.log_scale):
-            raise ValidationError("log_scale must be finite")
-
-    def matrix(self) -> np.ndarray:
-        """Assembled product; may overflow for long expanding orbits."""
-        return np.exp(self.log_scale) * self.normalized
 
 
 # -- concrete kinds ------------------------------------------------------------

@@ -373,64 +373,50 @@ def parse_config_file(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
 
 
-def read_matrix_blocks(path: str) -> list[np.ndarray]:
-    """Matrices from a text file: one per block, rows of whitespace-
-    separated decimals, blocks separated by blank lines."""
+def _read_blocks(path: str, kind: str, weighted: bool = False):
+    """``(matrix, probability)`` per block of a text file.  Blocks are
+    separated by blank lines and ``#`` lines are comments; a block is the
+    rows of a square matrix of whitespace-separated decimals, preceded by
+    its probability line when ``weighted`` (``None`` otherwise).  Every
+    matrix must have the same dimension and there must be at least one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read matrix file: {exc}") from None
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    mats = []
+        raise ConfigError(f"cannot read {kind} file: {exc}") from None
+    out = []
     dim = None
-    for bi, block in enumerate(blocks):
-        rows = []
-        for line in block.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split()])
-            except ValueError:
-                raise ConfigError(f"malformed number in matrix block {bi}") from None
-        if not rows:
+    for bi, block in enumerate(b for b in text.split("\n\n") if b.strip()):
+        lines = [l.strip() for l in block.splitlines()]
+        lines = [l for l in lines if l and not l.startswith("#")]
+        if not lines:
             continue
+        if weighted and len(lines) < 2:
+            raise ConfigError(f"{kind} block {bi} needs a probability and a matrix")
+        try:
+            prob = float(lines.pop(0)) if weighted else None
+            rows = [[float(tok) for tok in line.split()] for line in lines]
+        except ValueError:
+            raise ConfigError(f"malformed number in {kind} block {bi}") from None
         width = len(rows[0])
         if any(len(r) != width for r in rows) or len(rows) != width:
-            raise ConfigError(f"matrix block {bi} is not square")
+            raise ConfigError(f"{kind} block {bi} is not square")
         if dim is None:
             dim = width
         elif width != dim:
-            raise ConfigError(
-                f"matrix block {bi} has dimension {width}, expected {dim}"
-            )
-        mats.append(np.array(rows, dtype=np.float64))
-    if len(mats) < 1:
-        raise ConfigError("matrix file holds no matrices")
-    return mats
+            raise ConfigError(f"{kind} block {bi} has dimension {width}, expected {dim}")
+        out.append((np.array(rows, dtype=np.float64), prob))
+    if not out:
+        raise ConfigError(f"{kind} file holds no matrices")
+    return out
+
+
+def read_matrix_blocks(path: str) -> list[np.ndarray]:
+    """Matrices from a text file, one per block (see :func:`_read_blocks`)."""
+    return [m for m, _ in _read_blocks(path, "matrix")]
 
 
 def read_support_file(path: str) -> list[tuple[np.ndarray, float]]:
     """Finite-support distribution file: per block, first line is the
     probability, remaining lines the matrix rows."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read support file: {exc}") from None
-    out = []
-    for bi, block in enumerate(b for b in text.split("\n\n") if b.strip()):
-        lines = [l.strip() for l in block.splitlines() if l.strip() and not l.strip().startswith("#")]
-        if len(lines) < 2:
-            raise ConfigError(f"support block {bi} needs a probability and a matrix")
-        try:
-            prob = float(lines[0])
-            rows = [[float(tok) for tok in line.split()] for line in lines[1:]]
-        except ValueError:
-            raise ConfigError(f"malformed number in support block {bi}") from None
-        width = len(rows[0])
-        if any(len(r) != width for r in rows) or len(rows) != width:
-            raise ConfigError(f"support block {bi} matrix is not square")
-        out.append((np.array(rows, dtype=np.float64), prob))
-    return out
+    return _read_blocks(path, "support", weighted=True)

@@ -3,7 +3,11 @@
 Everything here treats a matrix as a plain ``numpy`` array of shape
 ``(d, d)`` with float64 or complex128 entries; the scalar field is the
 dtype.  The spectral norm is the one matrix norm used throughout the
-package.
+package.  The batch helpers at the end take real ``(B, d, d)`` stacks.
+
+:func:`scaled_product` is the one renormalised running product of the
+package: the orbit kernel and the random-product kernel both feed it
+their factor stacks (Benettin et al., Meccanica 15, 1980).
 
 The SVD is a one-sided Jacobi iteration rather than a LAPACK call: at
 these dimensions it is fast enough, and it retains high relative
@@ -219,7 +223,7 @@ def exterior_power(m, p: int) -> np.ndarray:
 # --- batched helpers used by the orbit kernels -------------------------------
 
 def spectral_norm_batch(batch: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a ``(B, d, d)`` stack."""
+    """Largest singular value of each matrix in a real ``(B, d, d)`` stack."""
     b = np.asarray(batch)
     d = b.shape[-1]
     if d == 1:
@@ -280,3 +284,36 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
 
 def compound_dim(d: int, p: int) -> int:
     return comb(d, p)
+
+
+def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalised running product ``F_n ... F_1`` of ``n`` factor stacks.
+
+    ``factors`` yields ``n`` real ``(B, k, k)`` stacks, ``F_1`` first.
+    After every multiplication the product is divided by its spectral
+    norm and the log of that norm is added to a running sum, so long
+    products never overflow.  Returns ``(logs, normalized)``: ``logs[i]``
+    is ``log ||F_c ... F_1||`` per matrix at the i-th checkpoint ``c``
+    (default ``(n,)``; increasing, ending at ``n``), shape
+    ``(len(checkpoints), B)``, and ``normalized`` is the final product
+    divided by its norm.  The factor stacks are never changed in place.
+    """
+    if n < 1:
+        raise ValidationError("product length must be at least 1")
+    cps = tuple(checkpoints) if checkpoints is not None else (n,)
+    if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
+        raise ValidationError("checkpoints must be increasing and end at n")
+    rows = []
+    logs = prod = None
+    for j, f in zip(range(1, n + 1), factors):
+        prod = np.array(f, dtype=np.float64) if prod is None else np.matmul(f, prod)
+        nrm = spectral_norm_batch(prod)
+        if not np.all(np.isfinite(nrm)) or np.any(nrm <= 0.0):
+            raise NumericalRefusal(f"degenerate factor in scaled product at step {j}")
+        prod /= nrm[:, np.newaxis, np.newaxis]
+        logs = np.log(nrm) if logs is None else logs + np.log(nrm)
+        if j in cps:
+            rows.append(logs)
+    if len(rows) != len(cps):
+        raise ValidationError(f"expected {n} factor stacks")
+    return np.array(rows), prod

@@ -6,7 +6,10 @@ stream keyed ``(seed, stream_id)``, so results are independent of worker
 count and schedule, and identical ``(seed, stream_id, n)`` always
 reproduces the same draw.  Ladders reuse the same streams across scales
 (the length-``n`` product is a prefix of the length-``2n`` one), which
-sharpens doubling differences by common random numbers.
+sharpens doubling differences by common random numbers, and one
+checkpointed pass serves every scale of a report.  Products go through
+:func:`linalg.scaled_product`, the same renormalised accumulator as the
+orbit kernel.
 
 Strong irreducibility and contraction of a distribution are not
 algorithmically certifiable; the shipped example distributions satisfy
@@ -168,32 +171,21 @@ def uniform_rotation(seed: int = 0) -> MatrixDistribution:
 # -- Monte Carlo kernels ----------------------------------------------------------
 
 
+def _draws(dist: MatrixDistribution, n: int, streams) -> np.ndarray:
+    """The first ``n`` factors of every stream, shape (T, n, d, d)."""
+    streams = list(streams)
+    seqs = np.empty((len(streams), n, dist.dim, dist.dim))
+    for t, sid in enumerate(streams):
+        seqs[t] = dist.sample_sequence(int(sid), n)
+    return seqs
+
+
 def _batched_lognorms(
     dist: MatrixDistribution, n: int, streams, checkpoints=None
 ) -> np.ndarray:
     """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T)."""
-    cps = tuple(checkpoints) if checkpoints is not None else (n,)
-    if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
-        raise ValidationError("checkpoints must be increasing and end at n")
-    streams = list(streams)
-    nt = len(streams)
-    seqs = np.empty((nt, n, dist.dim, dist.dim))
-    for t, sid in enumerate(streams):
-        seqs[t] = dist.sample_sequence(int(sid), n)
-    logs = np.zeros(nt)
-    out = np.empty((len(cps), nt))
-    prod = None
-    ci = 0
-    for j in range(n):
-        f = seqs[:, j]
-        prod = f.copy() if prod is None else np.matmul(f, prod)
-        nrm = linalg.spectral_norm_batch(prod)
-        prod /= nrm[:, np.newaxis, np.newaxis]
-        logs += np.log(nrm)
-        if j + 1 == cps[ci]:
-            out[ci] = logs
-            ci += 1
-    return out
+    seqs = _draws(dist, n, streams)
+    return linalg.scaled_product((seqs[:, j] for j in range(n)), n, checkpoints)[0]
 
 
 def sample_product(dist: MatrixDistribution, n: int, stream_id: int) -> float:
@@ -225,9 +217,7 @@ def projective_measure(
         raise ValidationError("projective histogram requires dim 2")
     if bins < 1 or trials < 1:
         raise ValidationError("bins and trials must be positive")
-    seqs = np.empty((trials, n, 2, 2))
-    for t in range(trials):
-        seqs[t] = dist.sample_sequence(t, n)
+    seqs = _draws(dist, n, range(trials))
     vecs = np.zeros((trials, 2))
     vecs[:, 0] = 1.0
     for j in range(n):
@@ -250,12 +240,16 @@ def ld_probability(
     ``lambda1`` defaults to the Monte Carlo mean at this same ``n``;
     supply the estimate from the largest scale when scanning a ladder.
     """
-    if delta <= 0.0:
-        raise ValidationError("delta must be positive")
     logs = _batched_lognorms(dist, n, range(trials))[0]
     if lambda1 is None:
         lambda1 = pairwise_mean(logs) / n
-    return float(np.count_nonzero(np.abs(logs - n * lambda1) > n * delta)) / trials
+    return _ld_fraction(logs, n, delta, lambda1)
+
+
+def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> float:
+    if delta <= 0.0:
+        raise ValidationError("delta must be positive")
+    return float(np.count_nonzero(np.abs(logs - n * lambda1) > n * delta)) / logs.size
 
 
 def exponent_series(
@@ -266,12 +260,17 @@ def exponent_series(
     series and a noise floor of three times the worst rung stderr."""
     scales = tuple(sorted(set(int(s) for s in scales)))
     logs = _batched_lognorms(dist, scales[-1], range(trials), checkpoints=scales)
+    return _series(dist, scales, logs)
+
+
+def _series(dist: MatrixDistribution, scales, logs) -> tuple[RateSeries, float]:
+    """:func:`exponent_series` from the per-trial log-norms at ``scales``."""
     values = []
     stderrs = []
     for i, n in enumerate(scales):
         per_trial = logs[i] / n
         values.append(pairwise_mean(per_trial))
-        stderrs.append(float(np.std(per_trial, ddof=1) / np.sqrt(trials)))
+        stderrs.append(float(np.std(per_trial, ddof=1) / np.sqrt(per_trial.size)))
     series = RateSeries(
         family_kind=f"random:{dist.label or dist.sampler or 'support'}",
         E=0.0,
@@ -300,10 +299,13 @@ def convergence_dichotomy_random(
     signals that noise dominates (reported, not hidden).
     """
     series, floor = exponent_series(dist, scales, trials)
+    return _verdict(series, floor, c1, l0), series
+
+
+def _verdict(series: RateSeries, floor: float, c1: float, l0: int | None = None):
     if l0 is None:
         l0 = min(series.scales[1], series.scales[-1] // 4)
-    verdict = dichotomy(series, c1=c1, l0=l0, noise_floor=floor)
-    return verdict, series
+    return dichotomy(series, c1=c1, l0=l0, noise_floor=floor)
 
 
 def contraction_probe(
@@ -311,16 +313,10 @@ def contraction_probe(
 ) -> dict[str, float]:
     """Evidence (not proof) of contraction: singular value ratios of
     norm-normalized products at scale ``n``."""
-    streams = range(trials)
-    ratios = np.empty(trials)
-    for t in streams:
-        seq = dist.sample_sequence(t, n)
-        prod = seq[0]
-        for j in range(1, n):
-            prod = seq[j] @ prod
-            prod = prod / linalg.spectral_norm_batch(prod[np.newaxis])[0]
-        top, low = linalg.extreme_singular_values_batch(prod[np.newaxis])
-        ratios[t] = low[0] / top[0]
+    seqs = _draws(dist, n, range(trials))
+    _, prod = linalg.scaled_product((seqs[:, j] for j in range(n)), n)
+    top, low = linalg.extreme_singular_values_batch(prod)
+    ratios = low / top
     return {
         "median_ratio": float(np.median(ratios)),
         "max_ratio": float(np.max(ratios)),
@@ -346,18 +342,27 @@ def rate_report(
     ld_scales=(),
     c1: float = 0.05,
 ) -> RandomRateReport:
-    verdict, series = convergence_dichotomy_random(dist, scales, trials, c1=c1)
+    """Exponent rows, large-deviation rows and the rate verdict from one
+    checkpointed pass over the union of ``scales`` and ``ld_scales``.
+
+    The LD rows center every scale on ``lambda_ref``, the Monte Carlo
+    exponent at the largest LD scale."""
+    scales = tuple(sorted(set(int(s) for s in scales)))
+    ld_scales = tuple(int(n) for n in ld_scales) if deltas else ()
+    cps = tuple(sorted(set(scales) | set(ld_scales)))
+    logs = dict(zip(cps, _batched_lognorms(dist, cps[-1], range(trials), checkpoints=cps)))
+    series, floor = _series(dist, scales, [logs[n] for n in scales])
+    verdict = _verdict(series, floor, c1)
     rows = tuple(
         (n, v, se, trials)
         for n, v, se in zip(series.scales, series.values, series.stderrs)
     )
-    ld_rows = []
-    if deltas and ld_scales:
+    ld_rows = ()
+    if ld_scales:
         n_ref = max(ld_scales)
-        lam_ref, _ = top_exponent_mc(dist, n_ref, trials)
-        for n in sorted(ld_scales):
-            for delta in deltas:
-                ld_rows.append(
-                    (int(n), float(delta), ld_probability(dist, n, delta, trials, lam_ref))
-                )
-    return RandomRateReport(rows=rows, ld_rows=tuple(ld_rows), verdict=verdict)
+        lam_ref = pairwise_mean(logs[n_ref] / n_ref)
+        ld_rows = tuple(
+            (n, float(delta), _ld_fraction(logs[n], n, delta, lam_ref))
+            for n in sorted(ld_scales) for delta in deltas
+        )
+    return RandomRateReport(rows=rows, ld_rows=ld_rows, verdict=verdict)

@@ -11,8 +11,8 @@ a gap check passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import exp, floor
+from dataclasses import dataclass
+from math import exp
 
 import numpy as np
 
@@ -100,11 +100,6 @@ def rate_series(
         proxy_limit=richardson_proxy(vals),
         proxy_scale=scales[-1],
     )
-
-
-def extrapolate_exponent(series: RateSeries) -> float:
-    """Richardson extrapolation at the top rung of the ladder."""
-    return richardson_proxy(series.values)
 
 
 def check_c_over_n(series: RateSeries) -> tuple[float, list[tuple[int, float]]]:
@@ -445,32 +440,3 @@ def holder_estimate(
         zero_variation=False, beta0_check=beta_chk,
         stretched_sigma=sigma, stretched_c=stretched_c, pair_rows=tuple(rows),
     )
-
-
-# -- experiment-design helpers ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DesignKnobs:
-    """Scale-coupling knobs; they parameterize experiment design only and
-    are never asserted constants."""
-
-    delta0: float
-    delta1: float
-    n0: int = 64
-
-
-def design_knobs(kappa: float) -> DesignKnobs:
-    delta0 = kappa / 10.0
-    return DesignKnobs(delta0=delta0, delta1=delta0**2 / 10.0, n0=64)
-
-
-def coupled_scale(n: int, delta1: float) -> int:
-    """Propose the long scale ``N = floor(exp(delta1 * n))`` coupled to a
-    short scale ``n``.  Advisory: at realistic ``n`` this exceeds desk
-    scale, and nothing in the suite asserts claims at such ``N``."""
-    if delta1 <= 0.0:
-        raise ValidationError("delta1 must be positive")
-    if delta1 * n > 700.0:
-        raise ValidationError("proposed scale overflows a float; reduce delta1 or n")
-    return int(floor(exp(delta1 * n)))

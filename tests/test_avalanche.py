@@ -154,7 +154,7 @@ class TestBound:
 class TestOverlapBracket:
     def test_aligned_diagonals_overlap_one(self):
         mats = [np.diag([1e6, 1.0])] * 4
-        br = ap.overlap_bracket(mats)
+        br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
         assert np.allclose(br.overlaps, 1.0)
         assert np.allclose(br.pair_ratios, 1.0)
         assert br.ok
@@ -164,10 +164,12 @@ class TestOverlapBracket:
         # consecutive top directions is exactly |cos theta|
         d = np.diag([1e6, 1.0])
         for theta in (0.1, 0.4, 1.0):
-            br = ap.overlap_bracket([d, d @ rot(theta)])
+            mats = [d, d @ rot(theta)]
+            br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
             assert abs(br.overlaps[0] - abs(np.cos(theta))) <= 1e-12
             # rotating the output side instead leaves the directions aligned
-            br2 = ap.overlap_bracket([d, rot(theta) @ d])
+            mats = [d, rot(theta) @ d]
+            br2 = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
             assert abs(br2.overlaps[0] - 1.0) <= 1e-12
 
     def test_bracket_on_seeded_admissible_sequences(self):
@@ -176,17 +178,24 @@ class TestOverlapBracket:
         for _ in range(1000):
             d = np.diag([10.0 ** rng.uniform(4, 6), rng.uniform(0.5, 2.0)])
             mats = [d @ rot(rng.uniform(-0.2, 0.2)) for _ in range(int(rng.integers(2, 8)))]
-            br = ap.overlap_bracket(mats)
+            br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
             assert br.ok
             checked += len(br.overlaps)
         assert checked > 1000
 
     def test_degenerate_top_value_refused(self):
         with pytest.raises(NumericalRefusal, match="unverifiable"):
-            ap.overlap_bracket([rot(0.3), np.diag([2.0, 1.0])])
+            mats = [rot(0.3), np.diag([2.0, 1.0])]
+            ap.overlap_bracket(mats, ap.check_hypotheses(mats))
+
+    def test_report_must_match_matrices(self):
+        mats = [np.diag([1e6, 1.0])] * 3
+        with pytest.raises(ValidationError, match="report"):
+            ap.overlap_bracket(mats[:2], ap.check_hypotheses(mats))
 
     def test_scalar_case(self):
-        br = ap.overlap_bracket([np.array([[2.0]]), np.array([[3.0]])])
+        mats = [np.array([[2.0]]), np.array([[3.0]])]
+        br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
         assert np.allclose(br.overlaps, 1.0)
 
 

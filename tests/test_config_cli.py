@@ -151,6 +151,15 @@ class TestMatrixFiles:
         assert len(support) == 2
         assert support[0][1] == 0.5
 
+    def test_support_file_shares_block_checks(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("0.5\n2 0\n0 0.5\n\n0.5\n1 0 0\n0 1 0\n0 0 1\n")
+        with pytest.raises(ConfigError, match="dimension"):
+            cfgmod.read_support_file(str(p))
+        p.write_text("0.5\n")
+        with pytest.raises(ConfigError, match="probability and a matrix"):
+            cfgmod.read_support_file(str(p))
+
 
 def _write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
@@ -208,7 +217,7 @@ class TestCli:
         res = runner.invoke(main, ["holder", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
-    def test_byte_identical_reruns_and_thread_independence(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(
             tmp_path,
             "random.dist = stretch_or_rotate\nrandom.trials = 40\n"
@@ -217,11 +226,9 @@ class TestCli:
         )
         runner = CliRunner()
         outs = []
-        for name, threads in (("a", "1"), ("b", "4")):
+        for name in ("a", "b"):
             res = runner.invoke(
-                main,
-                ["random", "--config", cfg, "--out", str(tmp_path / name),
-                 "--threads", threads],
+                main, ["random", "--config", cfg, "--out", str(tmp_path / name)]
             )
             assert res.exit_code == 0, res.output
             outs.append({
@@ -229,6 +236,16 @@ class TestCli:
                 for f in sorted((tmp_path / name).glob("random_*.csv"))
             })
         assert outs[0] and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("text", ["", "# no blocks\n\n# at all\n"])
+    def test_support_file_without_blocks_exit_1(self, tmp_path, text):
+        support = tmp_path / "s.txt"
+        support.write_text(text)
+        cfg = _write(tmp_path, f"random.dist = file\nrandom.support_file = {support}\n")
+        res = CliRunner().invoke(main, ["random", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "support file holds no matrices" in res.output
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = _write(tmp_path, "random.dist = two_rotations\nnumerics.n_max = 32\nrandom.trials = 8\n")

@@ -242,3 +242,43 @@ class TestBatchHelpers:
             got = linalg.compound_batch(b, p)
             for i in range(5):
                 assert np.allclose(got[i], linalg.exterior_power(b[i], p), atol=1e-12)
+
+
+class TestScaledProduct:
+    def test_matches_assembled_product_at_checkpoints(self):
+        rng = np.random.default_rng(12)
+        stacks = rng.standard_normal((6, 4, 3, 3)) + 2.0 * np.eye(3)
+        logs, normalized = linalg.scaled_product(iter(stacks), 6, checkpoints=(2, 5, 6))
+        assert logs.shape == (3, 4)
+        for row, c in zip(logs, (2, 5, 6)):
+            for b in range(4):
+                full = np.eye(3)
+                for f in stacks[:c, b]:
+                    full = f @ full
+                want = np.log(np.linalg.norm(full, 2))
+                assert abs(row[b] - want) <= 1e-12 * max(1.0, abs(want))
+        assert np.allclose(linalg.spectral_norm_batch(normalized), 1.0, rtol=1e-14)
+
+    def test_callers_arrays_unchanged(self):
+        rng = np.random.default_rng(13)
+        stacks = [rng.standard_normal((2, 2, 2)) for _ in range(3)]
+        before = [s.copy() for s in stacks]
+        linalg.scaled_product(stacks, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(stacks, before))
+
+    @pytest.mark.parametrize("cps", [(2, 1, 3), (1, 2), (0, 3), (2, 2, 3), (1, 4)])
+    def test_bad_checkpoints_rejected(self, cps):
+        stacks = np.broadcast_to(np.eye(2), (3, 1, 2, 2))
+        with pytest.raises(ValidationError, match="checkpoints"):
+            linalg.scaled_product(stacks, 3, checkpoints=cps)
+
+    def test_length_validated(self):
+        with pytest.raises(ValidationError):
+            linalg.scaled_product([], 0)
+        with pytest.raises(ValidationError, match="factor stacks"):
+            linalg.scaled_product([np.eye(2)[np.newaxis]], 2)
+
+    def test_zero_stack_refused(self):
+        stacks = [np.eye(2)[np.newaxis], np.zeros((1, 2, 2))]
+        with pytest.raises(NumericalRefusal, match="step 2"):
+            linalg.scaled_product(stacks, 2)

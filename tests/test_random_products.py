@@ -3,7 +3,7 @@ import pytest
 
 from cocyclelab import random_products as rp
 from cocyclelab import rates
-from cocyclelab.errors import ValidationError
+from cocyclelab.errors import NumericalRefusal, ValidationError
 
 # frozen after the first run under the fixed stream contract
 PIN_SAMPLE_N100_S7 = 65.06448905447543  # rotated_stretch_pair(0.3, 2.0, seed=11)
@@ -96,6 +96,15 @@ class TestTopExponent:
     def test_trials_guard(self, fur):
         with pytest.raises(ValidationError):
             rp.top_exponent_mc(fur, 10, 1)
+
+    def test_degenerate_draws_refused(self, monkeypatch):
+        dist = rp.two_rotations(0.7, 1.3, seed=2)
+        monkeypatch.setattr(
+            rp.MatrixDistribution, "sample_sequence",
+            lambda self, stream_id, n: np.zeros((n, 2, 2)),
+        )
+        with pytest.raises(NumericalRefusal, match="step 1"):
+            rp.sample_product(dist, 4, 0)
 
 
 class TestExteriorPushforward:

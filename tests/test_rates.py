@@ -42,11 +42,11 @@ class TestRateSeries:
 class TestRichardson:
     def test_exact_on_one_over_n(self):
         s = rates.planted_series(SCALES, limit=1.5, coeff=-3.7, law="one_over_n")
-        assert abs(rates.extrapolate_exponent(s) - 1.5) <= 1e-12
+        assert abs(rates.richardson_proxy(s.values) - 1.5) <= 1e-12
 
     def test_exact_on_constant(self):
         s = rates.planted_series(SCALES, limit=0.25, coeff=0.0, law="constant")
-        assert rates.extrapolate_exponent(s) == 0.25
+        assert rates.richardson_proxy(s.values) == 0.25
 
 
 class TestCOverN:
@@ -227,19 +227,3 @@ class TestHolderEstimate:
         )
         assert est.stretched_sigma is not None
         assert 0.0 < est.stretched_sigma < 1.0
-
-
-class TestDesignHelpers:
-    def test_knobs(self):
-        k = rates.design_knobs(0.5)
-        assert k.delta0 == 0.05
-        assert abs(k.delta1 - 0.00025) <= 1e-18
-        assert k.n0 == 64
-
-    def test_coupled_scale(self):
-        assert rates.coupled_scale(64, 0.05) == int(np.floor(np.exp(3.2)))
-        assert rates.coupled_scale(10, 0.0001) == 1
-        with pytest.raises(ValidationError):
-            rates.coupled_scale(100000, 1.0)
-        with pytest.raises(ValidationError):
-            rates.coupled_scale(10, 0.0)
