@@ -229,10 +229,11 @@ def spectral_norm_batch(batch: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.abs(b[:, 0, 0])
     if d == 2:
-        fro2 = np.sum(np.abs(b) ** 2, axis=(1, 2))
-        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-        gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * np.abs(det) ** 2, 0.0))
-        return np.sqrt(0.5 * (fro2 + gap))
+        # for [[p, q], [r, s]], sigma_1 = (|(p+s, q-r)| + |(p-s, q+r)|) / 2:
+        # a sum of norms, so no digits cancel when sigma_1 ~ sigma_2
+        p, q, r, s = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
+        return 0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2)
+                      + np.sqrt((p - s) ** 2 + (q + r) ** 2))
     return np.linalg.svd(b, compute_uv=False)[:, 0]
 
 

@@ -226,6 +226,14 @@ class TestBatchHelpers:
             want = [np.linalg.svd(x, compute_uv=False)[0] for x in b]
             assert np.allclose(got, want, rtol=1e-12)
 
+    def test_spectral_norm_2x2_exact_on_rotations(self):
+        # sigma_1 = sigma_2 = 1: the case where a closed form through
+        # sqrt(fro^4 - 4 det^2) loses half the digits
+        theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 10000)
+        c, s = np.cos(theta), np.sin(theta)
+        rots = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        assert np.max(np.abs(linalg.spectral_norm_batch(rots) - 1.0)) <= 4 * EPS
+
     def test_extreme_singular_values(self):
         rng = np.random.default_rng(4)
         for d in (1, 2, 4):

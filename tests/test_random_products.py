@@ -80,6 +80,10 @@ class TestTopExponent:
         est, _ = rp.top_exponent_mc(rp.uniform_rotation(seed=5), 500, 8)
         assert abs(est) <= 1e-10
 
+    def test_isometries_unbiased_at_short_scale(self):
+        est, _ = rp.top_exponent_mc(rp.two_rotations(0.7, 1.3, seed=3), 8, 400)
+        assert abs(est) <= 1e-15
+
     def test_pinned_positive_exponent(self, fur):
         est, stderr = rp.top_exponent_mc(fur, 1000, 400)
         assert abs(est - PIN_FUR_EST[0]) <= 1e-9
