@@ -95,19 +95,21 @@ def check_hypotheses(matrices, mu: float | None = None) -> APReport:
 
     With ``mu=None`` the certified gap ``min_j ||A_j|| / sigma_2(A_j)``
     is used (the tightest admissible choice); otherwise the caller's
-    ``mu`` is tested as given.
+    ``mu`` is tested as given.  Refuses 1x1 factors: they have no second
+    singular value, so no gap and no dominant direction to certify.
     """
     mats = _validated_factors(matrices)
     n = len(mats)
     d = mats[0].shape[0]
+    if d < 2:
+        raise ValidationError("AP factors must be at least 2x2: a gap needs a second singular value")
     norms = np.empty(n)
     seconds = np.empty(n)
     for i, m in enumerate(mats):
         s = linalg.singular_values(m)
         norms[i] = s[0]
-        seconds[i] = s[1] if d > 1 else 0.0
-    with np.errstate(divide="ignore"):
-        gaps = np.where(seconds > 0.0, norms / np.where(seconds > 0, seconds, 1.0), np.inf)
+        seconds[i] = s[1]  # positive: every factor passed the invertibility check
+    gaps = norms / seconds
     mu_cert = float(np.min(gaps))
     mu_used = mu_cert if mu is None else float(mu)
     if mu_used <= 0.0:
@@ -196,25 +198,22 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     d = mats[0].shape[0]
     if (n, d) != (report.n, report.dim):
         raise ValidationError("report does not describe these matrices")
-    if d == 1:
-        overlaps = np.ones(n - 1)
-    else:
-        tops = []
-        images = []
-        for i, m in enumerate(mats):
-            res = linalg.svd(m)
-            s = res.singular_values
-            if (s[0] - s[1]) <= DEGENERATE_GAP_RTOL * s[0]:
-                raise NumericalRefusal(
-                    f"AP hypotheses unverifiable: factor {i} has a degenerate "
-                    f"top singular value (relative gap {(s[0]-s[1])/s[0]:.2e})"
-                )
-            tops.append(res.right_factor[:, 0])
-            img = m @ res.right_factor[:, 0]
-            images.append(img / np.linalg.norm(img))
-        overlaps = np.array(
-            [abs(float(np.vdot(tops[j + 1], images[j]))) for j in range(n - 1)]
-        )
+    tops = []
+    images = []
+    for i, m in enumerate(mats):
+        res = linalg.svd(m)
+        s = res.singular_values
+        if (s[0] - s[1]) <= DEGENERATE_GAP_RTOL * s[0]:
+            raise NumericalRefusal(
+                f"AP hypotheses unverifiable: factor {i} has a degenerate "
+                f"top singular value (relative gap {(s[0]-s[1])/s[0]:.2e})"
+            )
+        tops.append(res.right_factor[:, 0])
+        img = m @ res.right_factor[:, 0]
+        images.append(img / np.linalg.norm(img))
+    overlaps = np.array(
+        [abs(float(np.vdot(tops[j + 1], images[j]))) for j in range(n - 1)]
+    )
     lower = report.pair_ratios - 2.0 / report.mu
     upper = report.pair_ratios + 1.0 / report.mu
     slack = 1e-12

@@ -48,6 +48,8 @@ class _Run:
         self._t0 = now
 
     def _fmt_cell(self, v) -> str:
+        if v is None:  # a value that does not apply
+            return ""
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, (int, np.integer)):
@@ -361,7 +363,7 @@ def holder_cmd(config_path, out_dir, seed):
               est.residual, est.kappa_min, est.pairs_used, est.pairs_excluded,
               est.zero_variation,
               est.beta0_check.passes if est.beta0_check is not None else False,
-              est.stretched_sigma if est.stretched_sigma is not None else float("nan"))],
+              est.stretched_sigma)],
         )
         run.emit("pairs", ["distance", "dlambda"], list(est.pair_rows))
 

@@ -2,8 +2,10 @@
 
 A family is a map ``(x, E) -> A(x, E)`` in GL(d) over a torus shift.
 Scale-``n`` products go through :func:`linalg.scaled_product`, which
-renormalizes at every step (divide by the current spectral norm, add its
-log to a running scale), so orbits of length 10^5+ never overflow.
+renormalizes at every step (scale by the power of two that brings the
+Frobenius norm into ``[1/2, 1)``, add its exponent to an integer sum) and
+takes the spectral norm only at the reported scales, so orbits of length
+10^5+ never overflow.
 
 Per-point log singular values come from the top-growth of the exterior
 power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p

@@ -48,16 +48,17 @@ class DecayFit:
     ``exp_poly`` fits ``log m = -c n + C (log n)^b`` (``b`` scanned over a
     fixed grid, ``c`` and ``C`` linear); ``stretched`` fits
     ``log(-log m) = tau log n + const``.  ``degenerate`` is set when
-    fewer than 4 rows have positive measure.
+    fewer than 4 rows have positive measure.  Coefficients the model does
+    not fit, and every number of a degenerate fit, are ``None``.
     """
 
     model: str
     degenerate: bool
-    c: float = float("nan")
-    C: float = float("nan")
-    b: float = float("nan")
-    tau: float = float("nan")
-    residual: float = float("nan")
+    c: float | None = None
+    C: float | None = None
+    b: float | None = None
+    tau: float | None = None
+    residual: float | None = None
     n_range: tuple[int, int] = (0, 0)
 
 

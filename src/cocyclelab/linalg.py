@@ -7,7 +7,9 @@ package.  The batch helpers at the end take real ``(B, d, d)`` stacks.
 
 :func:`scaled_product` is the one renormalised running product of the
 package: the orbit kernel and the random-product kernel both feed it
-their factor stacks (Benettin et al., Meccanica 15, 1980).
+their factor stacks (Benettin et al., Meccanica 15, 1980).  It rescales
+by exact powers of two after every step, keeping the exponents in an
+integer sum, and takes spectral norms only at the requested checkpoints.
 
 The SVD is a one-sided Jacobi iteration rather than a LAPACK call: at
 these dimensions it is fast enough, and it retains high relative
@@ -28,6 +30,8 @@ from .errors import NumericalRefusal, ValidationError
 # Conditioning threshold: below this ratio of extreme singular values a
 # matrix is treated as numerically singular and GL(d) operations refuse.
 INVERTIBILITY_RTOL = 1e-13
+
+_LN2 = float(np.log(2.0))
 
 _JACOBI_TOL = 1e-15
 _MAX_SWEEPS = 60
@@ -291,13 +295,22 @@ def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.nd
     """Renormalised running product ``F_n ... F_1`` of ``n`` factor stacks.
 
     ``factors`` yields ``n`` real ``(B, k, k)`` stacks, ``F_1`` first.
-    After every multiplication the product is divided by its spectral
-    norm and the log of that norm is added to a running sum, so long
-    products never overflow.  Returns ``(logs, normalized)``: ``logs[i]``
-    is ``log ||F_c ... F_1||`` per matrix at the i-th checkpoint ``c``
-    (default ``(n,)``; increasing, ending at ``n``), shape
-    ``(len(checkpoints), B)``, and ``normalized`` is the final product
-    divided by its norm.  The factor stacks are never changed in place.
+    After every multiplication the product is scaled by the power of two
+    ``2^-e`` that brings its Frobenius norm into ``[1/2, 1)``, and ``e``
+    is added to an integer exponent sum; the scaling is exact, so no
+    rounding and no logarithm is spent per step.  The spectral norm is
+    taken only at the checkpoints, where ``log ||F_c ... F_1||`` is
+    ``e_sum * log 2 + log ||scaled product||``.  A step whose squared
+    Frobenius norm is zero or not finite is refused, naming the step:
+    that covers a zero or non-finite factor, and factor norms above about
+    ``1e154`` or below about ``1e-162``, where that square leaves the
+    float range.
+
+    Returns ``(logs, normalized)``: ``logs[i]`` is the log-norm per
+    matrix at the i-th checkpoint ``c`` (default ``(n,)``; increasing,
+    ending at ``n``), shape ``(len(checkpoints), B)``, and ``normalized``
+    is the final product divided by its spectral norm.  The factor
+    stacks are never changed in place.
     """
     if n < 1:
         raise ValidationError("product length must be at least 1")
@@ -305,16 +318,19 @@ def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.nd
     if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
         raise ValidationError("checkpoints must be increasing and end at n")
     rows = []
-    logs = prod = None
+    expo = prod = nrm = None
     for j, f in zip(range(1, n + 1), factors):
         prod = np.array(f, dtype=np.float64) if prod is None else np.matmul(f, prod)
-        nrm = spectral_norm_batch(prod)
-        if not np.all(np.isfinite(nrm)) or np.any(nrm <= 0.0):
+        fro2 = np.einsum("bij,bij->b", prod, prod)
+        if not np.all(np.isfinite(fro2)) or np.any(fro2 <= 0.0):
             raise NumericalRefusal(f"degenerate factor in scaled product at step {j}")
-        prod /= nrm[:, np.newaxis, np.newaxis]
-        logs = np.log(nrm) if logs is None else logs + np.log(nrm)
+        e = np.frexp(np.sqrt(fro2))[1]
+        np.ldexp(prod, -e[:, np.newaxis, np.newaxis], out=prod)
+        expo = e.astype(np.int64) if expo is None else expo + e
         if j in cps:
-            rows.append(logs)
+            nrm = spectral_norm_batch(prod)
+            rows.append(expo * _LN2 + np.log(nrm))
     if len(rows) != len(cps):
         raise ValidationError(f"expected {n} factor stacks")
-    return np.array(rows), prod
+    # the last checkpoint is n, so nrm is the norm of the final product
+    return np.array(rows), prod / nrm[:, np.newaxis, np.newaxis]

@@ -328,13 +328,15 @@ def crude_continuity_check(
 @dataclass(frozen=True)
 class HolderEstimate:
     """Log-log regression of exponent differences against parameter
-    distance over deterministic low-discrepancy pairs."""
+    distance over deterministic low-discrepancy pairs.  ``gamma_est``
+    and ``residual`` are ``None`` under ``zero_variation`` (fewer than two
+    resolved pairs leave nothing to regress)."""
 
     j: int
     window: tuple[float, float]
     n: int
-    gamma_est: float
-    residual: float
+    gamma_est: float | None
+    residual: float | None
     kappa_min: float
     pairs_used: int
     pairs_excluded: int
@@ -412,7 +414,7 @@ def holder_estimate(
     beta_chk = None
     if len(rows) < 2:
         return HolderEstimate(
-            j=j, window=(lo, hi), n=n, gamma_est=float("nan"), residual=float("nan"),
+            j=j, window=(lo, hi), n=n, gamma_est=None, residual=None,
             kappa_min=kappa_min, pairs_used=len(rows), pairs_excluded=excluded,
             zero_variation=True, beta0_check=beta_chk, pair_rows=tuple(rows),
         )

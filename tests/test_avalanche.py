@@ -193,10 +193,11 @@ class TestOverlapBracket:
         with pytest.raises(ValidationError, match="report"):
             ap.overlap_bracket(mats[:2], ap.check_hypotheses(mats))
 
-    def test_scalar_case(self):
+    def test_scalar_factors_refused(self):
+        # no second singular value: no gap, so no report to bracket against
         mats = [np.array([[2.0]]), np.array([[3.0]])]
-        br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
-        assert np.allclose(br.overlaps, 1.0)
+        with pytest.raises(ValidationError, match="at least 2x2"):
+            ap.check_hypotheses(mats)
 
 
 class TestProjectionDemos:

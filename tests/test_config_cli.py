@@ -200,6 +200,58 @@ class TestCli:
         vals = head[1].split(",")
         assert float(vals[cols.index("discrepancy")]) == 0.0
 
+    def test_ap_verify_one_by_one_factors_exit_1(self, tmp_path):
+        # a 1x1 factor has no second singular value, so there is no AP to check
+        mats = tmp_path / "mats.txt"
+        mats.write_text("2\n\n3\n\n0.5\n")
+        cfg = _write(tmp_path, f"ap.matrix_file = {mats}\n")
+        res = CliRunner().invoke(main, ["ap-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "at least 2x2" in res.output
+        assert not list((tmp_path / "o").glob("ap_verify*"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_values_that_do_not_apply_are_empty_not_nan(self, tmp_path, fmt):
+        # constant family on a circle: zero variation, and no stretched fit
+        holder = _write(
+            tmp_path,
+            "cocycle.kind = constant\ncocycle.entries = 2,0,0,0.5\n"
+            "param.E_min = 0.0\nparam.E_max = 1.0\nparam.E_count = 2\n"
+            f"numerics.n_max = 8\nnumerics.grid = 4\noutput.format = {fmt}\n",
+            "holder.cfg",
+        )
+        # a constant family has an empty deviation set: a degenerate fit
+        ldt = _write(
+            tmp_path,
+            "cocycle.kind = constant\ncocycle.entries = 2,0,0,0.5\n"
+            f"numerics.n_max = 64\nnumerics.grid = 8\noutput.format = {fmt}\n",
+            "ldt.cfg",
+        )
+        out = tmp_path / "o"
+        for sub, cfg in (("holder", holder), ("ldt", ldt)):
+            res = CliRunner().invoke(main, [sub, "--config", cfg, "--out", str(out)])
+            assert res.exit_code == 0, (sub, res.output)
+        files = sorted(out.glob(f"*.{fmt}"))
+        assert {f.name for f in files} >= {f"holder_summary.{fmt}", f"ldt_fit.{fmt}"}
+        for f in files:
+            text = f.read_text().lower()
+            assert "nan" not in text and "inf" not in text, f.name
+        if fmt == "csv":
+            rows = {
+                f.stem: [l.split(",") for l in f.read_text().splitlines() if not l.startswith("#")]
+                for f in files
+            }
+            summary = dict(zip(*rows["holder_summary"]))
+            assert summary["zero_variation"] == "true"
+            assert summary["gamma_est"] == summary["residual"] == summary["stretched_sigma"] == ""
+            fit = dict(zip(*rows["ldt_fit"]))
+            assert fit["degenerate"] == "true"
+            assert [fit[k] for k in ("c", "C", "b", "tau", "residual")] == [""] * 5
+        else:
+            doc = json.loads((out / "holder_summary.json").read_text())
+            row = dict(zip(doc["columns"], doc["rows"][0]))
+            assert row["gamma_est"] is None and row["stretched_sigma"] is None
+
     def test_validation_failure_exit_1(self, tmp_path):
         cfg = _write(tmp_path, "numerics.grid = 0\n")
         runner = CliRunner()

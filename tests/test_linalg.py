@@ -290,3 +290,32 @@ class TestScaledProduct:
         stacks = [np.eye(2)[np.newaxis], np.zeros((1, 2, 2))]
         with pytest.raises(NumericalRefusal, match="step 2"):
             linalg.scaled_product(stacks, 2)
+
+    @pytest.mark.parametrize("factor, sign", [(np.diag([1e3, 1e-3]), 1.0), (1e-3 * np.eye(3), -1.0)])
+    def test_products_beyond_float_range(self, factor, sign):
+        # the product norms reach 1e+-9000, far outside the float64 range
+        cps = (1, 2, 10, 100, 1000, 2999, 3000)
+        logs, normalized = linalg.scaled_product((factor[np.newaxis] for _ in range(3000)), 3000, cps)
+        for row, c in zip(logs, cps):
+            want = sign * c * np.log(1e3)
+            assert abs(row[0] - want) <= 1e-12 * abs(want)
+        assert np.all(np.isfinite(normalized))
+        assert linalg.spectral_norm_batch(normalized)[0] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_degenerate_factor_refused_at_its_step(self, bad):
+        ones = [np.eye(2)[np.newaxis]] * 4
+        stacks = ones + [np.full((1, 2, 2), bad)] + ones
+        with pytest.raises(NumericalRefusal, match="step 5"):
+            linalg.scaled_product(stacks, 9, checkpoints=(2, 9))
+
+    def test_spectral_norm_taken_only_at_checkpoints(self, monkeypatch):
+        calls = []
+        real = linalg.spectral_norm_batch
+        monkeypatch.setattr(linalg, "spectral_norm_batch", lambda b: calls.append(1) or real(b))
+        stacks = np.random.default_rng(14).standard_normal((40, 5, 3, 3))
+        for cps in ((40,), (1, 8, 40), tuple(range(1, 41))):
+            calls.clear()
+            linalg.scaled_product(iter(stacks), 40, checkpoints=cps)
+            # the last checkpoint is n, whose norm also normalises the result
+            assert len(calls) == len(cps)
