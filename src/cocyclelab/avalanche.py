@@ -5,16 +5,25 @@ For invertible ``A_1..A_n`` in which every factor has a dominant simple
 singular direction (top-to-second singular value gap at least ``mu``)
 and no adjacent pair cancels (pair norm ratio above ``mu^(-1/4)``), the
 log-norm of the full product equals the alternating sum of single and
-pair log-norms up to ``O(n / sqrt(mu))``.  This module certifies the
-hypotheses, computes the discrepancy of that identity with overflow-safe
-scaled products, brackets the consecutive stretch-direction overlaps by
-the pair-norm ratios, and builds the rank-1 / rank-2 projection families
-that show where the mechanism lives and where it genuinely fails.
+pair log-norms up to ``O(n / sqrt(mu))`` (Goldstein-Schlag, Ann. of
+Math. 154, 2001).  :func:`verify` certifies the hypotheses and computes
+the discrepancy of that identity with overflow-safe scaled products;
+:func:`overlap_bracket` brackets the consecutive stretch-direction
+overlaps by the pair-norm ratios; the rank-1 / rank-2 projection
+families show where the mechanism lives and where it genuinely fails.
+
+Every number comes from one path.  Each factor gets one Jacobi SVD,
+which supplies the invertibility check, ``sigma_1``, ``sigma_2`` and the
+top right-singular direction.  Each adjacent pair gets one scaled norm
+``||A_{j+1} (A_j / ||A_j||)||``, which gives both the reported pair norm
+and the pair term of the discrepancy.  The running product of the full
+sequence is the only other norm taken, so ``n`` factors cost ``3n - 1``
+SVDs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +38,6 @@ C_IMPL = 100.0
 #: below this relative top-gap the dominant direction is ill-defined and
 #: hypothesis checks refuse instead of silently perturbing
 DEGENERATE_GAP_RTOL = 1e-8
-
-
-def _validated_factors(matrices) -> list[np.ndarray]:
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if len(mats) < 2:
-        raise ValidationError("need at least two factors")
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (d, d):
-            raise ValidationError(f"factor {i} has shape {m.shape}, expected ({d},{d})")
-        linalg.require_invertible(m, context=f"factor {i}")
-    return mats
 
 
 def scaled_log_norm(matrices) -> float:
@@ -59,18 +56,53 @@ def scaled_log_norm(matrices) -> float:
     return logs
 
 
+def _factors(matrices):
+    """Validated float factors, one SVD each, their norms, and the scaled
+    pair norms ``||A_{j+1} (A_j / ||A_j||)||``.
+
+    A scaled pair norm is the second step of :func:`scaled_log_norm` on
+    ``A_j, A_{j+1}``, so ``log ||A_j|| + log`` of it is that pair's scaled
+    log-norm bit for bit, and the ``n = 2`` discrepancy cancels exactly.
+    """
+    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
+    if len(mats) < 2:
+        raise ValidationError("need at least two factors")
+    d = mats[0].shape[0]
+    svds = []
+    for i, m in enumerate(mats):
+        if m.shape != (d, d):
+            raise ValidationError(f"factor {i} has shape {m.shape}, expected ({d},{d})")
+        svds.append(linalg.require_invertible(m, context=f"factor {i}"))
+    norms = np.array([s.singular_values[0] for s in svds])
+    scaled_pairs = np.array(
+        [linalg.operator_norm(b @ (a / nrm)) for a, b, nrm in zip(mats, mats[1:], norms)]
+    )
+    return mats, svds, norms, scaled_pairs
+
+
+def _discrepancy(mats, norms, scaled_pairs) -> float:
+    logs = [float(np.log(x)) for x in norms]
+    total = scaled_log_norm(mats)
+    middle = sum(logs[1:-1])
+    pairs = sum(logs[j] + float(np.log(s)) for j, s in enumerate(scaled_pairs))
+    return abs(total + middle - pairs)
+
+
 @dataclass(frozen=True)
 class APReport:
-    """Hypothesis flags and certified quantities for one factor sequence.
+    """Hypothesis flags, certified quantities and the discrepancy of one
+    factor sequence.
 
     ``mu`` is the certified gap: the largest value for which every factor
     satisfies ``norm >= second_value * mu``, i.e. ``min_j norms/seconds``.
+    ``directions[j]`` is the top right-singular vector of ``A_j``.
     """
 
     n: int
     dim: int
     norms: np.ndarray
     second_values: np.ndarray
+    directions: np.ndarray
     gaps: np.ndarray
     mu: float
     pair_norms: np.ndarray
@@ -78,8 +110,8 @@ class APReport:
     cond_dominant_direction: bool
     cond_mu_floor: bool
     cond_no_cancellation: bool
-    discrepancy: float | None = None
-    bound: float | None = None
+    discrepancy: float
+    bound: float
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -90,34 +122,29 @@ class APReport:
         )
 
 
-def check_hypotheses(matrices, mu: float | None = None) -> APReport:
-    """Evaluate the AP hypotheses for a factor sequence.
+def verify(matrices, mu: float | None = None) -> APReport:
+    """Evaluate the AP hypotheses, the discrepancy and the asserted bound
+    ``C_IMPL * n / sqrt(mu)``.
 
     With ``mu=None`` the certified gap ``min_j ||A_j|| / sigma_2(A_j)``
     is used (the tightest admissible choice); otherwise the caller's
     ``mu`` is tested as given.  Refuses 1x1 factors: they have no second
     singular value, so no gap and no dominant direction to certify.
     """
-    mats = _validated_factors(matrices)
+    mats, svds, norms, scaled_pairs = _factors(matrices)
     n = len(mats)
     d = mats[0].shape[0]
     if d < 2:
         raise ValidationError("AP factors must be at least 2x2: a gap needs a second singular value")
-    norms = np.empty(n)
-    seconds = np.empty(n)
-    for i, m in enumerate(mats):
-        s = linalg.singular_values(m)
-        norms[i] = s[0]
-        seconds[i] = s[1]  # positive: every factor passed the invertibility check
+    # positive: every factor passed the invertibility check
+    seconds = np.array([s.singular_values[1] for s in svds])
     gaps = norms / seconds
     mu_cert = float(np.min(gaps))
     mu_used = mu_cert if mu is None else float(mu)
     if mu_used <= 0.0:
         raise ValidationError("mu must be positive")
 
-    pair_norms = np.empty(n - 1)
-    for j in range(n - 1):
-        pair_norms[j] = linalg.operator_norm(mats[j + 1] @ mats[j])
+    pair_norms = norms[:-1] * scaled_pairs
     pair_ratios = pair_norms / (norms[1:] * norms[:-1])
 
     # compare gap ratios, not the product norms >= seconds*mu: at the factor
@@ -130,6 +157,7 @@ def check_hypotheses(matrices, mu: float | None = None) -> APReport:
         dim=d,
         norms=norms,
         second_values=seconds,
+        directions=np.array([s.right_factor[:, 0] for s in svds]),
         gaps=gaps,
         mu=mu_used,
         pair_norms=pair_norms,
@@ -137,6 +165,8 @@ def check_hypotheses(matrices, mu: float | None = None) -> APReport:
         cond_dominant_direction=cond_a,
         cond_mu_floor=cond_b,
         cond_no_cancellation=cond_c,
+        discrepancy=_discrepancy(mats, norms, scaled_pairs),
+        bound=float(C_IMPL * n / np.sqrt(mu_used)),
     )
 
 
@@ -144,23 +174,11 @@ def ap_discrepancy(matrices) -> float:
     """``| log||A_n...A_1|| + sum_{j=2}^{n-1} log||A_j|| -
     sum_{j=1}^{n-1} log||A_{j+1} A_j|| |``.
 
-    Full product and pair norms go through the same scaled accumulation,
-    so the ``n = 2`` case cancels exactly.
+    The full product and the pairs go through the same scaled
+    accumulation, so the ``n = 2`` case cancels exactly.
     """
-    mats = _validated_factors(matrices)
-    n = len(mats)
-    total = scaled_log_norm(mats)
-    middle = sum(scaled_log_norm([mats[j]]) for j in range(1, n - 1))
-    pairs = sum(scaled_log_norm(mats[j : j + 2]) for j in range(n - 1))
-    return abs(total + middle - pairs)
-
-
-def verify(matrices, mu: float | None = None) -> APReport:
-    """Full report: hypotheses, discrepancy, and the asserted bound."""
-    report = check_hypotheses(matrices, mu=mu)
-    disc = ap_discrepancy(matrices)
-    bound = C_IMPL * report.n / np.sqrt(report.mu)
-    return replace(report, discrepancy=disc, bound=float(bound))
+    mats, _, norms, scaled_pairs = _factors(matrices)
+    return _discrepancy(mats, norms, scaled_pairs)
 
 
 @dataclass(frozen=True)
@@ -183,9 +201,9 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     """Compute top-direction overlaps and check the two-sided pair-ratio
     bracket.
 
-    ``report`` is :func:`check_hypotheses` (or :func:`verify`) of the same
-    matrices; its pair ratios and ``mu`` set the bracket, so the factors
-    are not validated a second time.
+    ``report`` is :func:`verify` of the same matrices; its top directions,
+    pair ratios and ``mu`` are used as they are, so no factor is
+    decomposed a second time.
 
     For each factor, the top right-singular direction is where the
     dominant stretch happens; its image line must nearly align with the
@@ -198,22 +216,17 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     d = mats[0].shape[0]
     if (n, d) != (report.n, report.dim):
         raise ValidationError("report does not describe these matrices")
-    tops = []
-    images = []
-    for i, m in enumerate(mats):
-        res = linalg.svd(m)
-        s = res.singular_values
-        if (s[0] - s[1]) <= DEGENERATE_GAP_RTOL * s[0]:
+    s1, s2 = report.norms, report.second_values
+    for i in range(n):
+        if (s1[i] - s2[i]) <= DEGENERATE_GAP_RTOL * s1[i]:
             raise NumericalRefusal(
                 f"AP hypotheses unverifiable: factor {i} has a degenerate "
-                f"top singular value (relative gap {(s[0]-s[1])/s[0]:.2e})"
+                f"top singular value (relative gap {(s1[i]-s2[i])/s1[i]:.2e})"
             )
-        tops.append(res.right_factor[:, 0])
-        img = m @ res.right_factor[:, 0]
-        images.append(img / np.linalg.norm(img))
-    overlaps = np.array(
-        [abs(float(np.vdot(tops[j + 1], images[j]))) for j in range(n - 1)]
-    )
+    overlaps = np.empty(n - 1)
+    for j in range(n - 1):
+        img = mats[j] @ report.directions[j]
+        overlaps[j] = abs(float(np.vdot(report.directions[j + 1], img / np.linalg.norm(img))))
     lower = report.pair_ratios - 2.0 / report.mu
     upper = report.pair_ratios + 1.0 / report.mu
     slack = 1e-12
@@ -267,17 +280,14 @@ def projection_demo(thetas, eps: float, mode: str) -> ProjectionDemo:
             mats.append(proj + eps * (np.eye(3) - proj))
         else:
             mats.append((np.eye(3) - proj) + eps * proj)
-    norms = np.array([linalg.operator_norm(m) for m in mats])
-    pair_norms = np.array(
-        [linalg.operator_norm(mats[j + 1] @ mats[j]) for j in range(len(mats) - 1)]
-    )
+    mats, _, norms, scaled_pairs = _factors(mats)
     return ProjectionDemo(
         mode=mode,
         eps=float(eps),
         matrices=mats,
         norms=norms,
-        pair_norms=pair_norms,
-        discrepancy=ap_discrepancy(mats),
+        pair_norms=norms[:-1] * scaled_pairs,
+        discrepancy=_discrepancy(mats, norms, scaled_pairs),
     )
 
 

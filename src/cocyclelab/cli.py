@@ -324,8 +324,7 @@ def dichotomy_cmd(config_path, out_dir, seed):
             "verdict",
             ["classification", "c1", "c1_est", "trigger_scale", "noise_floor"],
             [(verdict.classification, verdict.c1, verdict.c1_est,
-              verdict.trigger_scale if verdict.trigger_scale is not None else -1,
-              verdict.noise_floor)],
+              verdict.trigger_scale, verdict.noise_floor)],
         )
         run.emit("evidence", ["l", "second_difference", "threshold"],
                  list(verdict.evidence))
@@ -395,8 +394,7 @@ def random_cmd(config_path, out_dir, seed):
             "verdict",
             ["classification", "c1", "c1_est", "trigger_scale", "noise_floor"],
             [(v.classification, v.c1, v.c1_est,
-              v.trigger_scale if v.trigger_scale is not None else -1,
-              v.noise_floor)],
+              v.trigger_scale, v.noise_floor)],
         )
 
     _dispatch("random", config_path, out_dir, seed, body)

@@ -432,7 +432,6 @@ class LyapunovTable:
     """Finite-scale exponents indexed by ``(E, n, j)`` with ``j`` 1-based."""
 
     grid_size: int
-    method: str
     entries: dict[tuple[float, int, int], float] = field(default_factory=dict)
 
     def put_spectrum(self, E: float, n: int, values: np.ndarray):
@@ -477,19 +476,11 @@ def exponent_table(
     param_values,
     scales,
     m: int,
-    method: str = "compound",
 ) -> LyapunovTable:
     """Finite-scale exponents for every combination of parameter and scale."""
     scales = tuple(sorted(set(int(s) for s in scales)))
-    table = LyapunovTable(grid_size=m, method=method)
+    table = LyapunovTable(grid_size=m)
     for E in np.asarray(param_values, dtype=np.float64):
-        if method == "compound":
-            ladder = fam.exponent_ladder(float(E), scales, m)
-            for n, spec in ladder.items():
-                table.put_spectrum(float(E), n, spec)
-        elif method == "qr":
-            for n in scales:
-                table.put_spectrum(float(E), n, fam.finite_scale_exponents_qr(float(E), n, m))
-        else:
-            raise ValidationError(f"unknown exponent method {method!r}")
+        for n, spec in fam.exponent_ladder(float(E), scales, m).items():
+            table.put_spectrum(float(E), n, spec)
     return table

@@ -110,7 +110,6 @@ _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
     "random.scales": ("ints", (), None),  # empty: dyadic 8..n_max
     "random.deltas": ("floats", (), None),
     "random.ld_scales": ("ints", (50, 400), None),
-    "random.bins": ("int", 64, None),
     "random.c1": ("float", 0.05, None),
 }
 
@@ -137,7 +136,6 @@ _RANGE_CHECKS = {
     "holder.kappa": lambda v: v > 0.0,
     "holder.decades": lambda v: v >= 3,
     "random.trials": lambda v: v >= 2,
-    "random.bins": lambda v: v >= 1,
     "random.c1": lambda v: v > 0.0,
 }
 

@@ -139,10 +139,6 @@ def _complete_column(existing: np.ndarray) -> np.ndarray:
     return best / best_norm
 
 
-def singular_values(m) -> np.ndarray:
-    return svd(m).singular_values
-
-
 def operator_norm(m) -> float:
     """Spectral norm, i.e. the largest singular value."""
     a = _as_square(m)
@@ -151,18 +147,16 @@ def operator_norm(m) -> float:
     return float(svd(a).singular_values[0])
 
 
-def is_invertible(m) -> bool:
-    """Conditioning-based GL(d) membership test."""
-    s = singular_values(m)
-    return s[0] > 0.0 and float(s[-1] / s[0]) > INVERTIBILITY_RTOL
-
-
-def require_invertible(m, context: str = "matrix"):
-    if not is_invertible(m):
+def require_invertible(m, context: str = "matrix") -> SvdResult:
+    """Conditioning-based GL(d) membership test; returns the SVD it tested."""
+    res = svd(m)
+    s = res.singular_values
+    if not (s[0] > 0.0 and float(s[-1] / s[0]) > INVERTIBILITY_RTOL):
         raise NumericalRefusal(
             f"{context} is numerically singular "
             f"(singular value ratio below {INVERTIBILITY_RTOL:g})"
         )
+    return res
 
 
 def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:

@@ -149,7 +149,7 @@ def r_sequence(series: RateSeries) -> RSequenceReport:
 class DichotomyVerdict:
     classification: str  # exponential | one_over_n | inconclusive
     c1: float
-    c1_est: float
+    c1_est: float | None  # None: fewer than two positive second differences
     trigger_scale: int | None
     evidence: tuple[tuple[int, float, float], ...]  # (l, second_difference, threshold)
     noise_floor: float = 0.0
@@ -205,7 +205,7 @@ def dichotomy(
         slope = float(np.polyfit(xs, ys, 1)[0])
         c1_est = max(-slope, 0.0)
     else:
-        c1_est = c1
+        c1_est = None
 
     if trigger is not None:
         base_dev = devs[trigger]

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import avalanche as ap
+from cocyclelab import linalg
 from cocyclelab.errors import NumericalRefusal, ValidationError
 
 # frozen after the first run; the mpmath oracle below recomputes it
@@ -52,7 +53,7 @@ def rot3(i: int, j: int, theta: float, d: int) -> np.ndarray:
 class TestHypotheses:
     def test_aligned_diagonals(self):
         mats = [np.diag([1e6, 1.0])] * 3
-        rep = ap.check_hypotheses(mats, mu=1e6)
+        rep = ap.verify(mats, mu=1e6)
         assert rep.cond_dominant_direction
         assert rep.cond_mu_floor  # 16 * 9 <= 1e6
         assert rep.cond_no_cancellation
@@ -61,7 +62,7 @@ class TestHypotheses:
 
     def test_certified_mu_is_min_gap(self):
         mats = [np.diag([1e6, 1.0]), np.diag([1e5, 1.0]), np.diag([1e7, 1.0])]
-        rep = ap.check_hypotheses(mats)
+        rep = ap.verify(mats)
         assert np.isclose(rep.mu, 1e5)
 
     def test_quarter_turn_cancellation(self):
@@ -69,7 +70,7 @@ class TestHypotheses:
         # the pair product has norm ~1e6, ratio ~1e-6 < mu^(-1/4)
         d = np.diag([1e6, 1.0])
         mats = [d, d @ rot(np.pi / 2), d, d @ rot(np.pi / 2)]
-        rep = ap.check_hypotheses(mats, mu=1e6)
+        rep = ap.verify(mats, mu=1e6)
         assert not rep.cond_no_cancellation
         assert np.isclose(np.min(rep.pair_ratios), 1e-6, rtol=1e-6)
         assert not rep.hypotheses_hold
@@ -77,17 +78,17 @@ class TestHypotheses:
     def test_gap_below_floor(self):
         n = 3
         mats = [np.diag([100.0, 1.0])] * n  # gap 100 < 16 n^2 = 144
-        rep = ap.check_hypotheses(mats, mu=16.0 * n * n)
+        rep = ap.verify(mats, mu=16.0 * n * n)
         assert not (rep.cond_dominant_direction and rep.cond_mu_floor)
         assert not rep.hypotheses_hold
 
     def test_rejects_singular_factor(self):
         with pytest.raises(NumericalRefusal):
-            ap.check_hypotheses([np.diag([1.0, 0.0]), np.eye(2)])
+            ap.verify([np.diag([1.0, 0.0]), np.eye(2)])
 
     def test_needs_two_factors(self):
         with pytest.raises(ValidationError):
-            ap.check_hypotheses([np.eye(2)])
+            ap.verify([np.eye(2)])
 
 
 class TestDiscrepancy:
@@ -154,7 +155,7 @@ class TestBound:
 class TestOverlapBracket:
     def test_aligned_diagonals_overlap_one(self):
         mats = [np.diag([1e6, 1.0])] * 4
-        br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
+        br = ap.overlap_bracket(mats, ap.verify(mats))
         assert np.allclose(br.overlaps, 1.0)
         assert np.allclose(br.pair_ratios, 1.0)
         assert br.ok
@@ -165,11 +166,11 @@ class TestOverlapBracket:
         d = np.diag([1e6, 1.0])
         for theta in (0.1, 0.4, 1.0):
             mats = [d, d @ rot(theta)]
-            br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
+            br = ap.overlap_bracket(mats, ap.verify(mats))
             assert abs(br.overlaps[0] - abs(np.cos(theta))) <= 1e-12
             # rotating the output side instead leaves the directions aligned
             mats = [d, rot(theta) @ d]
-            br2 = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
+            br2 = ap.overlap_bracket(mats, ap.verify(mats))
             assert abs(br2.overlaps[0] - 1.0) <= 1e-12
 
     def test_bracket_on_seeded_admissible_sequences(self):
@@ -178,7 +179,7 @@ class TestOverlapBracket:
         for _ in range(1000):
             d = np.diag([10.0 ** rng.uniform(4, 6), rng.uniform(0.5, 2.0)])
             mats = [d @ rot(rng.uniform(-0.2, 0.2)) for _ in range(int(rng.integers(2, 8)))]
-            br = ap.overlap_bracket(mats, ap.check_hypotheses(mats))
+            br = ap.overlap_bracket(mats, ap.verify(mats))
             assert br.ok
             checked += len(br.overlaps)
         assert checked > 1000
@@ -186,18 +187,55 @@ class TestOverlapBracket:
     def test_degenerate_top_value_refused(self):
         with pytest.raises(NumericalRefusal, match="unverifiable"):
             mats = [rot(0.3), np.diag([2.0, 1.0])]
-            ap.overlap_bracket(mats, ap.check_hypotheses(mats))
+            ap.overlap_bracket(mats, ap.verify(mats))
 
     def test_report_must_match_matrices(self):
         mats = [np.diag([1e6, 1.0])] * 3
         with pytest.raises(ValidationError, match="report"):
-            ap.overlap_bracket(mats[:2], ap.check_hypotheses(mats))
+            ap.overlap_bracket(mats[:2], ap.verify(mats))
 
     def test_scalar_factors_refused(self):
         # no second singular value: no gap, so no report to bracket against
         mats = [np.array([[2.0]]), np.array([[3.0]])]
         with pytest.raises(ValidationError, match="at least 2x2"):
-            ap.check_hypotheses(mats)
+            ap.verify(mats)
+
+
+class TestOneSvdPerFactor:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        real = linalg.svd
+
+        def counted(m):
+            calls.append(1)
+            return real(m)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        return calls
+
+    def test_verify_makes_3n_minus_1_svds(self, svd_calls):
+        # one per factor, one per scaled pair norm, one per running product step
+        for n in (2, 5, 20):
+            mats = seeded_sequence(n=n)
+            svd_calls.clear()
+            rep = ap.verify(mats)
+            assert len(svd_calls) == 3 * n - 1
+            svd_calls.clear()
+            ap.overlap_bracket(mats, rep)
+            assert svd_calls == []
+
+    def test_report_reuses_the_factor_decomposition(self):
+        mats = admissible_sequence(np.random.default_rng(5))
+        rep = ap.verify(mats)
+        for j, m in enumerate(mats):
+            res = linalg.svd(m)
+            assert rep.norms[j] == res.singular_values[0]
+            assert rep.second_values[j] == res.singular_values[1]
+            assert np.array_equal(rep.directions[j], res.right_factor[:, 0])
+        for j in range(rep.n - 1):
+            exact = linalg.operator_norm(mats[j + 1] @ mats[j])
+            assert abs(rep.pair_norms[j] - exact) <= 1e-14 * exact
 
 
 class TestProjectionDemos:
@@ -218,7 +256,7 @@ class TestProjectionDemos:
         demo = ap.projection_demo([np.pi / 2], 1e-6, "rank1")
         assert demo.pair_norms[0] <= 2e-6
         for mu in (1.01, 100.0, 1e8):
-            rep = ap.check_hypotheses(demo.matrices, mu=mu)
+            rep = ap.verify(demo.matrices, mu=mu)
             assert not rep.cond_no_cancellation
 
     def test_validation(self):

@@ -309,21 +309,21 @@ class TestLyapunovTable:
         assert abs(table.value(0.0, 4, 1) - LN2) <= 1e-12
 
     def test_check_flags_bad_ordering(self):
-        t = LyapunovTable(grid_size=4, method="compound")
+        t = LyapunovTable(grid_size=4)
         t.put_spectrum(0.0, 2, np.array([0.1, 0.5]))
         with pytest.raises(ValidationError, match="ordering"):
             t.check()
 
     def test_check_flags_sum_rule(self):
-        t = LyapunovTable(grid_size=4, method="compound")
+        t = LyapunovTable(grid_size=4)
         t.put_spectrum(0.0, 2, np.array([0.5, 0.1]))
         with pytest.raises(ValidationError, match="zero-sum"):
             t.check(unit_determinant=True)
 
     def test_qr_method_table(self, golden):
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([3.0, 1.0 / 3.0]))
-        table = exponent_table(fam, [0.0], (4, 8), 4, method="qr")
-        assert abs(table.value(0.0, 8, 1) - np.log(3.0)) <= 1e-9
+        lam = fam.finite_scale_exponents_qr(0.0, 8, 4)
+        assert abs(lam[0] - np.log(3.0)) <= 1e-9
 
 
 class TestTwoTorus:

@@ -252,6 +252,35 @@ class TestCli:
             row = dict(zip(doc["columns"], doc["rows"][0]))
             assert row["gamma_est"] is None and row["stretched_sigma"] is None
 
+    def test_removed_random_bins_key_exit_1(self, tmp_path):
+        cfg = _write(tmp_path, "random.dist = single\nrandom.bins = 64\n")
+        res = CliRunner().invoke(main, ["random", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "unknown key" in res.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_untriggered_verdict_writes_empty_cells(self, tmp_path, fmt):
+        # diag(2, 1/2): every estimate is exactly ln 2, so the dichotomy never
+        # triggers and no second difference is positive to fit c1 from
+        cfg = _write(
+            tmp_path,
+            "random.dist = single\nrandom.matrix = 2.0,0.0,0.0,0.5\n"
+            f"random.trials = 20\nnumerics.n_max = 64\noutput.format = {fmt}\n",
+        )
+        out = tmp_path / "o"
+        res = CliRunner().invoke(main, ["random", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / f"random_verdict.{fmt}").read_text()
+        if fmt == "csv":
+            head, vals = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+            row = dict(zip(head, vals))
+            assert row["c1"] == "0.050000000000000003"
+            assert row["c1_est"] == row["trigger_scale"] == ""
+        else:
+            doc = json.loads(text)
+            row = dict(zip(doc["columns"], doc["rows"][0]))
+            assert row["c1_est"] is None and row["trigger_scale"] is None
+
     def test_validation_failure_exit_1(self, tmp_path):
         cfg = _write(tmp_path, "numerics.grid = 0\n")
         runner = CliRunner()

@@ -208,9 +208,13 @@ class TestExteriorPower:
 
 class TestInvertibility:
     def test_marker_matches_conditioning(self):
-        assert linalg.is_invertible(np.diag([1.0, 1e-10]))
-        assert not linalg.is_invertible(np.diag([1.0, 1e-14]))
-        assert not linalg.is_invertible(np.zeros((2, 2)))
+        m = np.diag([1.0, 1e-10])
+        res = linalg.require_invertible(m)
+        # the SVD it tested is returned, so callers need not decompose again
+        assert np.array_equal(res.singular_values, linalg.svd(m).singular_values)
+        for singular in (np.diag([1.0, 1e-14]), np.zeros((2, 2))):
+            with pytest.raises(NumericalRefusal, match="numerically singular"):
+                linalg.require_invertible(singular)
 
     def test_require_invertible_message(self):
         with pytest.raises(NumericalRefusal, match="factor 0"):
