@@ -238,14 +238,7 @@ def ldt_cmd(config_path, out_dir, seed):
         model = str(cfg["ldt.model"])
         if model == "auto":
             model = "exp_poly" if fam.base.nu == 1 else "stretched"
-        fits = []
-        for delta in cfg["ldt.deltas"]:
-            sub = ldt.DeviationProfile(
-                family_kind=prof.family_kind, E=prof.E, p=prof.p,
-                grid_size=prof.grid_size,
-                rows=[r for r in prof.rows if r[1] == delta],
-            )
-            fits.append((delta, ldt.fit_decay(sub, model)))
+        fits = [(delta, ldt.fit_decay(prof, delta, model)) for delta in cfg["ldt.deltas"]]
         inv = ldt.almost_invariance(fam, e0, max(scales), int(cfg["ldt.k"]), m)
         mono = ldt.monotonicity_audit(
             fam, e0, cfg.dyadic_scales(16), m, tol=float(cfg["numerics.tol_quad"])

@@ -184,15 +184,6 @@ class CocycleFamily:
                     f"family is numerically singular at x={tuple(pts[i])}, E={E}"
                 )
 
-    def evaluate(self, x, E: float) -> np.ndarray:
-        """Single-point evaluation with an invertibility check."""
-        pts = as_points(x, self.base.nu)
-        m = self.evaluate_batch(pts, float(E))[0]
-        top, low = linalg.extreme_singular_values_batch(m[np.newaxis])
-        if not (top[0] > 0.0 and low[0] / top[0] > linalg.INVERTIBILITY_RTOL):
-            raise NumericalRefusal(f"singular cocycle matrix at x={x}, E={E}")
-        return m
-
     def orbit_lognorms(
         self,
         E: float,

@@ -34,12 +34,6 @@ class DeviationProfile:
             raise ValidationError(f"measure {measure} outside [0,1]")
         self.rows.append((int(n), float(delta), float(measure)))
 
-    def measure_at(self, n: int, delta: float) -> float:
-        for rn, rd, m in self.rows:
-            if rn == n and rd == delta:
-                return m
-        raise KeyError((n, delta))
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -60,25 +54,6 @@ class DecayFit:
     tau: float | None = None
     residual: float | None = None
     n_range: tuple[int, int] = (0, 0)
-
-
-def centered_profile(fam: CocycleFamily, E: float, n: int, p: int, m: int) -> np.ndarray:
-    """Per-grid-point ``(1/n) log ||Lambda^p A^(n)_x||`` minus its grid mean."""
-    if not 1 <= p <= fam.dim:
-        raise ValidationError(f"compound order p={p} out of range")
-    xs = torus_grid(fam.base.nu, m)
-    vals = fam.orbit_lognorms(E, xs, n, p=p)[0] / n
-    return vals - pairwise_mean(vals)
-
-
-def deviation_measure(
-    fam: CocycleFamily, E: float, n: int, p: int, delta: float, m: int
-) -> float:
-    """Grid fraction of the deviation set; self-consistently centered."""
-    if delta <= 0.0:
-        raise ValidationError("delta must be positive")
-    centered = centered_profile(fam, E, n, p, m)
-    return float(np.count_nonzero(np.abs(centered) > delta)) / centered.size
 
 
 def deviation_profile(
@@ -110,12 +85,11 @@ def deviation_profile(
 _B_GRID = np.linspace(0.25, 4.0, 16)
 
 
-def fit_decay(profile: DeviationProfile, model: str = "exp_poly") -> DecayFit:
-    """Fit the decay of ``measure`` against ``n`` (rows pooled over deltas
-    must share a single delta; pass a single-delta profile)."""
+def fit_decay(profile: DeviationProfile, delta: float, model: str = "exp_poly") -> DecayFit:
+    """Fit the decay of ``measure`` against ``n`` over the rows at ``delta``."""
     if model not in ("exp_poly", "stretched"):
         raise ValidationError(f"unknown decay model {model!r}")
-    usable = [(n, meas) for (n, _, meas) in profile.rows if meas > 0.0]
+    usable = [(n, meas) for (n, d, meas) in profile.rows if d == delta and meas > 0.0]
     if len(usable) < 4:
         return DecayFit(model=model, degenerate=True)
     ns = np.array([n for n, _ in usable], dtype=np.float64)

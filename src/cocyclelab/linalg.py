@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -57,10 +56,6 @@ class SvdResult:
     singular_values: np.ndarray
     left_factor: np.ndarray
     right_factor: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u, s, v = self.left_factor, self.singular_values, self.right_factor
-        return (u * s) @ v.conj().T
 
 
 def svd(m) -> SvdResult:
@@ -159,65 +154,6 @@ def require_invertible(m, context: str = "matrix") -> SvdResult:
     return res
 
 
-def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization with the diagonal of R strictly positive.
-
-    This sign convention makes the factorization unique, which is what
-    the renormalization cross-check relies on.  Raises on a numerically
-    rank-deficient input, naming the offending pivot.
-    """
-    a = _as_square(m)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    mags = np.abs(diag)
-    ref = float(np.max(mags)) if mags.size else 0.0
-    for i, mag in enumerate(mags):
-        if ref == 0.0 or mag <= INVERTIBILITY_RTOL * ref:
-            raise NumericalRefusal(f"rank-deficient input: pivot {i} of R is negligible")
-    phase = diag / mags
-    q = q * phase[np.newaxis, :]
-    r = r * np.conj(phase)[:, np.newaxis]
-    return q, r
-
-
-@dataclass(frozen=True)
-class CompoundIndex:
-    """Lexicographic basis of size-``p`` subsets of ``{0..d-1}``."""
-
-    d: int
-    p: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-
-def compound_index(d: int, p: int) -> CompoundIndex:
-    if not 1 <= p <= d:
-        raise ValidationError(f"compound order p={p} out of range 1..{d}")
-    return CompoundIndex(d=d, p=p, basis=tuple(combinations(range(d), p)))
-
-
-def exterior_power(m, p: int) -> np.ndarray:
-    """Compound matrix of all ``p x p`` minors in the lexicographic basis.
-
-    Multiplicative in its argument, and its spectral norm is the product
-    of the ``p`` largest singular values of ``m``.
-    """
-    a = _as_square(m)
-    d = a.shape[0]
-    idx = compound_index(d, p)
-    if p == 1:
-        return a.copy()
-    out = np.empty((idx.size, idx.size), dtype=a.dtype)
-    for i, rows in enumerate(idx.basis):
-        sub = a[np.ix_(rows, range(d))]
-        for j, cols in enumerate(idx.basis):
-            out[i, j] = np.linalg.det(sub[:, cols])
-    return out
-
-
 # --- batched helpers used by the orbit kernels -------------------------------
 
 def spectral_norm_batch(batch: np.ndarray) -> np.ndarray:
@@ -262,7 +198,13 @@ def det_batch(batch: np.ndarray) -> np.ndarray:
 
 
 def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
-    """Apply :func:`exterior_power` to every matrix of a ``(B, d, d)`` stack."""
+    """The ``p``-th compound (exterior power) of every matrix of a
+    ``(B, d, d)`` stack: all ``p x p`` minors, rows and columns indexed by
+    the size-``p`` subsets of ``{0..d-1}`` in lexicographic order.
+
+    Multiplicative in its argument, and its spectral norm is the product
+    of the ``p`` largest singular values.
+    """
     b = np.asarray(batch)
     d = b.shape[-1]
     if not 1 <= p <= d:
@@ -271,18 +213,13 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
         return b.copy()
     if p == d:
         return det_batch(b).reshape(-1, 1, 1)
-    idx = compound_index(d, p)
-    n = idx.size
-    out = np.empty((b.shape[0], n, n), dtype=b.dtype)
-    for i, rows in enumerate(idx.basis):
-        for j, cols in enumerate(idx.basis):
+    basis = tuple(combinations(range(d), p))
+    out = np.empty((b.shape[0], len(basis), len(basis)), dtype=b.dtype)
+    for i, rows in enumerate(basis):
+        for j, cols in enumerate(basis):
             sub = b[:, rows, :][:, :, cols]
             out[:, i, j] = det_batch(sub) if p == 2 else np.linalg.det(sub)
     return out
-
-
-def compound_dim(d: int, p: int) -> int:
-    return comb(d, p)
 
 
 def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
-"""I.i.d. random matrix products: Monte Carlo exponents, projective
-statistics, and large-deviation probabilities.
+"""I.i.d. random matrix products: the Monte Carlo exponent ladder,
+large-deviation probabilities and the rate verdict of :func:`rate_report`.
 
 Randomness is counter-based and splittable: every trial owns a Philox
 stream keyed ``(seed, stream_id)``, so results are independent of worker
@@ -13,8 +13,8 @@ orbit kernel.
 
 Strong irreducibility and contraction of a distribution are not
 algorithmically certifiable; the shipped example distributions satisfy
-them by construction, and :func:`contraction_probe` reports evidence
-(normalized products approaching rank one), never a certificate.
+them by construction; the rate verdict assumes them, it does not test
+them.
 """
 
 from __future__ import annotations
@@ -90,21 +90,6 @@ class MatrixDistribution:
         out[:, 1, 1] = np.cos(angles)
         return out
 
-    def exterior(self, p: int) -> "MatrixDistribution":
-        """Pushforward under the compound map (finite support only); the
-        route to top-exponent sums and d > 2 spectra."""
-        if self.support is None:
-            raise ValidationError("exterior pushforward needs finite support")
-        pushed = tuple(
-            (linalg.exterior_power(m, p), prob) for m, prob in self.support
-        )
-        return MatrixDistribution(
-            dim=linalg.compound_dim(self.dim, p),
-            seed=self.seed,
-            support=pushed,
-            label=f"{self.label or 'dist'}^wedge{p}",
-        )
-
 
 # -- shipped example distributions ----------------------------------------------
 
@@ -171,79 +156,15 @@ def uniform_rotation(seed: int = 0) -> MatrixDistribution:
 # -- Monte Carlo kernels ----------------------------------------------------------
 
 
-def _draws(dist: MatrixDistribution, n: int, streams) -> np.ndarray:
-    """The first ``n`` factors of every stream, shape (T, n, d, d)."""
-    streams = list(streams)
-    seqs = np.empty((len(streams), n, dist.dim, dist.dim))
-    for t, sid in enumerate(streams):
-        seqs[t] = dist.sample_sequence(int(sid), n)
-    return seqs
-
-
 def _batched_lognorms(
     dist: MatrixDistribution, n: int, streams, checkpoints=None
 ) -> np.ndarray:
     """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T)."""
-    seqs = _draws(dist, n, streams)
+    streams = list(streams)
+    seqs = np.empty((len(streams), n, dist.dim, dist.dim))
+    for t, sid in enumerate(streams):
+        seqs[t] = dist.sample_sequence(int(sid), n)
     return linalg.scaled_product((seqs[:, j] for j in range(n)), n, checkpoints)[0]
-
-
-def sample_product(dist: MatrixDistribution, n: int, stream_id: int) -> float:
-    """``log ||Y_n ... Y_1||`` for one stream, via scaled products."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    return float(_batched_lognorms(dist, n, [stream_id])[0, 0])
-
-
-def top_exponent_mc(
-    dist: MatrixDistribution, n: int, trials: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``E[log||Y_n...Y_1||]/n`` with its standard
-    error, over streams ``0..trials-1``."""
-    if trials < 2:
-        raise ValidationError("need at least two trials")
-    logs = _batched_lognorms(dist, n, range(trials))[0] / n
-    est = pairwise_mean(logs)
-    stderr = float(np.std(logs, ddof=1) / np.sqrt(trials))
-    return float(est), stderr
-
-
-def projective_measure(
-    dist: MatrixDistribution, n: int, trials: int, bins: int
-) -> np.ndarray:
-    """Histogram on [0, pi) of the directions of ``Y_n...Y_1 e_1`` over
-    trials (projective line only, so d must be 2)."""
-    if dist.dim != 2:
-        raise ValidationError("projective histogram requires dim 2")
-    if bins < 1 or trials < 1:
-        raise ValidationError("bins and trials must be positive")
-    seqs = _draws(dist, n, range(trials))
-    vecs = np.zeros((trials, 2))
-    vecs[:, 0] = 1.0
-    for j in range(n):
-        vecs = np.einsum("tij,tj->ti", seqs[:, j], vecs)
-        vecs /= np.linalg.norm(vecs, axis=1)[:, np.newaxis]
-    angles = np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), np.pi)
-    hist, _ = np.histogram(angles, bins=bins, range=(0.0, np.pi))
-    return hist / trials
-
-
-def ld_probability(
-    dist: MatrixDistribution,
-    n: int,
-    delta: float,
-    trials: int,
-    lambda1: float | None = None,
-) -> float:
-    """Empirical ``P(|log||Y_n...Y_1|| - n lambda1| > n delta)``.
-
-    ``lambda1`` defaults to the Monte Carlo mean at this same ``n``;
-    supply the estimate from the largest scale when scanning a ladder.
-    """
-    logs = _batched_lognorms(dist, n, range(trials))[0]
-    if lambda1 is None:
-        lambda1 = pairwise_mean(logs) / n
-    return _ld_fraction(logs, n, delta, lambda1)
 
 
 def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> float:
@@ -252,19 +173,10 @@ def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> floa
     return float(np.count_nonzero(np.abs(logs - n * lambda1) > n * delta)) / logs.size
 
 
-def exponent_series(
-    dist: MatrixDistribution, scales, trials: int
-) -> tuple[RateSeries, float]:
-    """Monte Carlo ``lambda_hat_{1,n}`` along a dyadic ladder from one
-    checkpointed pass (common random numbers across rungs).  Returns the
-    series and a noise floor of three times the worst rung stderr."""
-    scales = tuple(sorted(set(int(s) for s in scales)))
-    logs = _batched_lognorms(dist, scales[-1], range(trials), checkpoints=scales)
-    return _series(dist, scales, logs)
-
-
 def _series(dist: MatrixDistribution, scales, logs) -> tuple[RateSeries, float]:
-    """:func:`exponent_series` from the per-trial log-norms at ``scales``."""
+    """Monte Carlo ``lambda_hat_{1,n}`` along a dyadic ladder from the
+    per-trial log-norms at ``scales``.  Returns the series and a noise
+    floor of three times the worst rung stderr."""
     values = []
     stderrs = []
     for i, n in enumerate(scales):
@@ -284,54 +196,13 @@ def _series(dist: MatrixDistribution, scales, logs) -> tuple[RateSeries, float]:
     return series, 3.0 * max(stderrs)
 
 
-def convergence_dichotomy_random(
-    dist: MatrixDistribution,
-    scales,
-    trials: int,
-    c1: float = 0.05,
-    l0: int | None = None,
-) -> tuple[DichotomyVerdict, RateSeries]:
-    """Feed the Monte Carlo exponent ladder into the rate dichotomy.
-
-    The stderr-derived noise floor marks deviations the trial budget
-    cannot resolve; with enough trials the expected verdict for a
-    contracting distribution is ``exponential``, and ``inconclusive``
-    signals that noise dominates (reported, not hidden).
-    """
-    series, floor = exponent_series(dist, scales, trials)
-    return _verdict(series, floor, c1, l0), series
-
-
-def _verdict(series: RateSeries, floor: float, c1: float, l0: int | None = None):
-    if l0 is None:
-        l0 = min(series.scales[1], series.scales[-1] // 4)
-    return dichotomy(series, c1=c1, l0=l0, noise_floor=floor)
-
-
-def contraction_probe(
-    dist: MatrixDistribution, n: int, trials: int
-) -> dict[str, float]:
-    """Evidence (not proof) of contraction: singular value ratios of
-    norm-normalized products at scale ``n``."""
-    seqs = _draws(dist, n, range(trials))
-    _, prod = linalg.scaled_product((seqs[:, j] for j in range(n)), n)
-    top, low = linalg.extreme_singular_values_batch(prod)
-    ratios = low / top
-    return {
-        "median_ratio": float(np.median(ratios)),
-        "max_ratio": float(np.max(ratios)),
-        "n": float(n),
-        "trials": float(trials),
-    }
-
-
 @dataclass(frozen=True)
 class RandomRateReport:
     """CLI-facing bundle: exponent rows, large-deviation rows, verdict."""
 
     rows: tuple[tuple[int, float, float, int], ...]  # (n, estimate, stderr, trials)
     ld_rows: tuple[tuple[int, float, float], ...]  # (n, delta, probability)
-    verdict: DichotomyVerdict | None
+    verdict: DichotomyVerdict
 
 
 def rate_report(
@@ -346,13 +217,18 @@ def rate_report(
     checkpointed pass over the union of ``scales`` and ``ld_scales``.
 
     The LD rows center every scale on ``lambda_ref``, the Monte Carlo
-    exponent at the largest LD scale."""
+    exponent at the largest LD scale.  The stderr-derived noise floor
+    marks deviations the trial budget cannot resolve: with enough trials
+    a contracting distribution is classified ``exponential``, and
+    ``inconclusive`` signals that noise dominates (reported, not hidden).
+    """
     scales = tuple(sorted(set(int(s) for s in scales)))
     ld_scales = tuple(int(n) for n in ld_scales) if deltas else ()
     cps = tuple(sorted(set(scales) | set(ld_scales)))
     logs = dict(zip(cps, _batched_lognorms(dist, cps[-1], range(trials), checkpoints=cps)))
     series, floor = _series(dist, scales, [logs[n] for n in scales])
-    verdict = _verdict(series, floor, c1)
+    l0 = min(series.scales[1], series.scales[-1] // 4)
+    verdict = dichotomy(series, c1=c1, l0=l0, noise_floor=floor)
     rows = tuple(
         (n, v, se, trials)
         for n, v, se in zip(series.scales, series.values, series.stderrs)

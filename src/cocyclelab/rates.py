@@ -16,8 +16,9 @@ from math import exp
 
 import numpy as np
 
-from .cocycle import QUADRATURE_TOL, CocycleFamily
+from .cocycle import QUADRATURE_TOL, CocycleFamily, torus_grid
 from .errors import NumericalRefusal, ValidationError
+from .linalg import spectral_norm_batch
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ def rate_series(
     fam: CocycleFamily, E: float, j: int, n_max: int, m: int, n_min: int = 4
 ) -> RateSeries:
     """Fill the dyadic ladder ``n_min..n_max`` for exponent index ``j``."""
+    if not 1 <= j <= fam.dim:
+        raise ValidationError(f"exponent index j={j} out of range 1..{fam.dim}")
     if n_max < 2 * n_min or n_max & (n_max - 1):
         raise ValidationError("n_max must be a power of two at least twice n_min")
     scales = []
@@ -305,8 +308,6 @@ def crude_continuity_check(
         raise NumericalRefusal(
             "unscaled product difference would overflow at this scale"
         )
-    from .cocycle import torus_grid  # local import to avoid cycle at module load
-
     xs = torus_grid(fam.base.nu, m)
     prod_a = None
     prod_b = None
@@ -316,8 +317,6 @@ def crude_continuity_check(
         fb = fam.evaluate_batch(pts, E_prime)
         prod_a = fa if prod_a is None else np.matmul(fa, prod_a)
         prod_b = fb if prod_b is None else np.matmul(fb, prod_b)
-    from .linalg import spectral_norm_batch
-
     lhs = float(np.max(spectral_norm_batch(prod_a - prod_b)))
     rhs = float(np.exp(growth * n) * abs(E - E_prime) ** fam.beta0)
     return CrudeContinuityReport(
@@ -387,6 +386,8 @@ def holder_estimate(
     quadrature tolerance are excluded (and counted): they are below the
     resolution of the grid averages.
     """
+    if not 1 <= j <= fam.dim:
+        raise ValidationError(f"exponent index j={j} out of range 1..{fam.dim}")
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValidationError("window must have positive width")

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cocyclelab import avalanche, ldt, rates
+from cocyclelab import avalanche, ldt, linalg, rates
 from cocyclelab import random_products as rp
 from cocyclelab.cli import main as cli_main
 from cocyclelab.cocycle import ConstantFamily, DiagonalExpFamily, SchrodingerFamily
 from tests.test_avalanche import admissible_sequence, rot
 from tests.test_cocycle import mp_norm_2x2, mp_schrodinger_product
+from tests.test_linalg import exterior_power
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
@@ -101,29 +102,31 @@ def test_04_projection_demo():
 
 def test_05_exterior_power_identities():
     t0 = time.monotonic()
-    from cocyclelab import linalg
-
     rng = np.random.default_rng(5)
     worst_fun = 0.0
+    worst_ref = 0.0
     worst_norm = 0.0
     for _ in range(200):
         d = int(rng.integers(2, 7))
         p = int(rng.integers(1, d + 1))
         a = rng.standard_normal((d, d))
         b = rng.standard_normal((d, d))
-        lhs = linalg.exterior_power(a @ b, p)
-        rhs = linalg.exterior_power(a, p) @ linalg.exterior_power(b, p)
+        wedge_a, wedge_b, lhs = linalg.compound_batch(np.stack([a, b, a @ b]), p)
+        rhs = wedge_a @ wedge_b
         scale = max(linalg.operator_norm(lhs), 1e-300)
         worst_fun = max(worst_fun, linalg.operator_norm(lhs - rhs) / scale)
+        ref = exterior_power(a, p)
+        worst_ref = max(worst_ref, linalg.operator_norm(wedge_a - ref) / linalg.operator_norm(ref))
         sigma = linalg.svd(a).singular_values
         want = float(np.prod(sigma[:p]))
-        got = linalg.operator_norm(linalg.exterior_power(a, p))
+        got = linalg.operator_norm(wedge_a)
         worst_norm = max(worst_norm, abs(got - want) / max(want, 1e-300))
     elapsed = time.monotonic() - t0
     verdict(
         5, "exterior-power identities",
-        worst_fun <= 1e-10 and worst_norm <= 1e-10 and elapsed < 5.0,
+        worst_fun <= 1e-10 and worst_ref <= 1e-10 and worst_norm <= 1e-10 and elapsed < 5.0,
         f"200 seeded matrices d<=6: multiplicativity {worst_fun:.1e}, "
+        f"minor-by-minor reference {worst_ref:.1e}, "
         f"norm-product {worst_norm:.1e} (rel tol 1e-10), {elapsed:.1f}s",
     )
 
@@ -224,9 +227,9 @@ def test_11_deviation_measure_trend(schrodinger3):
     prof = ldt.deviation_profile(
         schrodinger3, 0.0, 1, (16, 23, 32, 45, 64, 4096), (0.1,), 8192
     )
-    m64 = prof.measure_at(64, 0.1)
-    m4096 = prof.measure_at(4096, 0.1)
-    fit = ldt.fit_decay(prof)
+    measure = {n: meas for n, _, meas in prof.rows}
+    m64, m4096 = measure[64], measure[4096]
+    fit = ldt.fit_decay(prof, 0.1)
     elapsed = time.monotonic() - t0
     verdict(
         11, "deviation-set decay",
@@ -264,15 +267,19 @@ def test_12_holder_regressions(golden):
 
 def test_13_random_products():
     t0 = time.monotonic()
-    est_rot, _ = rp.top_exponent_mc(rp.two_rotations(0.7, 1.3, seed=2), 1000, 8)
+    # the estimate at n is the top row of a rate_report whose ladder ends at n
+    isometries = rp.two_rotations(0.7, 1.3, seed=2)
+    _, est_rot, _, _ = rp.rate_report(isometries, (500, 1000), 8).rows[-1]
     sor = rp.stretch_or_rotate(4.0, 1.0, seed=11)
-    est, stderr = rp.top_exponent_mc(sor, 1000, 400)
-    lam_ref, _ = rp.top_exponent_mc(sor, 400, 2000)
-    p50 = rp.ld_probability(sor, 50, 0.2 * lam_ref, 2000, lam_ref)
-    p400 = rp.ld_probability(sor, 400, 0.2 * lam_ref, 2000, lam_ref)
-    verdict_rand, _ = rp.convergence_dichotomy_random(
-        sor, tuple(2**k for k in range(3, 10)), trials=2000
+    _, est, stderr, _ = rp.rate_report(sor, (500, 1000), 400).rows[-1]
+    _, lam_ref, _, _ = rp.rate_report(sor, (200, 400), 2000).rows[-1]
+    # the LD rows center on the exponent at the largest LD scale, lam_ref
+    report = rp.rate_report(
+        sor, tuple(2**k for k in range(3, 10)), 2000,
+        deltas=(0.2 * lam_ref,), ld_scales=(50, 400),
     )
+    (_, _, p50), (_, _, p400) = report.ld_rows
+    verdict_rand = report.verdict
     elapsed = time.monotonic() - t0
     verdict(
         13, "random matrix products",

@@ -281,6 +281,21 @@ class TestCli:
             row = dict(zip(doc["columns"], doc["rows"][0]))
             assert row["c1_est"] is None and row["trigger_scale"] is None
 
+    @pytest.mark.parametrize("sub, key", [
+        ("rates", "rates.j"), ("dichotomy", "rates.j"), ("holder", "holder.j"),
+    ])
+    def test_exponent_index_beyond_dimension_exit_1(self, tmp_path, sub, key):
+        cfg = _write(
+            tmp_path,
+            MINIMAL + "param.E_min = 0.0\nparam.E_max = 0.5\nparam.E_count = 2\n"
+            f"numerics.n_max = 64\nnumerics.grid = 16\n{key} = 3\n",
+        )
+        res = CliRunner().invoke(main, [sub, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: exponent index j=3 out of range 1..2")
+        assert "Traceback" not in res.output
+
     def test_validation_failure_exit_1(self, tmp_path):
         cfg = _write(tmp_path, "numerics.grid = 0\n")
         runner = CliRunner()

@@ -23,44 +23,55 @@ def diag_exp(golden):
     )
 
 
+def measures(fam, n: int, p: int, deltas, m: int) -> list[float]:
+    """Deviation measures of ``deviation_profile`` at the single scale ``n``."""
+    return [meas for _, _, meas in ldt.deviation_profile(fam, 0.0, p, (n,), deltas, m).rows]
+
+
 class TestDeviationMeasure:
     def test_constant_family_is_zero(self, const2):
-        for delta in (1e-6, 0.1, 3.0):
-            assert ldt.deviation_measure(const2, 0.0, 16, 1, delta, 64) == 0.0
+        assert measures(const2, 16, 1, (1e-6, 0.1, 3.0), 64) == [0.0] * 3
 
     def test_delta_beyond_total_oscillation(self, schrodinger3):
-        centered = ldt.centered_profile(schrodinger3, 0.0, 16, 1, 128)
-        big = 2.0 * float(np.max(np.abs(centered))) + 0.01
-        assert ldt.deviation_measure(schrodinger3, 0.0, 16, 1, big, 128) == 0.0
+        vals = schrodinger3.orbit_lognorms(0.0, torus_grid(1, 128), 16)[0] / 16
+        big = float(np.max(vals) - np.min(vals)) + 0.01
+        assert measures(schrodinger3, 16, 1, (big,), 128) == [0.0]
 
     def test_monotone_in_delta(self, schrodinger3):
-        m = [
-            ldt.deviation_measure(schrodinger3, 0.0, 16, 1, d, 256)
-            for d in (0.02, 0.05, 0.1, 0.2)
-        ]
+        m = measures(schrodinger3, 16, 1, (0.02, 0.05, 0.1, 0.2), 256)
         assert all(b <= a for a, b in zip(m, m[1:]))
 
     def test_top_order_on_unit_determinant_is_zero(self, schrodinger3):
         # p = d profile is (1/n) log|det| = 0 identically
-        for delta in (1e-9, 0.1):
-            assert ldt.deviation_measure(schrodinger3, 0.0, 32, 2, delta, 64) == 0.0
+        assert measures(schrodinger3, 32, 2, (1e-9, 0.1), 64) == [0.0] * 2
 
-    def test_self_centering(self, schrodinger3):
-        centered = ldt.centered_profile(schrodinger3, 0.0, 32, 1, 256)
-        assert abs(pairwise_mean(centered)) <= 1e-12
+    def test_self_centering(self, golden):
+        # e_amp = (1, 1) multiplies every factor by exp(E), which shifts every
+        # log-norm by n E; centering on the grid mean removes the shift
+        fam = DiagonalExpFamily(
+            base=golden, dim=2, x_amp=np.array([2.0, -2.0]), e_amp=np.ones(2),
+            param_values=np.array([0.0, 0.7]),
+        )
+        deltas = (0.05, 0.1, 0.2, 0.4)
+        rows = [ldt.deviation_profile(fam, E, 1, (2,), deltas, 256).rows for E in (0.0, 0.7)]
+        assert rows[0] == rows[1]
+        assert all(0.0 < meas < 1.0 for _, _, meas in rows[0])
 
     def test_validation(self, const2):
         with pytest.raises(ValidationError):
-            ldt.deviation_measure(const2, 0.0, 16, 1, 0.0, 64)
+            measures(const2, 16, 1, (0.0,), 64)
         with pytest.raises(ValidationError):
-            ldt.deviation_measure(const2, 0.0, 16, 5, 0.1, 64)
+            measures(const2, 16, 5, (0.1,), 64)
 
 
 class TestDeviationProfile:
     def test_rows_match_pointwise_op(self, schrodinger3):
         prof = ldt.deviation_profile(schrodinger3, 0.0, 1, (16, 32), (0.05, 0.1), 128)
+        xs = torus_grid(1, 128)
         for n, delta, measure in prof.rows:
-            direct = ldt.deviation_measure(schrodinger3, 0.0, n, 1, delta, 128)
+            # reference: a separate orbit pass at this scale, centered here
+            vals = schrodinger3.orbit_lognorms(0.0, xs, n)[0] / n
+            direct = np.count_nonzero(np.abs(vals - pairwise_mean(vals)) > delta) / vals.size
             assert measure == direct
 
     def test_measure_bounds_enforced(self):
@@ -74,7 +85,7 @@ class TestFitDecay:
         prof = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
         for n in (16, 32, 64, 128, 256, 512):
             prof.add(n, 0.1, float(np.exp(-0.05 * n)))
-        fit = ldt.fit_decay(prof)
+        fit = ldt.fit_decay(prof, 0.1)
         assert not fit.degenerate
         assert abs(fit.c - 0.05) <= 1e-6
         assert abs(fit.C) <= 1e-6
@@ -83,25 +94,36 @@ class TestFitDecay:
         prof = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
         for n in (16, 32, 64, 128, 256):
             prof.add(n, 0.1, float(np.exp(-(n**0.6))))
-        fit = ldt.fit_decay(prof, model="stretched")
+        fit = ldt.fit_decay(prof, 0.1, model="stretched")
         assert abs(fit.tau - 0.6) <= 1e-9
+
+    def test_picks_the_rows_of_its_delta(self):
+        single = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
+        both = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
+        for n in (16, 32, 64, 128, 256):
+            both.add(n, 0.05, float(np.exp(-0.01 * n)))
+            single.add(n, 0.1, float(np.exp(-0.03 * n)))
+            both.add(n, 0.1, single.rows[-1][2])
+        for model in ("exp_poly", "stretched"):
+            assert ldt.fit_decay(both, 0.1, model) == ldt.fit_decay(single, 0.1, model)
+        assert ldt.fit_decay(both, 0.05) != ldt.fit_decay(single, 0.1)
 
     def test_all_zero_rows_degenerate(self):
         prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=0)
         for n in (16, 32, 64, 128):
             prof.add(n, 0.1, 0.0)
-        assert ldt.fit_decay(prof).degenerate
+        assert ldt.fit_decay(prof, 0.1).degenerate
 
     def test_too_few_rows_degenerate(self):
         prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=0)
         for n in (16, 32, 64):
             prof.add(n, 0.1, 0.5)
-        assert ldt.fit_decay(prof).degenerate
+        assert ldt.fit_decay(prof, 0.1).degenerate
 
     def test_unknown_model(self):
         prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=0)
         with pytest.raises(ValidationError):
-            ldt.fit_decay(prof, model="cubic")
+            ldt.fit_decay(prof, 0.1, model="cubic")
 
 
 class TestAlmostInvariance:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,18 @@ def charpoly_eigs(sym: np.ndarray) -> np.ndarray:
         coeffs[k] = -np.trace(sym @ m) / k
     roots = np.roots(coeffs)
     return np.sort(np.real(roots))[::-1]
+
+
+def exterior_power(m: np.ndarray, p: int) -> np.ndarray:
+    """Minor-by-minor reference for ``compound_batch``: every ``p x p``
+    minor of ``m``, rows and columns in the lexicographic subset basis."""
+    basis = list(combinations(range(m.shape[0]), p))
+    return np.array([[np.linalg.det(m[np.ix_(r, c)]) for c in basis] for r in basis])
+
+
+def compound(m: np.ndarray, p: int) -> np.ndarray:
+    """``compound_batch`` on a single matrix."""
+    return linalg.compound_batch(m[np.newaxis], p)[0]
 
 
 def power_iteration_norm(m: np.ndarray, iters: int = 2000) -> float:
@@ -60,7 +74,8 @@ class TestSvd:
         tol = d * EPS * max(s1, 1.0) * 32
         assert np.all(np.diff(r.singular_values) <= 0)
         assert np.all(r.singular_values >= 0)
-        assert np.max(np.abs(r.reconstruct() - m)) <= tol
+        u, v = r.left_factor, r.right_factor
+        assert np.max(np.abs((u * r.singular_values) @ v.conj().T - m)) <= tol
         eye = np.eye(d)
         assert np.max(np.abs(r.left_factor.conj().T @ r.left_factor - eye)) <= tol
         assert np.max(np.abs(r.right_factor.conj().T @ r.right_factor - eye)) <= tol
@@ -104,50 +119,26 @@ class TestOperatorNorm:
         assert abs(linalg.operator_norm(m) - power_iteration_norm(m)) <= 1e-10
 
 
-class TestQrPositive:
-    def test_identity(self):
-        q, r = linalg.qr_positive(np.eye(3))
-        assert np.allclose(q, np.eye(3)) and np.allclose(r, np.eye(3))
-
-    def test_sign_convention(self):
-        q, r = linalg.qr_positive(np.diag([-2.0, 3.0]))
-        assert np.allclose(q, np.diag([-1.0, 1.0]))
-        assert np.allclose(r, np.diag([2.0, 3.0]))
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((4, 4))
-        q, r = linalg.qr_positive(m)
-        assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-12
-        assert np.max(np.abs(q @ r - m)) <= 1e-12
-        assert np.all(np.diagonal(r) > 0)
-
-    def test_rank_deficient_names_pivot(self):
-        m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(NumericalRefusal, match="pivot 1"):
-            linalg.qr_positive(m)
-
-
 class TestExteriorPower:
     def test_diagonal_minors(self):
-        out = linalg.exterior_power(np.diag([2.0, 3.0, 5.0]), 2)
+        out = compound(np.diag([2.0, 3.0, 5.0]), 2)
         # basis {01, 02, 12}
         assert np.allclose(out, np.diag([6.0, 10.0, 15.0]))
 
     def test_top_power_is_determinant(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((4, 4))
-        out = linalg.exterior_power(m, 4)
+        out = compound(m, 4)
         assert out.shape == (1, 1)
         assert abs(out[0, 0] - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m)) + 1e-14
 
     def test_minor_oracle_3x3(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal((3, 3))
-        out = linalg.exterior_power(m, 2)
-        idx = linalg.compound_index(3, 2)
-        for i, rows in enumerate(idx.basis):
-            for j, cols in enumerate(idx.basis):
+        out = compound(m, 2)
+        basis = ((0, 1), (0, 2), (1, 2))
+        for i, rows in enumerate(basis):
+            for j, cols in enumerate(basis):
                 # explicit 2x2 minor, no det() call
                 minor = (
                     m[rows[0], cols[0]] * m[rows[1], cols[1]]
@@ -157,14 +148,20 @@ class TestExteriorPower:
 
     def test_order_out_of_range(self):
         with pytest.raises(ValidationError):
-            linalg.exterior_power(np.eye(3), 4)
+            compound(np.eye(3), 4)
         with pytest.raises(ValidationError):
-            linalg.exterior_power(np.eye(3), 0)
+            compound(np.eye(3), 0)
 
     def test_compound_index_lexicographic(self):
-        idx = linalg.compound_index(4, 2)
-        assert idx.basis == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        assert idx.size == 6
+        # the minor in row i, column j sits at the position of the subsets
+        # (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) in this order
+        m = np.random.default_rng(41).standard_normal((4, 4))
+        out = compound(m, 2)
+        basis = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert out.shape == (6, 6)
+        for i, rows in enumerate(basis):
+            for j, cols in enumerate(basis):
+                assert abs(out[i, j] - np.linalg.det(m[np.ix_(rows, cols)])) <= 1e-13
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_functoriality(self, complex_field):
@@ -177,8 +174,8 @@ class TestExteriorPower:
             if complex_field:
                 a = a + 1j * rng.standard_normal((d, d))
                 b = b + 1j * rng.standard_normal((d, d))
-            lhs = linalg.exterior_power(a @ b, p)
-            rhs = linalg.exterior_power(a, p) @ linalg.exterior_power(b, p)
+            lhs = compound(a @ b, p)
+            rhs = compound(a, p) @ compound(b, p)
             scale = max(linalg.operator_norm(lhs), 1e-30)
             assert linalg.operator_norm(lhs - rhs) <= 1e-10 * scale
 
@@ -192,7 +189,7 @@ class TestExteriorPower:
             if complex_field:
                 m = m + 1j * rng.standard_normal((d, d))
             u = linalg.svd(m).left_factor
-            assert abs(linalg.operator_norm(linalg.exterior_power(u, p)) - 1.0) <= 1e-12
+            assert abs(linalg.operator_norm(compound(u, p)) - 1.0) <= 1e-12
 
     def test_norm_equals_singular_value_product(self):
         rng = np.random.default_rng(23)
@@ -202,7 +199,7 @@ class TestExteriorPower:
             m = rng.standard_normal((d, d))
             sigma = linalg.svd(m).singular_values
             expected = float(np.prod(sigma[:p]))
-            got = linalg.operator_norm(linalg.exterior_power(m, p))
+            got = linalg.operator_norm(compound(m, p))
             assert abs(got - expected) <= 1e-10 * max(expected, 1e-30)
 
 
@@ -253,7 +250,7 @@ class TestBatchHelpers:
         for p in (1, 2, 3, 4):
             got = linalg.compound_batch(b, p)
             for i in range(5):
-                assert np.allclose(got[i], linalg.exterior_power(b[i], p), atol=1e-12)
+                assert np.allclose(got[i], exterior_power(b[i], p), atol=1e-12)
 
 
 class TestScaledProduct:

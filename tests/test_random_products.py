@@ -3,13 +3,25 @@ import pytest
 
 from cocyclelab import random_products as rp
 from cocyclelab import rates
-from cocyclelab.errors import NumericalRefusal, ValidationError
+from cocyclelab.config import parse_config
+from cocyclelab.errors import ConfigError, NumericalRefusal, ValidationError
 
 # frozen after the first run under the fixed stream contract
 PIN_SAMPLE_N100_S7 = 65.06448905447543  # rotated_stretch_pair(0.3, 2.0, seed=11)
 PIN_FUR_EST = (0.64724090757090158, 4.0841717196313803e-05)  # n=1000, 400 trials
-PIN_FUR_TV = 0.028  # projective histograms at n=200 vs 400, 2000 trials, 64 bins
 PIN_SOR_LD = (0.28749999999999998, 0.00050000000000000001)  # n=50 vs 400
+
+
+def lognorm(dist, n: int, stream_id: int) -> float:
+    """``log ||Y_n ... Y_1||`` of one stream."""
+    return float(rp._batched_lognorms(dist, n, [stream_id])[0, 0])
+
+
+def mc_exponent(dist, n: int, trials: int) -> tuple[float, float]:
+    """Monte Carlo ``lambda_hat_{1,n}`` and its stderr over streams
+    ``0..trials-1``: the top row of a two-rung ``rate_report``."""
+    _, est, stderr, _ = rp.rate_report(dist, (n // 2, n), trials).rows[-1]
+    return est, stderr
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +56,12 @@ class TestDistributionValidation:
 
 class TestStreamContract:
     def test_identical_inputs_identical_outputs(self, fur):
-        a = rp.sample_product(fur, 100, 7)
-        b = rp.sample_product(fur, 100, 7)
+        a = lognorm(fur, 100, 7)
+        b = lognorm(fur, 100, 7)
         assert a == b
 
     def test_streams_are_distinct(self, fur):
-        vals = {rp.sample_product(fur, 50, s) for s in range(8)}
+        vals = {lognorm(fur, 50, s) for s in range(8)}
         assert len(vals) == 8
 
     def test_sequences_are_prefixes(self, fur):
@@ -60,46 +72,47 @@ class TestStreamContract:
     def test_batch_matches_singles(self, fur):
         batch = rp._batched_lognorms(fur, 40, [3, 7, 1])
         for col, sid in enumerate([3, 7, 1]):
-            assert batch[0, col] == rp.sample_product(fur, 40, sid)
+            assert batch[0, col] == lognorm(fur, 40, sid)
 
     def test_pinned_sample(self, fur):
-        assert abs(rp.sample_product(fur, 100, 7) - PIN_SAMPLE_N100_S7) <= 1e-9
+        assert abs(lognorm(fur, 100, 7) - PIN_SAMPLE_N100_S7) <= 1e-9
 
 
 class TestTopExponent:
     def test_single_matrix_exact(self):
         dist = rp.single_matrix(np.diag([2.0, 0.5]), seed=1)
-        assert abs(rp.sample_product(dist, 100, 0) - 100 * np.log(2.0)) <= 1e-10
-        est, stderr = rp.top_exponent_mc(dist, 64, 4)
+        assert abs(lognorm(dist, 100, 0) - 100 * np.log(2.0)) <= 1e-10
+        est, stderr = mc_exponent(dist, 64, 4)
         assert abs(est - np.log(2.0)) <= 1e-12
         assert stderr == 0.0
 
     def test_rotations_give_zero(self):
-        est, _ = rp.top_exponent_mc(rp.two_rotations(0.7, 1.3, seed=2), 1000, 8)
+        est, _ = mc_exponent(rp.two_rotations(0.7, 1.3, seed=2), 1000, 8)
         assert abs(est) <= 1e-10
-        est, _ = rp.top_exponent_mc(rp.uniform_rotation(seed=5), 500, 8)
+        est, _ = mc_exponent(rp.uniform_rotation(seed=5), 500, 8)
         assert abs(est) <= 1e-10
 
     def test_isometries_unbiased_at_short_scale(self):
-        est, _ = rp.top_exponent_mc(rp.two_rotations(0.7, 1.3, seed=3), 8, 400)
+        est, _ = mc_exponent(rp.two_rotations(0.7, 1.3, seed=3), 8, 400)
         assert abs(est) <= 1e-15
 
     def test_pinned_positive_exponent(self, fur):
-        est, stderr = rp.top_exponent_mc(fur, 1000, 400)
+        est, stderr = mc_exponent(fur, 1000, 400)
         assert abs(est - PIN_FUR_EST[0]) <= 1e-9
         assert abs(stderr - PIN_FUR_EST[1]) <= 1e-12
         assert est > 5 * stderr
 
     def test_subadditive_in_expectation(self, fur):
         n = m = 50
-        est_n, se_n = rp.top_exponent_mc(fur, n, 300)
-        est_2n, se_2n = rp.top_exponent_mc(fur, n + m, 300)
+        est_n, se_n = mc_exponent(fur, n, 300)
+        est_2n, se_2n = mc_exponent(fur, n + m, 300)
         combined = 3.0 * (n * se_n + m * se_n + (n + m) * se_2n)
         assert (n + m) * est_2n <= n * est_n + m * est_n + combined
 
-    def test_trials_guard(self, fur):
-        with pytest.raises(ValidationError):
-            rp.top_exponent_mc(fur, 10, 1)
+    def test_trials_guard(self):
+        # one trial has no stderr; the config refuses it before any draw
+        with pytest.raises(ConfigError, match="random.trials"):
+            parse_config("random.dist = stretch_or_rotate\nrandom.trials = 1\n")
 
     def test_degenerate_draws_refused(self, monkeypatch):
         dist = rp.two_rotations(0.7, 1.3, seed=2)
@@ -108,61 +121,27 @@ class TestTopExponent:
             lambda self, stream_id, n: np.zeros((n, 2, 2)),
         )
         with pytest.raises(NumericalRefusal, match="step 1"):
-            rp.sample_product(dist, 4, 0)
-
-
-class TestExteriorPushforward:
-    def test_top_order_tracks_determinant(self, fur):
-        wedge = fur.exterior(2)
-        assert wedge.dim == 1
-        # SL(2) support: every product has determinant one
-        assert abs(rp.sample_product(wedge, 200, 3)) <= 1e-12
-
-    def test_first_order_unchanged(self, fur):
-        same = fur.exterior(1)
-        assert rp.sample_product(same, 50, 2) == rp.sample_product(fur, 50, 2)
-
-    def test_sampler_has_no_pushforward(self):
-        with pytest.raises(ValidationError):
-            rp.uniform_rotation().exterior(2)
-
-
-class TestProjectiveMeasure:
-    def test_requires_dim_two(self):
-        dist = rp.single_matrix(np.eye(3), seed=0)
-        with pytest.raises(ValidationError):
-            rp.projective_measure(dist, 10, 10, 8)
-
-    def test_single_stretch_concentrates_on_axis(self):
-        dist = rp.single_matrix(np.array([[2.0, 1.0], [0.0, 0.5]]), seed=0)
-        hist = rp.projective_measure(dist, 60, 100, 32)
-        # the attracting direction of this map lies in the first bin's angle
-        assert hist[0] + hist[-1] >= 0.99
-
-    def test_rotation_only_spreads(self):
-        hist = rp.projective_measure(rp.uniform_rotation(seed=4), 1000, 1000, 16)
-        assert np.max(hist) <= 0.5
-
-    def test_two_scale_self_consistency_pinned(self, fur):
-        h1 = rp.projective_measure(fur, 200, 2000, 64)
-        h2 = rp.projective_measure(fur, 400, 2000, 64)
-        tv = 0.5 * float(np.sum(np.abs(h1 - h2)))
-        assert abs(tv - PIN_FUR_TV) <= 1e-9
-        assert tv < 0.05
+            lognorm(dist, 4, 0)
 
 
 class TestLargeDeviations:
     def test_deterministic_distribution_zero(self):
         dist = rp.single_matrix(np.diag([2.0, 0.5]), seed=3)
-        assert rp.ld_probability(dist, 50, 0.01, 100) == 0.0
+        report = rp.rate_report(dist, (25, 50), 100, deltas=(0.01,), ld_scales=(50,))
+        assert report.ld_rows == ((50, 0.01, 0.0),)
 
     def test_huge_delta_zero(self, sor):
-        assert rp.ld_probability(sor, 50, 50.0, 200) == 0.0
+        report = rp.rate_report(sor, (25, 50), 200, deltas=(50.0,), ld_scales=(50,))
+        assert report.ld_rows == ((50, 50.0, 0.0),)
 
     def test_pinned_decline(self, sor):
-        lam_ref, _ = rp.top_exponent_mc(sor, 400, 2000)
-        p50 = rp.ld_probability(sor, 50, 0.2 * lam_ref, 2000, lam_ref)
-        p400 = rp.ld_probability(sor, 400, 0.2 * lam_ref, 2000, lam_ref)
+        # the LD rows center on the Monte Carlo exponent at the largest LD scale
+        lam_ref, _ = mc_exponent(sor, 400, 2000)
+        report = rp.rate_report(
+            sor, (200, 400), 2000, deltas=(0.2 * lam_ref,), ld_scales=(50, 400)
+        )
+        (n50, _, p50), (n400, _, p400) = report.ld_rows
+        assert (n50, n400) == (50, 400)
         assert abs(p50 - PIN_SOR_LD[0]) <= 1e-12
         assert abs(p400 - PIN_SOR_LD[1]) <= 1e-12
         assert p400 < p50
@@ -171,11 +150,9 @@ class TestLargeDeviations:
 class TestConvergenceDichotomy:
     def test_single_diagonal_degenerate_exponential(self):
         dist = rp.single_matrix(np.diag([2.0, 0.5]), seed=5)
-        verdict, series = rp.convergence_dichotomy_random(
-            dist, tuple(2**k for k in range(3, 9)), trials=16
-        )
-        assert verdict.classification == "exponential"
-        assert np.allclose(series.values, np.log(2.0), atol=1e-12)
+        report = rp.rate_report(dist, tuple(2**k for k in range(3, 9)), trials=16)
+        assert report.verdict.classification == "exponential"
+        assert np.allclose([est for _, est, _, _ in report.rows], np.log(2.0), atol=1e-12)
 
     def test_planted_noisy_exponential_series(self):
         rng = np.random.default_rng(0)
@@ -190,22 +167,9 @@ class TestConvergenceDichotomy:
         assert v.classification == "exponential"
 
     def test_contracting_example_classified_exponential(self, sor):
-        verdict, series = rp.convergence_dichotomy_random(
-            sor, tuple(2**k for k in range(3, 10)), trials=2000
-        )
+        verdict = rp.rate_report(sor, tuple(2**k for k in range(3, 10)), trials=2000).verdict
         assert verdict.classification == "exponential"
         assert verdict.noise_floor > 0.0
-
-
-class TestContractionProbe:
-    def test_contracting_example_evidence(self, fur):
-        probe = rp.contraction_probe(fur, 60, 50)
-        assert probe["median_ratio"] <= 1e-10
-        assert probe["max_ratio"] <= 1e-8
-
-    def test_rotations_do_not_contract(self):
-        probe = rp.contraction_probe(rp.two_rotations(0.7, 1.3, seed=1), 60, 50)
-        assert probe["median_ratio"] >= 0.999
 
 
 class TestRateReport:

@@ -38,6 +38,16 @@ class TestRateSeries:
         with pytest.raises(ValidationError):
             rates.rate_series(fam, 0.0, 1, 48, 8)
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_exponent_index_out_of_range(self, golden, j):
+        # j = 0 would index lambda_d from the end, j = 3 past it
+        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]),
+                             param_values=np.array([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="exponent index"):
+            rates.rate_series(fam, 0.0, j, 64, 8)
+        with pytest.raises(ValidationError, match="exponent index"):
+            rates.holder_estimate(fam, j, (0.0, 1.0), n=16, m=16)
+
 
 class TestRichardson:
     def test_exact_on_one_over_n(self):
