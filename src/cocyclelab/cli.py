@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, avalanche, ldt, random_products, rates
-from .cocycle import exponent_table
+from .cocycle import check_ladder
 from .config import ExperimentConfig, parse_config_file, read_matrix_blocks
 from .diophantine import diophantine_minima, diophantine_report
 from .errors import ConfigError, NumericalRefusal, ValidationError
@@ -154,11 +154,14 @@ def exponents(config_path, out_dir, seed):
         while n <= int(cfg["numerics.n_max"]):
             scales.append(n)
             n *= 2
-        table = exponent_table(fam, cfg.param_grid(), scales, cfg.grid_size())
+        grid = cfg.param_grid()
+        ladder = fam.exponent_ladder(grid, scales, cfg.grid_size())
         run.stage("compute")
-        table.check(unit_determinant=fam.unit_determinant,
-                    tol=max(1e-9, float(cfg["numerics.tol_quad"])))
-        run.emit("", ["E", "n", "j", "lambda"], list(table.rows()))
+        check_ladder(ladder, grid, fam.unit_determinant,
+                     max(1e-9, float(cfg["numerics.tol_quad"])))
+        run.emit("", ["E", "n", "j", "lambda"],
+                 [(E, n, j, v) for k, E in enumerate(grid) for n in scales
+                  for j, v in enumerate(ladder[n][k], start=1)])
 
     _dispatch("exponents", config_path, out_dir, seed, body)
 

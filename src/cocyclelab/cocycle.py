@@ -14,6 +14,10 @@ This is numerically stable where an SVD of the assembled product is not:
 the small singular values of a long product are unrecoverable directly.
 A QR-accumulation estimator is provided as a cross-check.
 
+Energies stack into the batch: ``evaluate_batch`` takes one ``E`` or one
+per point, so ``orbit_lognorms`` and ``exponent_ladder`` run ``K``
+energies as ``K * B`` independent (energy, point) lanes of one product.
+
 Finite-scale exponents are uniform-grid averages of the per-point
 profiles; reductions use a fixed-order pairwise tree so results do not
 depend on how grid work is scheduled.
@@ -36,6 +40,10 @@ DEFAULT_OMEGA_2D = (np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0)
 
 #: documented quadrature tolerance of grid averages at the default grids
 QUADRATURE_TOL = 1e-6
+
+#: lanes per orbit pass; larger stacks run in chunks of whole energies, and
+#: since lanes are independent the chunking moves no bits
+STACK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,9 @@ class CocycleFamily:
 
     # -- kind-specific surface ------------------------------------------------
 
-    def evaluate_batch(self, pts: np.ndarray, E: float) -> np.ndarray:
+    def evaluate_batch(self, pts: np.ndarray, E) -> np.ndarray:
+        """``A(x, E)`` for a ``(B, nu)`` point stack, shape ``(B, d, d)``;
+        ``E`` is one energy or an array of ``B``, one per point."""
         raise NotImplementedError
 
     def e_holder_constant(self) -> float:
@@ -186,49 +196,61 @@ class CocycleFamily:
 
     def orbit_lognorms(
         self,
-        E: float,
+        E,
         xs: np.ndarray,
         n: int,
         p: int = 1,
         checkpoints: tuple[int, ...] | None = None,
     ) -> np.ndarray:
-        """``log || Lambda^p A^(n)_x ||`` for every ``x`` in a point stack.
+        """``log || Lambda^p A^(n)_x(E) ||`` for every (energy, point) lane.
 
-        Returns shape ``(len(checkpoints), B)``; ``checkpoints`` defaults
-        to ``(n,)`` and must be increasing with final entry ``n``.
+        ``E`` is one energy or a 1-d array of ``K``; lane ``k * B + b`` is
+        energy ``k`` at point ``b`` of ``xs``.  Returns shape
+        ``(len(checkpoints), K * B)``; ``checkpoints`` defaults to ``(n,)``
+        and must be increasing with final entry ``n``.
         """
         xs = as_points(xs, self.base.nu)
-        factors = (
-            linalg.compound_batch(self.evaluate_batch(self.base.orbit_points(xs, j), E), p)
-            for j in range(1, n + 1)
-        )
-        try:
-            return linalg.scaled_product(factors, n, checkpoints)[0]
-        except NumericalRefusal as exc:
-            raise NumericalRefusal(f"{exc} (E={E})") from None
+        energies = np.atleast_1d(np.asarray(E, dtype=np.float64))
+        if energies.ndim != 1 or energies.size < 1:
+            raise ValidationError("E must be a number or a non-empty 1-d array")
+        nb = xs.shape[0]
+        per_pass = max(1, STACK_POINTS // nb)
+        out = []
+        for start in range(0, energies.size, per_pass):
+            chunk = energies[start:start + per_pass]
+            lane_e = np.repeat(chunk, nb)
+            factors = (
+                linalg.compound_batch(self.evaluate_batch(
+                    np.tile(self.base.orbit_points(xs, j), (chunk.size, 1)), lane_e), p)
+                for j in range(1, n + 1)
+            )
+            try:
+                out.append(linalg.scaled_product(factors, n, checkpoints))
+            except NumericalRefusal as exc:
+                raise NumericalRefusal(f"{exc} (E={lane_e[exc.matrix]})") from None
+        return np.concatenate(out, axis=1)
 
-    def finite_scale_exponents(self, E: float, n: int, m: int) -> np.ndarray:
-        """Grid-averaged exponents ``lambda_{j,n}(E)``, j = 1..d."""
+    def finite_scale_exponents(self, E, n: int, m: int) -> np.ndarray:
+        """Grid-averaged exponents ``lambda_{j,n}(E)``, j = 1..d (shape
+        ``(K, d)`` for an array of ``K`` energies)."""
         return self.exponent_ladder(E, (n,), m)[n]
 
-    def exponent_ladder(
-        self, E: float, scales: tuple[int, ...], m: int
-    ) -> dict[int, np.ndarray]:
+    def exponent_ladder(self, E, scales: tuple[int, ...], m: int) -> dict[int, np.ndarray]:
         """``finite_scale_exponents`` at every scale of an increasing ladder,
-        from a single orbit pass per compound order."""
+        from a single orbit pass per compound order.  With an array of
+        ``K`` energies each value gains a leading energy axis."""
         scales = tuple(sorted(set(int(s) for s in scales)))
         if not scales or scales[0] < 1:
             raise ValidationError("scales must be positive")
         xs = torus_grid(self.base.nu, m)
-        n_top = scales[-1]
-        partial = np.zeros((len(scales), self.dim + 1), dtype=np.float64)
+        partial = np.zeros((len(scales), np.size(E), self.dim + 1), dtype=np.float64)
         for p in range(1, self.dim + 1):
-            lognorms = self.orbit_lognorms(E, xs, n_top, p=p, checkpoints=scales)
-            for i in range(len(scales)):
-                partial[i, p] = pairwise_mean(lognorms[i])
-        return {
-            ncur: np.diff(partial[i]) / ncur for i, ncur in enumerate(scales)
-        }
+            lognorms = self.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales)
+            lognorms = lognorms.reshape(len(scales), -1, xs.shape[0])
+            for i, k in np.ndindex(*lognorms.shape[:2]):
+                partial[i, k, p] = pairwise_mean(lognorms[i, k])
+        ladder = {n: np.diff(partial[i]) / n for i, n in enumerate(scales)}
+        return ladder if np.ndim(E) else {n: v[0] for n, v in ladder.items()}
 
     def finite_scale_exponents_qr(self, E: float, n: int, m: int) -> np.ndarray:
         """QR-accumulation (diagonal-of-R) cross-check estimator.
@@ -316,7 +338,7 @@ class DiagonalExpFamily(CocycleFamily):
         t = _phase(pts)
         exponents = (
             self.x_amp[np.newaxis, :] * np.cos(2.0 * np.pi * t)[:, np.newaxis]
-            + self.e_amp[np.newaxis, :] * E
+            + self.e_amp[np.newaxis, :] * np.asarray(E)[..., np.newaxis]
         )
         out = np.zeros((pts.shape[0], self.dim, self.dim), dtype=np.float64)
         idx = np.arange(self.dim)
@@ -415,63 +437,18 @@ class SchrodingerFamily(CocycleFamily):
         return True
 
 
-# -- exponent tables -----------------------------------------------------------
+# -- exponent ladders ----------------------------------------------------------
 
 
-@dataclass
-class LyapunovTable:
-    """Finite-scale exponents indexed by ``(E, n, j)`` with ``j`` 1-based."""
-
-    grid_size: int
-    entries: dict[tuple[float, int, int], float] = field(default_factory=dict)
-
-    def put_spectrum(self, E: float, n: int, values: np.ndarray):
-        for j, v in enumerate(values, start=1):
-            self.entries[(float(E), int(n), j)] = float(v)
-
-    def value(self, E: float, n: int, j: int) -> float:
-        return self.entries[(float(E), int(n), int(j))]
-
-    def spectrum(self, E: float, n: int) -> np.ndarray:
-        d = max(j for (_, _, j) in self.entries)
-        return np.array([self.value(E, n, j) for j in range(1, d + 1)])
-
-    def params(self) -> list[float]:
-        return sorted({e for (e, _, _) in self.entries})
-
-    def scales(self) -> list[int]:
-        return sorted({n for (_, n, _) in self.entries})
-
-    def rows(self):
-        for key in sorted(self.entries):
-            yield key + (self.entries[key],)
-
-    def check(self, unit_determinant: bool = False, tol: float = 1e-9):
-        """Validate spectrum ordering (and the zero-sum rule for unit
-        determinant families) at every table slot."""
-        for E in self.params():
-            for n in self.scales():
-                spec = self.spectrum(E, n)
-                if np.any(np.diff(spec) > tol):
-                    raise ValidationError(
-                        f"exponent ordering violated at E={E}, n={n}: {spec}"
-                    )
-                if unit_determinant and abs(float(np.sum(spec))) > tol:
-                    raise ValidationError(
-                        f"zero-sum rule violated at E={E}, n={n}: sum={np.sum(spec)}"
-                    )
-
-
-def exponent_table(
-    fam: CocycleFamily,
-    param_values,
-    scales,
-    m: int,
-) -> LyapunovTable:
-    """Finite-scale exponents for every combination of parameter and scale."""
-    scales = tuple(sorted(set(int(s) for s in scales)))
-    table = LyapunovTable(grid_size=m)
-    for E in np.asarray(param_values, dtype=np.float64):
-        for n, spec in fam.exponent_ladder(float(E), scales, m).items():
-            table.put_spectrum(float(E), n, spec)
-    return table
+def check_ladder(ladder: dict[int, np.ndarray], energies, unit_determinant: bool, tol: float):
+    """Validate spectrum ordering (and the zero-sum rule for unit
+    determinant families) at every ``(E, n)`` slot of a stacked ladder."""
+    for k, E in enumerate(energies):
+        for n in sorted(ladder):
+            spec = ladder[n][k]
+            if np.any(np.diff(spec) > tol):
+                raise ValidationError(f"exponent ordering violated at E={E}, n={n}: {spec}")
+            if unit_determinant and abs(float(np.sum(spec))) > tol:
+                raise ValidationError(
+                    f"zero-sum rule violated at E={E}, n={n}: sum={np.sum(spec)}"
+                )

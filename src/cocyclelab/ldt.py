@@ -145,8 +145,8 @@ def almost_invariance(
     if k < 1:
         raise ValidationError("k must be at least 1")
     xs = torus_grid(fam.base.nu, m)
-    u_here = fam.orbit_lognorms(E, xs, n)[0] / n
-    u_shift = fam.orbit_lognorms(E, fam.base.orbit_points(xs, k), n)[0] / n
+    both = np.concatenate([xs, fam.base.orbit_points(xs, k)])
+    u_here, u_shift = np.split(fam.orbit_lognorms(E, both, n)[0] / n, 2)
     sup_gap = float(np.max(np.abs(u_shift - u_here)))
     top, inv = fam.one_step_log_extremes(E, m)
     bound = k * (top + inv) / n

@@ -222,8 +222,9 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalised running product ``F_n ... F_1`` of ``n`` factor stacks.
+def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
+    """Log-norms of the renormalised running product ``F_n ... F_1`` of
+    ``n`` factor stacks.
 
     ``factors`` yields ``n`` real ``(B, k, k)`` stacks, ``F_1`` first.
     After every multiplication the product is scaled by the power of two
@@ -232,16 +233,15 @@ def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.nd
     rounding and no logarithm is spent per step.  The spectral norm is
     taken only at the checkpoints, where ``log ||F_c ... F_1||`` is
     ``e_sum * log 2 + log ||scaled product||``.  A step whose squared
-    Frobenius norm is zero or not finite is refused, naming the step:
-    that covers a zero or non-finite factor, and factor norms above about
-    ``1e154`` or below about ``1e-162``, where that square leaves the
-    float range.
+    Frobenius norm is zero or not finite is refused, naming the step and
+    the first such matrix of the stack (also kept as the refusal's
+    ``matrix`` attribute): that covers a zero or non-finite factor, and
+    factor norms above about ``1e154`` or below about ``1e-162``, where
+    that square leaves the float range.
 
-    Returns ``(logs, normalized)``: ``logs[i]`` is the log-norm per
-    matrix at the i-th checkpoint ``c`` (default ``(n,)``; increasing,
-    ending at ``n``), shape ``(len(checkpoints), B)``, and ``normalized``
-    is the final product divided by its spectral norm.  The factor
-    stacks are never changed in place.
+    Returns the log-norm per matrix at each checkpoint (default ``(n,)``;
+    increasing, ending at ``n``), shape ``(len(checkpoints), B)``.  The
+    factor stacks are never changed in place.
     """
     if n < 1:
         raise ValidationError("product length must be at least 1")
@@ -249,19 +249,21 @@ def scaled_product(factors, n: int, checkpoints=None) -> tuple[np.ndarray, np.nd
     if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
         raise ValidationError("checkpoints must be increasing and end at n")
     rows = []
-    expo = prod = nrm = None
+    expo = prod = None
     for j, f in zip(range(1, n + 1), factors):
         prod = np.array(f, dtype=np.float64) if prod is None else np.matmul(f, prod)
         fro2 = np.einsum("bij,bij->b", prod, prod)
-        if not np.all(np.isfinite(fro2)) or np.any(fro2 <= 0.0):
-            raise NumericalRefusal(f"degenerate factor in scaled product at step {j}")
+        ok = np.isfinite(fro2) & (fro2 > 0.0)
+        if not np.all(ok):
+            exc = NumericalRefusal(f"degenerate factor in scaled product at step {j}, "
+                                   f"matrix {np.argmin(ok)}")
+            exc.matrix = int(np.argmin(ok))
+            raise exc
         e = np.frexp(np.sqrt(fro2))[1]
         np.ldexp(prod, -e[:, np.newaxis, np.newaxis], out=prod)
         expo = e.astype(np.int64) if expo is None else expo + e
         if j in cps:
-            nrm = spectral_norm_batch(prod)
-            rows.append(expo * _LN2 + np.log(nrm))
+            rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod)))
     if len(rows) != len(cps):
         raise ValidationError(f"expected {n} factor stacks")
-    # the last checkpoint is n, so nrm is the norm of the final product
-    return np.array(rows), prod / nrm[:, np.newaxis, np.newaxis]
+    return np.array(rows)

@@ -19,13 +19,13 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .rates import DichotomyVerdict, RateSeries, dichotomy, richardson_proxy
+from .rates import DichotomyVerdict, RateSeries, dichotomy
 from .util import pairwise_mean
 
 
@@ -43,7 +43,6 @@ class MatrixDistribution:
     seed: int
     support: tuple[tuple[np.ndarray, float], ...] | None = None
     sampler: str | None = None
-    sampler_params: dict = field(default_factory=dict)
     label: str = ""
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ def _batched_lognorms(
     seqs = np.empty((len(streams), n, dist.dim, dist.dim))
     for t, sid in enumerate(streams):
         seqs[t] = dist.sample_sequence(int(sid), n)
-    return linalg.scaled_product((seqs[:, j] for j in range(n)), n, checkpoints)[0]
+    return linalg.scaled_product((seqs[:, j] for j in range(n)), n, checkpoints)
 
 
 def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> float:
@@ -183,16 +182,9 @@ def _series(dist: MatrixDistribution, scales, logs) -> tuple[RateSeries, float]:
         per_trial = logs[i] / n
         values.append(pairwise_mean(per_trial))
         stderrs.append(float(np.std(per_trial, ddof=1) / np.sqrt(per_trial.size)))
-    series = RateSeries(
-        family_kind=f"random:{dist.label or dist.sampler or 'support'}",
-        E=0.0,
-        j=1,
-        scales=scales,
-        values=tuple(values),
-        proxy_limit=richardson_proxy(tuple(values)),
-        proxy_scale=scales[-1],
-        stderrs=tuple(stderrs),
-    )
+    kind = f"random:{dist.label or dist.sampler or 'support'}"
+    series = RateSeries(family_kind=kind, E=0.0, j=1, scales=scales,
+                        values=tuple(values), stderrs=tuple(stderrs))
     return series, 3.0 * max(stderrs)
 
 
@@ -221,7 +213,10 @@ def rate_report(
     marks deviations the trial budget cannot resolve: with enough trials
     a contracting distribution is classified ``exponential``, and
     ``inconclusive`` signals that noise dominates (reported, not hidden).
+    At least two trials are needed for a stderr.
     """
+    if trials < 2:
+        raise ValidationError(f"need at least 2 trials for a stderr, got {trials}")
     scales = tuple(sorted(set(int(s) for s in scales)))
     ld_scales = tuple(int(n) for n in ld_scales) if deltas else ()
     cps = tuple(sorted(set(scales) | set(ld_scales)))

@@ -31,8 +31,6 @@ class RateSeries:
     j: int
     scales: tuple[int, ...]
     values: tuple[float, ...]
-    proxy_limit: float
-    proxy_scale: int
     stderrs: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -47,6 +45,14 @@ class RateSeries:
 
     def value_at(self, n: int) -> float:
         return self.values[self.scales.index(n)]
+
+    @property
+    def proxy_limit(self) -> float:
+        return richardson_proxy(self.values)
+
+    @property
+    def proxy_scale(self) -> int:
+        return self.scales[-1]
 
 
 def richardson_proxy(values: tuple[float, ...]) -> float:
@@ -68,15 +74,7 @@ def planted_series(
         vals = tuple(float(limit) for _ in scales)
     else:
         raise ValidationError(f"unknown planted law {law!r}")
-    return RateSeries(
-        family_kind=f"planted-{law}",
-        E=0.0,
-        j=1,
-        scales=scales,
-        values=vals,
-        proxy_limit=richardson_proxy(vals),
-        proxy_scale=scales[-1],
-    )
+    return RateSeries(family_kind=f"planted-{law}", E=0.0, j=1, scales=scales, values=vals)
 
 
 def rate_series(
@@ -95,13 +93,7 @@ def rate_series(
     ladder = fam.exponent_ladder(E, tuple(scales), m)
     vals = tuple(float(ladder[n][j - 1]) for n in scales)
     return RateSeries(
-        family_kind=fam.kind,
-        E=float(E),
-        j=int(j),
-        scales=tuple(scales),
-        values=vals,
-        proxy_limit=richardson_proxy(vals),
-        proxy_scale=scales[-1],
+        family_kind=fam.kind, E=float(E), j=int(j), scales=tuple(scales), values=vals
     )
 
 
@@ -265,10 +257,11 @@ def gap_monitor(
     fam: CocycleFamily, E_values, n: int, m: int, kappa: float
 ) -> list[GapRecord]:
     """Per-parameter minimal consecutive exponent gap at scale ``n``,
-    tested against ``kappa``.  For ``d = 1`` the gap is vacuous (+inf)."""
+    tested against ``kappa``, from one stacked ladder.  For ``d = 1`` the
+    gap is vacuous (+inf)."""
+    E_values = np.asarray(E_values, dtype=np.float64)
     out = []
-    for E in np.asarray(E_values, dtype=np.float64):
-        spec = fam.finite_scale_exponents(float(E), n, m)
+    for E, spec in zip(E_values, fam.finite_scale_exponents(E_values, n, m)):
         if fam.dim == 1:
             gaps: tuple[float, ...] = (float("inf"),)
         else:
@@ -382,9 +375,10 @@ def holder_estimate(
     """Hölder exponent of ``E -> lambda_{j,n}(E)`` over a window.
 
     Refuses unless a gap check at level ``kappa`` passes across the
-    window.  Pairs with exponent difference below ten times the
-    quadrature tolerance are excluded (and counted): they are below the
-    resolution of the grid averages.
+    window; only then are all pair endpoints run as one stacked ladder.
+    Pairs with exponent difference below ten times the quadrature
+    tolerance are excluded (and counted): they are below the resolution
+    of the grid averages.
     """
     if not 1 <= j <= fam.dim:
         raise ValidationError(f"exponent index j={j} out of range 1..{fam.dim}")
@@ -401,11 +395,10 @@ def holder_estimate(
     decades = max(3, int(decades))
     per_decade = max(1, pair_budget // decades)
     pairs = _holder_pairs((lo, hi), decades, per_decade, seed)
+    lam = fam.finite_scale_exponents(np.array(pairs).reshape(-1), n, m)[:, j - 1]
     rows = []
     excluded = 0
-    for a, b in pairs:
-        la = fam.finite_scale_exponents(a, n, m)[j - 1]
-        lb = fam.finite_scale_exponents(b, n, m)[j - 1]
+    for (a, b), la, lb in zip(pairs, lam[0::2], lam[1::2]):
         dist = abs(b - a)
         dlam = abs(lb - la)
         if dlam < 10.0 * QUADRATURE_TOL:

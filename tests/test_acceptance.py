@@ -212,7 +212,6 @@ def test_10_r_sequence_bounded(schrodinger_ladder):
     vals = tuple(float(ladder[n][0]) for n in scales)
     series = rates.RateSeries(
         family_kind="schrodinger", E=0.0, j=1, scales=scales, values=vals,
-        proxy_limit=rates.richardson_proxy(vals), proxy_scale=scales[-1],
     )
     rep = rates.r_sequence(series)
     elapsed = time.monotonic() - t0

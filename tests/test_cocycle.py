@@ -1,19 +1,20 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from cocyclelab import cocycle, linalg
+from cocyclelab import cocycle, ldt, linalg, rates
+from cocyclelab.cli import main as cli_main
 from cocyclelab.cocycle import (
     ConstantFamily,
     DiagonalExpFamily,
-    LyapunovTable,
     SchrodingerFamily,
     ShiftBase,
     TrigPolyFamily,
-    exponent_table,
+    check_ladder,
     torus_grid,
 )
-from cocyclelab.errors import ValidationError
+from cocyclelab.errors import NumericalRefusal, ValidationError
 
 LN2 = np.log(2.0)
 
@@ -108,14 +109,14 @@ class TestEvaluate:
             ConstantFamily(base=golden, dim=2, matrix=np.diag([1.0, 0.0]))
 
 
-def orbit_product(fam, x, E: float, n: int):
-    """``(log scale, normalized product)`` of the scale-``n`` product over
-    the orbit of one point, through the shared accumulator."""
+def orbit_product(fam, x, E: float, n: int) -> float:
+    """Log-norm of the scale-``n`` product over the orbit of one point,
+    through the shared accumulator."""
     xs = cocycle.as_points(x, fam.base.nu)
     factors = (fam.evaluate_batch(fam.base.orbit_points(xs, j), E) for j in range(1, n + 1))
-    logs, normalized = linalg.scaled_product(factors, n)
-    assert logs.shape == (1, 1) and normalized.shape == (1, fam.dim, fam.dim)
-    return float(logs[0, 0]), normalized[0]
+    logs = linalg.scaled_product(factors, n)
+    assert logs.shape == (1, 1)
+    return float(logs[0, 0])
 
 
 def log_singular_profile(fam, x, E: float, n: int) -> np.ndarray:
@@ -127,16 +128,15 @@ def log_singular_profile(fam, x, E: float, n: int) -> np.ndarray:
 class TestProductOrbit:
     def test_constant_diagonal_powers(self, golden):
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
-        log_scale, normalized = orbit_product(fam, 0.1, 0.0, 10)
+        log_scale = orbit_product(fam, 0.1, 0.0, 10)
         assert abs(log_scale - 10 * LN2) <= 1e-12
-        assert np.allclose(normalized, np.diag([1.0, 2.0**-20]), atol=1e-16)
 
     def test_single_factor_is_shifted_evaluate(self, golden):
         fam = SchrodingerFamily(base=golden, dim=2, coupling=2.0)
         x, E = 0.2, 0.3
-        log_scale, normalized = orbit_product(fam, x, E, 1)
+        log_scale = fam.orbit_lognorms(E, x, 1)[0, 0]
         direct = evaluate(fam, np.mod(x + golden.omega[0], 1.0), E)
-        assert np.allclose(np.exp(log_scale) * normalized, direct, rtol=1e-14)
+        assert abs(log_scale - np.log(np.linalg.norm(direct, 2))) <= 1e-14
 
     def test_extended_precision_oracle_n3(self, schrodinger3):
         mp.mp.dps = 50
@@ -150,14 +150,9 @@ class TestProductOrbit:
     def test_bitwise_reproducible(self, schrodinger3):
         a = orbit_product(schrodinger3, 0.123, 0.0, 50)
         b = orbit_product(schrodinger3, 0.123, 0.0, 50)
-        assert a[0] == b[0]
-        assert a[1].tobytes() == b[1].tobytes()
+        assert a == b
         # the orbit kernel at B = 1 is the same accumulation
-        assert schrodinger3.orbit_lognorms(0.0, 0.123, 50)[0, 0] == a[0]
-
-    def test_normalized_has_unit_norm(self, schrodinger3):
-        _, normalized = orbit_product(schrodinger3, 0.4, 0.1, 200)
-        assert abs(linalg.operator_norm(normalized) - 1.0) <= 1e-12
+        assert schrodinger3.orbit_lognorms(0.0, 0.123, 50)[0, 0] == a
 
 
 class TestLogSingularProfile:
@@ -286,28 +281,34 @@ class TestQrCrossCheck:
         assert abs(a[0] + a[1]) <= 1e-10  # determinant is exactly one
 
 
-class TestLyapunovTable:
-    def test_table_rows_and_check(self, golden):
+class TestLadderCheck:
+    def test_stacked_ladder_rows_and_check(self, golden, tmp_path):
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
-        table = exponent_table(fam, [0.0, 1.0], (1, 2, 4), 4)
-        rows = list(table.rows())
-        assert len(rows) == 2 * 3 * 2
-        table.check(unit_determinant=True)
-        assert table.scales() == [1, 2, 4]
-        assert table.params() == [0.0, 1.0]
-        assert abs(table.value(0.0, 4, 1) - LN2) <= 1e-12
+        ladder = fam.exponent_ladder(np.array([0.0, 1.0]), (1, 2, 4), 4)
+        assert sorted(ladder) == [1, 2, 4] and ladder[4].shape == (2, 2)
+        check_ladder(ladder, [0.0, 1.0], True, 1e-9)
+        assert abs(ladder[4][0, 0] - LN2) <= 1e-12
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("cocycle.kind = constant\ncocycle.entries = 2,0,0,0.5\n"
+                       "param.E_min = 0\nparam.E_max = 1\nparam.E_count = 2\n"
+                       "numerics.n_max = 4\nnumerics.grid = 4\n")
+        res = CliRunner().invoke(cli_main, ["exponents", "--config", str(cfg),
+                                            "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        lines = (tmp_path / "o" / "exponents.csv").read_text().splitlines()
+        rows = [tuple(float(c) for c in l.split(",")) for l in lines if l[0] not in "#E"]
+        # one row per (E, n, j), in that order
+        assert [r[:3] for r in rows] == sorted(
+            (E, n, j) for E in (0.0, 1.0) for n in (1, 2, 4) for j in (1, 2))
+        assert all(abs(abs(r[3]) - LN2) <= 1e-12 for r in rows)
 
     def test_check_flags_bad_ordering(self):
-        t = LyapunovTable(grid_size=4)
-        t.put_spectrum(0.0, 2, np.array([0.1, 0.5]))
-        with pytest.raises(ValidationError, match="ordering"):
-            t.check()
+        with pytest.raises(ValidationError, match="ordering violated at E=0.0, n=2"):
+            check_ladder({2: np.array([[0.1, 0.5]])}, [0.0], False, 1e-9)
 
     def test_check_flags_sum_rule(self):
-        t = LyapunovTable(grid_size=4)
-        t.put_spectrum(0.0, 2, np.array([0.5, 0.1]))
         with pytest.raises(ValidationError, match="zero-sum"):
-            t.check(unit_determinant=True)
+            check_ladder({2: np.array([[0.5, 0.1]])}, [0.0], True, 1e-9)
 
     def test_qr_method_table(self, golden):
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([3.0, 1.0 / 3.0]))
@@ -326,3 +327,86 @@ class TestTwoTorus:
         assert lam.shape == (2,)
         assert abs(lam[0] + lam[1]) <= 1e-12
         assert lam[0] >= 0.0
+
+
+@pytest.fixture
+def orbit_calls(monkeypatch):
+    """Counts ``orbit_lognorms`` calls."""
+    calls = []
+    real = cocycle.CocycleFamily.orbit_lognorms
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cocycle.CocycleFamily, "orbit_lognorms", counted)
+    return calls
+
+
+def split_exp(golden, e_amp=(1.0, -1.0)):
+    """``diag(exp(cos 2 pi x + E), exp(-cos 2 pi x - E))``: gap ``2E``."""
+    return DiagonalExpFamily(base=golden, dim=2, x_amp=np.array([1.0, -1.0]),
+                             e_amp=np.array(e_amp))
+
+
+class TestStackedEnergies:
+    @pytest.mark.parametrize("kind", ["schrodinger", "diagonal-exp"])
+    def test_stacked_ladder_equals_per_energy_ladders(self, golden, kind):
+        if kind == "schrodinger":
+            fam = SchrodingerFamily(base=golden, dim=2, coupling=3.0)
+        else:
+            fam = split_exp(golden, e_amp=(0.7, -0.3))
+        energies = np.array([-0.7, 0.2, 1.1])
+        stacked = fam.exponent_ladder(energies, (4, 16, 64), 128)
+        for k, E in enumerate(energies):
+            single = fam.exponent_ladder(E, (4, 16, 64), 128)
+            for n in (4, 16, 64):
+                assert stacked[n].shape == (3, 2)
+                assert (stacked[n][k] == single[n]).all()
+
+    def test_chunks_move_no_bits(self, schrodinger3, monkeypatch):
+        xs = torus_grid(1, 16)
+        energies = np.linspace(-1.0, 1.0, 5)
+        whole = schrodinger3.orbit_lognorms(energies, xs, 32, checkpoints=(8, 32))
+        assert whole.shape == (2, 5 * 16)
+        monkeypatch.setattr(cocycle, "STACK_POINTS", 40)  # two energies per pass
+        assert (schrodinger3.orbit_lognorms(energies, xs, 32, checkpoints=(8, 32)) == whole).all()
+
+    def test_refusal_names_its_energy(self, golden):
+        fam = split_exp(golden, e_amp=(1.0, 1.0))
+        # exp(400) squared leaves the float range at step 1
+        with pytest.raises(NumericalRefusal, match=r"step 1, .*\(E=400\.0\)$"):
+            fam.exponent_ladder(np.array([0.0, 400.0]), (4,), 8)
+
+    def test_energy_shape_validated(self, schrodinger3):
+        for bad in (np.zeros((2, 2)), np.zeros(0)):
+            with pytest.raises(ValidationError, match="1-d"):
+                schrodinger3.orbit_lognorms(bad, torus_grid(1, 4), 2)
+
+    @pytest.mark.parametrize("budget", [4, 24])
+    def test_holder_makes_two_ladder_calls(self, golden, orbit_calls, budget):
+        est = rates.holder_estimate(split_exp(golden), 1, (1.0, 2.0), n=8, m=16,
+                                    pair_budget=budget, beta0_scale=2)
+        assert est.pairs_used + est.pairs_excluded == budget
+        assert len(orbit_calls) == 2 * 2
+
+    def test_failed_gap_check_refuses_before_pair_work(self, golden, orbit_calls):
+        with pytest.raises(NumericalRefusal, match="gap check"):
+            rates.holder_estimate(split_exp(golden), 1, (0.0, 1.0), n=8, m=16)
+        assert len(orbit_calls) == 2
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_exponents_makes_one_ladder_call(self, tmp_path, orbit_calls, count):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("cocycle.kind = diagonal-exp\ncocycle.x_amp = 1,-1\n"
+                       f"cocycle.e_amp = 1,-1\nparam.E_count = {count}\n"
+                       "param.E_min = 1\nparam.E_max = 2\n"
+                       "numerics.n_max = 8\nnumerics.grid = 16\n")
+        res = CliRunner().invoke(cli_main, ["exponents", "--config", str(cfg),
+                                            "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        assert len(orbit_calls) == 2
+
+    def test_almost_invariance_makes_one_call(self, schrodinger3, orbit_calls):
+        rep = ldt.almost_invariance(schrodinger3, 0.0, 16, 3, 64)
+        assert rep.ok and len(orbit_calls) == 1

@@ -257,7 +257,7 @@ class TestScaledProduct:
     def test_matches_assembled_product_at_checkpoints(self):
         rng = np.random.default_rng(12)
         stacks = rng.standard_normal((6, 4, 3, 3)) + 2.0 * np.eye(3)
-        logs, normalized = linalg.scaled_product(iter(stacks), 6, checkpoints=(2, 5, 6))
+        logs = linalg.scaled_product(iter(stacks), 6, checkpoints=(2, 5, 6))
         assert logs.shape == (3, 4)
         for row, c in zip(logs, (2, 5, 6)):
             for b in range(4):
@@ -266,7 +266,6 @@ class TestScaledProduct:
                     full = f @ full
                 want = np.log(np.linalg.norm(full, 2))
                 assert abs(row[b] - want) <= 1e-12 * max(1.0, abs(want))
-        assert np.allclose(linalg.spectral_norm_batch(normalized), 1.0, rtol=1e-14)
 
     def test_callers_arrays_unchanged(self):
         rng = np.random.default_rng(13)
@@ -292,16 +291,20 @@ class TestScaledProduct:
         with pytest.raises(NumericalRefusal, match="step 2"):
             linalg.scaled_product(stacks, 2)
 
+    def test_refusal_names_first_refused_matrix(self):
+        stacks = [np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])]
+        with pytest.raises(NumericalRefusal, match="step 1, matrix 1") as info:
+            linalg.scaled_product(stacks, 1)
+        assert info.value.matrix == 1
+
     @pytest.mark.parametrize("factor, sign", [(np.diag([1e3, 1e-3]), 1.0), (1e-3 * np.eye(3), -1.0)])
     def test_products_beyond_float_range(self, factor, sign):
         # the product norms reach 1e+-9000, far outside the float64 range
         cps = (1, 2, 10, 100, 1000, 2999, 3000)
-        logs, normalized = linalg.scaled_product((factor[np.newaxis] for _ in range(3000)), 3000, cps)
+        logs = linalg.scaled_product((factor[np.newaxis] for _ in range(3000)), 3000, cps)
         for row, c in zip(logs, cps):
             want = sign * c * np.log(1e3)
             assert abs(row[0] - want) <= 1e-12 * abs(want)
-        assert np.all(np.isfinite(normalized))
-        assert linalg.spectral_norm_batch(normalized)[0] == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_degenerate_factor_refused_at_its_step(self, bad):
@@ -318,5 +321,4 @@ class TestScaledProduct:
         for cps in ((40,), (1, 8, 40), tuple(range(1, 41))):
             calls.clear()
             linalg.scaled_product(iter(stacks), 40, checkpoints=cps)
-            # the last checkpoint is n, whose norm also normalises the result
             assert len(calls) == len(cps)

@@ -114,6 +114,11 @@ class TestTopExponent:
         with pytest.raises(ConfigError, match="random.trials"):
             parse_config("random.dist = stretch_or_rotate\nrandom.trials = 1\n")
 
+    def test_rate_report_needs_two_trials(self):
+        # the API refuses one trial too, instead of reporting nan stderrs
+        with pytest.raises(ValidationError, match="at least 2 trials"):
+            rp.rate_report(rp.stretch_or_rotate(), (8, 16, 32), 1)
+
     def test_degenerate_draws_refused(self, monkeypatch):
         dist = rp.two_rotations(0.7, 1.3, seed=2)
         monkeypatch.setattr(
@@ -161,7 +166,6 @@ class TestConvergenceDichotomy:
                      for n in scales)
         series = rates.RateSeries(
             family_kind="planted-noisy", E=0.0, j=1, scales=scales, values=vals,
-            proxy_limit=rates.richardson_proxy(vals), proxy_scale=scales[-1],
         )
         v = rates.dichotomy(series, c1=0.05, l0=8, noise_floor=3e-5)
         assert v.classification == "exponential"

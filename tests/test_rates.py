@@ -22,7 +22,6 @@ class TestRateSeries:
         with pytest.raises(ValidationError):
             rates.RateSeries(
                 family_kind="x", E=0.0, j=1, scales=(4, 16), values=(0.0, 0.0),
-                proxy_limit=0.0, proxy_scale=16,
             )
 
     def test_engine_series_constant(self, golden):
@@ -118,7 +117,6 @@ class TestDichotomy:
         noisy = tuple(0.9 + 1e-5 * rng.standard_normal() for _ in SCALES)
         s = rates.RateSeries(
             family_kind="noisy", E=0.0, j=1, scales=SCALES, values=noisy,
-            proxy_limit=rates.richardson_proxy(noisy), proxy_scale=SCALES[-1],
         )
         v = rates.dichotomy(s, c1=0.05, l0=16, noise_floor=1e-4)
         assert v.classification == "exponential"
