@@ -186,11 +186,7 @@ class OverlapBracket:
     """Consecutive stretch-direction overlaps against pair-norm ratios."""
 
     overlaps: np.ndarray  # |projection of A_j's stretched direction onto the next top direction|
-    pair_ratios: np.ndarray
-    mu: float
-    lower: np.ndarray  # pair_ratios - 2/mu
-    upper: np.ndarray  # pair_ratios + 1/mu
-    violations: np.ndarray  # boolean per adjacent pair
+    violations: np.ndarray  # outside [pair_ratio - 2/mu, pair_ratio + 1/mu], per adjacent pair
 
     @property
     def ok(self) -> bool:
@@ -231,14 +227,7 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     upper = report.pair_ratios + 1.0 / report.mu
     slack = 1e-12
     violations = (overlaps < lower - slack) | (overlaps > upper + slack)
-    return OverlapBracket(
-        overlaps=overlaps,
-        pair_ratios=report.pair_ratios,
-        mu=report.mu,
-        lower=lower,
-        upper=upper,
-        violations=violations,
-    )
+    return OverlapBracket(overlaps=overlaps, violations=violations)
 
 
 # -- projection families ---------------------------------------------------------
@@ -246,7 +235,6 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
 
 @dataclass(frozen=True)
 class ProjectionDemo:
-    mode: str
     eps: float
     matrices: list[np.ndarray]
     norms: np.ndarray
@@ -282,7 +270,6 @@ def projection_demo(thetas, eps: float, mode: str) -> ProjectionDemo:
             mats.append((np.eye(3) - proj) + eps * proj)
     mats, _, norms, scaled_pairs = _factors(mats)
     return ProjectionDemo(
-        mode=mode,
         eps=float(eps),
         matrices=mats,
         norms=norms,

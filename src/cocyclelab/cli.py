@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__, avalanche, ldt, random_products, rates
 from .cocycle import check_ladder
 from .config import ExperimentConfig, parse_config_file, read_matrix_blocks
-from .diophantine import diophantine_minima, diophantine_report
+from .diophantine import diophantine_minima
 from .errors import ConfigError, NumericalRefusal, ValidationError
-from .util import format_float
+from .util import dyadic_ladder, format_float
 
 
 class _Run:
@@ -149,11 +149,7 @@ def exponents(config_path, out_dir, seed):
 
     def body(cfg: ExperimentConfig, run: _Run):
         fam = cfg.family()
-        scales = []
-        n = 1
-        while n <= int(cfg["numerics.n_max"]):
-            scales.append(n)
-            n *= 2
+        scales = dyadic_ladder(1, int(cfg["numerics.n_max"]))
         grid = cfg.param_grid()
         ladder = fam.exponent_ladder(grid, scales, cfg.grid_size())
         run.stage("compute")
@@ -357,7 +353,7 @@ def holder_cmd(config_path, out_dir, seed):
             [(est.j, est.window[0], est.window[1], est.n, est.gamma_est,
               est.residual, est.kappa_min, est.pairs_used, est.pairs_excluded,
               est.zero_variation,
-              est.beta0_check.passes if est.beta0_check is not None else False,
+              None if est.beta0_check is None else est.beta0_check.passes,
               est.stretched_sigma)],
         )
         run.emit("pairs", ["distance", "dlambda"], list(est.pair_rows))
@@ -406,8 +402,8 @@ def dioph_cmd(config_path, out_dir, seed):
         if base.nu != 1:
             raise ConfigError("dioph requires shift.nu = 1")
         n_max = int(cfg["numerics.n_max"])
-        c_est, worst = diophantine_report(base.omega[0], base.dio_exponent, n_max)
         records = diophantine_minima(base.omega[0], base.dio_exponent, n_max)
+        worst, c_est = records[-1]
         run.stage("compute")
         run.emit("", ["omega", "dio_exponent", "n_max", "c_est", "worst_n"],
                  [(base.omega[0], base.dio_exponent, n_max, c_est, worst)])

@@ -41,6 +41,9 @@ DEFAULT_OMEGA_2D = (np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0)
 #: documented quadrature tolerance of grid averages at the default grids
 QUADRATURE_TOL = 1e-6
 
+#: points per axis of the torus grid on which construction checks invertibility
+CHECK_GRID = 64
+
 #: lanes per orbit pass; larger stacks run in chunks of whole energies, and
 #: since lanes are independent the chunking moves no bits
 STACK_POINTS = 1 << 15
@@ -144,7 +147,6 @@ class CocycleFamily:
     dim: int
     param_values: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     beta0: float = 1.0
-    check_grid: int = 64
 
     kind = "abstract"
 
@@ -181,9 +183,7 @@ class CocycleFamily:
     # -- generic machinery ----------------------------------------------------
 
     def _validate_invertibility(self):
-        if self.check_grid < 1:
-            return
-        pts = torus_grid(self.base.nu, self.check_grid)
+        pts = torus_grid(self.base.nu, CHECK_GRID)
         for E in self.param_values:
             mats = self.evaluate_batch(pts, float(E))
             top, low = linalg.extreme_singular_values_batch(mats)
@@ -191,7 +191,7 @@ class CocycleFamily:
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise ValidationError(
-                    f"family is numerically singular at x={tuple(pts[i])}, E={E}"
+                    f"family is numerically singular at x={tuple(pts[i].tolist())}, E={E}"
                 )
 
     def orbit_lognorms(

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import cocycle, random_products
 from .errors import ConfigError
+from .util import dyadic_ladder
 
 _GRID_AUTO = -1  # sentinel: 1024 for nu=1, 64 per axis otherwise
 
@@ -303,20 +304,13 @@ class ExperimentConfig:
             raise ConfigError("random.dist = file requires random.support_file")
         support = read_support_file(path)
         d = support[0][0].shape[0]
-        return random_products.MatrixDistribution(
-            dim=d, seed=seed, support=tuple(support), label="file"
-        )
+        return random_products.MatrixDistribution(dim=d, seed=seed, support=tuple(support))
 
     def dyadic_scales(self, n_min: int = 16) -> tuple[int, ...]:
-        n_max = int(self.values["numerics.n_max"])
-        scales = []
-        n = n_min
-        while n <= n_max:
-            scales.append(n)
-            n *= 2
+        scales = dyadic_ladder(n_min, int(self.values["numerics.n_max"]))
         if len(scales) < 2:
             raise ConfigError(f"numerics.n_max too small for a ladder from {n_min}")
-        return tuple(scales)
+        return scales
 
 
 def parse_config(text: str) -> ExperimentConfig:

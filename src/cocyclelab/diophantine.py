@@ -1,7 +1,7 @@
 """Continued fractions and Diophantine quality of shift frequencies.
 
 The quantity of interest is how far multiples ``n*omega`` stay from the
-integers: the report below scans ``min_n ||n w|| * n * (log n)^a``, whose
+integers: the scan below takes ``min_n ||n w|| * n * (log n)^a``, whose
 positivity witnesses the arithmetic condition the torus-shift experiments
 assume.  Distances to the nearest integer are smallest at continued
 fraction convergent denominators, which the tests use as an independent
@@ -69,28 +69,18 @@ def torus_distance(values: np.ndarray) -> np.ndarray:
     return np.minimum(frac, 1.0 - frac)
 
 
-def diophantine_report(omega: float, dio_exponent: float, n_max: int) -> tuple[float, int]:
+def diophantine_minima(omega: float, dio_exponent: float, n_max: int) -> list[tuple[int, float]]:
     """Scan ``||n w|| * n * (log n)^a`` over ``2 <= n <= n_max``.
 
-    Returns the minimum and its argmin.  A zero minimum flags a rational
-    (or float-resolution rational) shift.
+    Returns the running-record minima: the ``(n, value)`` pairs at which a
+    new minimum is achieved, so the last pair is the minimum and its
+    argmin.  A zero minimum flags a rational (or float-resolution
+    rational) shift.
     """
     if n_max < 2:
         raise ValidationError("n_max must be at least 2")
     if dio_exponent <= 1.0:
         raise ValidationError("the Diophantine exponent must exceed 1")
-    n = np.arange(2, n_max + 1, dtype=np.float64)
-    vals = torus_distance(n * omega) * n * np.log(n) ** dio_exponent
-    k = int(np.argmin(vals))
-    return float(vals[k]), int(n[k])
-
-
-def diophantine_minima(omega: float, dio_exponent: float, n_max: int) -> list[tuple[int, float]]:
-    """Running-record minima of the scan above: the ``(n, value)`` pairs at
-    which a new minimum is achieved.  Plot-ready companion to
-    :func:`diophantine_report`."""
-    if n_max < 2:
-        raise ValidationError("n_max must be at least 2")
     n = np.arange(2, n_max + 1, dtype=np.float64)
     vals = torus_distance(n * omega) * n * np.log(n) ** dio_exponent
     records: list[tuple[int, float]] = []

@@ -23,10 +23,6 @@ from .util import pairwise_mean
 class DeviationProfile:
     """Measured deviation-set measures over rows of ``(n, delta)``."""
 
-    family_kind: str
-    E: float
-    p: int
-    grid_size: int
     rows: list[tuple[int, float, float]] = field(default_factory=list)  # (n, delta, measure)
 
     def add(self, n: int, delta: float, measure: float):
@@ -53,7 +49,6 @@ class DecayFit:
     b: float | None = None
     tau: float | None = None
     residual: float | None = None
-    n_range: tuple[int, int] = (0, 0)
 
 
 def deviation_profile(
@@ -70,7 +65,7 @@ def deviation_profile(
     deltas = tuple(float(d) for d in deltas)
     if any(d <= 0.0 for d in deltas):
         raise ValidationError("deltas must be positive")
-    prof = DeviationProfile(family_kind=fam.kind, E=float(E), p=int(p), grid_size=m)
+    prof = DeviationProfile()
     xs = torus_grid(fam.base.nu, m)
     lognorms = fam.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales)
     for i, n in enumerate(scales):
@@ -95,7 +90,6 @@ def fit_decay(profile: DeviationProfile, delta: float, model: str = "exp_poly") 
     ns = np.array([n for n, _ in usable], dtype=np.float64)
     ms = np.array([meas for _, meas in usable], dtype=np.float64)
     logm = np.log(ms)
-    n_range = (int(ns.min()), int(ns.max()))
     if model == "stretched":
         # measure ~ exp(-n^tau): regress log(-log m) on log n
         y = np.log(-logm)
@@ -103,10 +97,7 @@ def fit_decay(profile: DeviationProfile, delta: float, model: str = "exp_poly") 
         a = np.stack([x, np.ones_like(x)], axis=1)
         coef, *_ = np.linalg.lstsq(a, y, rcond=None)
         resid = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
-        return DecayFit(
-            model=model, degenerate=False, tau=float(coef[0]), residual=resid,
-            n_range=n_range,
-        )
+        return DecayFit(model=model, degenerate=False, tau=float(coef[0]), residual=resid)
     best = None
     for b in _B_GRID:
         a = np.stack([-ns, np.log(ns) ** b], axis=1)
@@ -115,10 +106,7 @@ def fit_decay(profile: DeviationProfile, delta: float, model: str = "exp_poly") 
         if best is None or resid < best[0]:
             best = (resid, float(b), float(coef[0]), float(coef[1]))
     resid, b, c, big_c = best
-    return DecayFit(
-        model=model, degenerate=False, c=c, C=big_c, b=b, residual=resid,
-        n_range=n_range,
-    )
+    return DecayFit(model=model, degenerate=False, c=c, C=big_c, b=b, residual=resid)
 
 
 @dataclass(frozen=True)
@@ -158,7 +146,6 @@ class MonotonicityReport:
     scales: tuple[int, ...]
     values: tuple[float, ...]  # lambda_{1,n} per scale
     violations: tuple[tuple[int, float], ...]  # (n, excess) per failed doubling
-    tol: float
 
     @property
     def ok(self) -> bool:
@@ -180,6 +167,4 @@ def monotonicity_audit(
         excess = values[i + 1] - values[i]
         if excess > tol:
             violations.append((scales[i + 1], float(excess)))
-    return MonotonicityReport(
-        scales=scales, values=values, violations=tuple(violations), tol=tol
-    )
+    return MonotonicityReport(scales=scales, values=values, violations=tuple(violations))

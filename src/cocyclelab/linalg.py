@@ -13,8 +13,10 @@ integer sum, and takes spectral norms only at the requested checkpoints.
 
 The SVD is a one-sided Jacobi iteration rather than a LAPACK call: at
 these dimensions it is fast enough, and it retains high relative
-accuracy on strongly graded matrices, which matters because singular
-value *ratios* feed the avalanche-principle hypothesis checks.
+accuracy on strongly graded matrices (Demmel-Veselic, SIAM J. Matrix
+Anal. Appl. 13, 1992), which matters because singular value *ratios*
+feed the avalanche-principle hypothesis checks.  It returns the singular
+values and the right singular vectors, the only parts those checks read.
 """
 
 from __future__ import annotations
@@ -51,15 +53,16 @@ def _as_square(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD ``M = U @ diag(s) @ V.conj().T`` with ``s`` non-increasing."""
+    """Singular values ``s`` (non-increasing) and the unitary right factor
+    ``V`` of ``M = U @ diag(s) @ V.conj().T``: the columns of ``M @ V``
+    are orthogonal with norms ``s``."""
 
     singular_values: np.ndarray
-    left_factor: np.ndarray
     right_factor: np.ndarray
 
 
 def svd(m) -> SvdResult:
-    """One-sided Jacobi SVD of a square real or complex matrix.
+    """One-sided Jacobi SVD ``(s, V)`` of a square real or complex matrix.
 
     Deterministic: identical input yields byte-identical output.
     """
@@ -102,36 +105,7 @@ def svd(m) -> SvdResult:
 
     sigma = np.sqrt(np.sum(np.abs(b) ** 2, axis=0))
     order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    b = b[:, order]
-    v = v[:, order]
-
-    u = np.zeros_like(b)
-    smax = sigma[0]
-    for j in range(d):
-        if smax > 0.0 and sigma[j] > d * np.finfo(np.float64).eps * smax:
-            u[:, j] = b[:, j] / sigma[j]
-        else:
-            u[:, j] = _complete_column(u[:, :j])
-    return SvdResult(singular_values=sigma, left_factor=u, right_factor=v)
-
-
-def _complete_column(existing: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion: best identity column after
-    projecting out the columns already placed."""
-    d = existing.shape[0]
-    best = None
-    best_norm = -1.0
-    for k in range(d):
-        cand = np.zeros(d, dtype=existing.dtype)
-        cand[k] = 1.0
-        if existing.shape[1]:
-            cand = cand - existing @ (existing.conj().T @ cand)
-        nrm = float(np.linalg.norm(cand))
-        if nrm > best_norm + 1e-12:
-            best, best_norm = cand, nrm
-    assert best is not None and best_norm > 0.0
-    return best / best_norm
+    return SvdResult(singular_values=sigma[order], right_factor=v[:, order])
 
 
 def operator_norm(m) -> float:

@@ -43,7 +43,6 @@ class MatrixDistribution:
     seed: int
     support: tuple[tuple[np.ndarray, float], ...] | None = None
     sampler: str | None = None
-    label: str = ""
 
     def __post_init__(self):
         if (self.support is None) == (self.sampler is None):
@@ -95,9 +94,7 @@ class MatrixDistribution:
 
 def single_matrix(matrix, seed: int = 0) -> MatrixDistribution:
     m = np.asarray(matrix, dtype=np.float64)
-    return MatrixDistribution(
-        dim=m.shape[0], seed=seed, support=((m, 1.0),), label="single"
-    )
+    return MatrixDistribution(dim=m.shape[0], seed=seed, support=((m, 1.0),))
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -111,7 +108,6 @@ def two_rotations(alpha: float, beta: float, seed: int = 0) -> MatrixDistributio
         dim=2,
         seed=seed,
         support=((_rotation(alpha), 0.5), (_rotation(beta), 0.5)),
-        label="two-rotations",
     )
 
 
@@ -127,7 +123,6 @@ def rotated_stretch_pair(
         dim=2,
         seed=seed,
         support=((_rotation(theta) @ d, 0.5), (_rotation(-theta) @ d, 0.5)),
-        label="rotated-stretch-pair",
     )
 
 
@@ -142,14 +137,11 @@ def stretch_or_rotate(
         dim=2,
         seed=seed,
         support=((np.diag([stretch, 1.0 / stretch]), 0.5), (_rotation(angle), 0.5)),
-        label="stretch-or-rotate",
     )
 
 
 def uniform_rotation(seed: int = 0) -> MatrixDistribution:
-    return MatrixDistribution(
-        dim=2, seed=seed, sampler="uniform_rotation", label="uniform-rotation"
-    )
+    return MatrixDistribution(dim=2, seed=seed, sampler="uniform_rotation")
 
 
 # -- Monte Carlo kernels ----------------------------------------------------------
@@ -172,7 +164,7 @@ def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> floa
     return float(np.count_nonzero(np.abs(logs - n * lambda1) > n * delta)) / logs.size
 
 
-def _series(dist: MatrixDistribution, scales, logs) -> tuple[RateSeries, float]:
+def _series(scales, logs) -> tuple[RateSeries, float]:
     """Monte Carlo ``lambda_hat_{1,n}`` along a dyadic ladder from the
     per-trial log-norms at ``scales``.  Returns the series and a noise
     floor of three times the worst rung stderr."""
@@ -182,9 +174,7 @@ def _series(dist: MatrixDistribution, scales, logs) -> tuple[RateSeries, float]:
         per_trial = logs[i] / n
         values.append(pairwise_mean(per_trial))
         stderrs.append(float(np.std(per_trial, ddof=1) / np.sqrt(per_trial.size)))
-    kind = f"random:{dist.label or dist.sampler or 'support'}"
-    series = RateSeries(family_kind=kind, E=0.0, j=1, scales=scales,
-                        values=tuple(values), stderrs=tuple(stderrs))
+    series = RateSeries(j=1, scales=scales, values=tuple(values), stderrs=tuple(stderrs))
     return series, 3.0 * max(stderrs)
 
 
@@ -221,7 +211,7 @@ def rate_report(
     ld_scales = tuple(int(n) for n in ld_scales) if deltas else ()
     cps = tuple(sorted(set(scales) | set(ld_scales)))
     logs = dict(zip(cps, _batched_lognorms(dist, cps[-1], range(trials), checkpoints=cps)))
-    series, floor = _series(dist, scales, [logs[n] for n in scales])
+    series, floor = _series(scales, [logs[n] for n in scales])
     l0 = min(series.scales[1], series.scales[-1] // 4)
     verdict = dichotomy(series, c1=c1, l0=l0, noise_floor=floor)
     rows = tuple(

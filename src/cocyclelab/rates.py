@@ -19,15 +19,14 @@ import numpy as np
 from .cocycle import QUADRATURE_TOL, CocycleFamily, torus_grid
 from .errors import NumericalRefusal, ValidationError
 from .linalg import spectral_norm_batch
+from .util import dyadic_ladder
 
 
 @dataclass(frozen=True)
 class RateSeries:
-    """Finite-scale exponents of one ``(family, E, j)`` along a complete
+    """Finite-scale exponents of one exponent index ``j`` along a complete
     dyadic ladder, with the Richardson proxy for the limit."""
 
-    family_kind: str
-    E: float
     j: int
     scales: tuple[int, ...]
     values: tuple[float, ...]
@@ -74,7 +73,7 @@ def planted_series(
         vals = tuple(float(limit) for _ in scales)
     else:
         raise ValidationError(f"unknown planted law {law!r}")
-    return RateSeries(family_kind=f"planted-{law}", E=0.0, j=1, scales=scales, values=vals)
+    return RateSeries(j=1, scales=scales, values=vals)
 
 
 def rate_series(
@@ -85,16 +84,10 @@ def rate_series(
         raise ValidationError(f"exponent index j={j} out of range 1..{fam.dim}")
     if n_max < 2 * n_min or n_max & (n_max - 1):
         raise ValidationError("n_max must be a power of two at least twice n_min")
-    scales = []
-    n = n_min
-    while n <= n_max:
-        scales.append(n)
-        n *= 2
-    ladder = fam.exponent_ladder(E, tuple(scales), m)
+    scales = dyadic_ladder(n_min, n_max)
+    ladder = fam.exponent_ladder(E, scales, m)
     vals = tuple(float(ladder[n][j - 1]) for n in scales)
-    return RateSeries(
-        family_kind=fam.kind, E=float(E), j=int(j), scales=tuple(scales), values=vals
-    )
+    return RateSeries(j=int(j), scales=scales, values=vals)
 
 
 def check_c_over_n(series: RateSeries) -> tuple[float, list[tuple[int, float]]]:
@@ -247,7 +240,6 @@ def dichotomy(
 
 @dataclass(frozen=True)
 class GapRecord:
-    E: float
     min_gap: float
     gaps: tuple[float, ...]
     passes: bool
@@ -259,26 +251,21 @@ def gap_monitor(
     """Per-parameter minimal consecutive exponent gap at scale ``n``,
     tested against ``kappa``, from one stacked ladder.  For ``d = 1`` the
     gap is vacuous (+inf)."""
-    E_values = np.asarray(E_values, dtype=np.float64)
     out = []
-    for E, spec in zip(E_values, fam.finite_scale_exponents(E_values, n, m)):
+    for spec in fam.finite_scale_exponents(E_values, n, m):
         if fam.dim == 1:
             gaps: tuple[float, ...] = (float("inf"),)
         else:
             gaps = tuple(float(g) for g in -np.diff(spec))
         min_gap = min(gaps)
-        out.append(
-            GapRecord(E=float(E), min_gap=min_gap, gaps=gaps, passes=min_gap > kappa)
-        )
+        out.append(GapRecord(min_gap=min_gap, gaps=gaps, passes=min_gap > kappa))
     return out
 
 
 @dataclass(frozen=True)
 class CrudeContinuityReport:
     lhs: float  # max_x || A^(n)_x(E) - A^(n)_x(E') ||
-    rhs: float  # exp(C n) * d(E,E')^beta0
-    growth_constant: float
-    passes: bool
+    passes: bool  # lhs <= exp(C n) * d(E,E')^beta0
 
 
 def crude_continuity_check(
@@ -312,9 +299,7 @@ def crude_continuity_check(
         prod_b = fb if prod_b is None else np.matmul(fb, prod_b)
     lhs = float(np.max(spectral_norm_batch(prod_a - prod_b)))
     rhs = float(np.exp(growth * n) * abs(E - E_prime) ** fam.beta0)
-    return CrudeContinuityReport(
-        lhs=lhs, rhs=rhs, growth_constant=float(growth), passes=lhs <= rhs
-    )
+    return CrudeContinuityReport(lhs=lhs, passes=lhs <= rhs)
 
 
 @dataclass(frozen=True)
@@ -335,7 +320,6 @@ class HolderEstimate:
     zero_variation: bool
     beta0_check: CrudeContinuityReport | None
     stretched_sigma: float | None = None  # weaker-modulus fit, emitted for nu >= 2
-    stretched_c: float | None = None
     pair_rows: tuple[tuple[float, float], ...] = ()  # (distance, |dLambda|)
 
 
@@ -419,7 +403,6 @@ def holder_estimate(
     residual = float(np.sqrt(np.mean((a_mat @ coef - y) ** 2)))
     beta_chk = crude_continuity_check(fam, pairs[0][0], pairs[0][1], beta0_scale, m)
     sigma = None
-    stretched_c = None
     if fam.base.nu >= 2:
         # weaker modulus |dLambda| ~ C exp(-c |log dist|^sigma)
         best = None
@@ -428,11 +411,11 @@ def holder_estimate(
             cf, *_ = np.linalg.lstsq(design, y, rcond=None)
             res = float(np.sqrt(np.mean((design @ cf - y) ** 2)))
             if best is None or res < best[0]:
-                best = (res, float(sig), float(cf[0]))
-        _, sigma, stretched_c = best
+                best = (res, float(sig))
+        _, sigma = best
     return HolderEstimate(
         j=j, window=(lo, hi), n=n, gamma_est=float(coef[0]), residual=residual,
         kappa_min=kappa_min, pairs_used=len(rows), pairs_excluded=excluded,
         zero_variation=False, beta0_check=beta_chk,
-        stretched_sigma=sigma, stretched_c=stretched_c, pair_rows=tuple(rows),
+        stretched_sigma=sigma, pair_rows=tuple(rows),
     )

@@ -1,4 +1,5 @@
-"""Small numeric helpers: deterministic reductions and float formatting."""
+"""Small numeric helpers: deterministic reductions, dyadic scale ladders
+and float formatting."""
 
 from __future__ import annotations
 
@@ -34,6 +35,16 @@ def pairwise_mean(values: np.ndarray) -> float:
     if a.size == 0:
         raise ValueError("mean of empty array")
     return pairwise_sum(a) / a.size
+
+
+def dyadic_ladder(n_min: int, n_max: int) -> tuple[int, ...]:
+    """The scales ``n_min, 2 n_min, 4 n_min, ...`` up to ``n_max``."""
+    scales = []
+    n = n_min
+    while n <= n_max:
+        scales.append(n)
+        n *= 2
+    return tuple(scales)
 
 
 def format_float(x: float, precision: int = 17) -> str:

@@ -210,9 +210,7 @@ def test_10_r_sequence_bounded(schrodinger_ladder):
     t0 = time.monotonic()
     scales, ladder = schrodinger_ladder
     vals = tuple(float(ladder[n][0]) for n in scales)
-    series = rates.RateSeries(
-        family_kind="schrodinger", E=0.0, j=1, scales=scales, values=vals,
-    )
+    series = rates.RateSeries(j=1, scales=scales, values=vals)
     rep = rates.r_sequence(series)
     elapsed = time.monotonic() - t0
     verdict(

@@ -155,9 +155,10 @@ class TestBound:
 class TestOverlapBracket:
     def test_aligned_diagonals_overlap_one(self):
         mats = [np.diag([1e6, 1.0])] * 4
-        br = ap.overlap_bracket(mats, ap.verify(mats))
+        report = ap.verify(mats)
+        br = ap.overlap_bracket(mats, report)
         assert np.allclose(br.overlaps, 1.0)
-        assert np.allclose(br.pair_ratios, 1.0)
+        assert np.allclose(report.pair_ratios, 1.0)
         assert br.ok
 
     def test_stretch_of_rotated_axis_closed_form(self):

@@ -83,7 +83,7 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             cfgmod.parse_config("shift.omega = 0.1 0.2\n").shift_base()
 
-    def test_family_kinds(self):
+    def test_cocycle_kinds(self):
         cfg = cfgmod.parse_config(
             "cocycle.kind = constant\ncocycle.dim = 2\ncocycle.entries = 2,0,0,0.5\n"
         )
@@ -119,7 +119,9 @@ class TestBuilders:
 
     def test_distributions(self):
         cfg = cfgmod.parse_config("random.dist = stretch_or_rotate\n")
-        assert cfg.distribution().label == "stretch-or-rotate"
+        (diag, _), (rotation, _) = cfg.distribution().support
+        assert np.array_equal(diag, np.diag([2.0, 0.5]))
+        assert np.allclose(rotation, [[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
         cfg = cfgmod.parse_config("random.dist = single\nrandom.matrix = 2,0,0,0.5\n")
         assert cfg.distribution().dim == 2
 
@@ -244,6 +246,7 @@ class TestCli:
             summary = dict(zip(*rows["holder_summary"]))
             assert summary["zero_variation"] == "true"
             assert summary["gamma_est"] == summary["residual"] == summary["stretched_sigma"] == ""
+            assert summary["beta0_check_pass"] == ""
             fit = dict(zip(*rows["ldt_fit"]))
             assert fit["degenerate"] == "true"
             assert [fit[k] for k in ("c", "C", "b", "tau", "residual")] == [""] * 5
@@ -251,6 +254,7 @@ class TestCli:
             doc = json.loads((out / "holder_summary.json").read_text())
             row = dict(zip(doc["columns"], doc["rows"][0]))
             assert row["gamma_est"] is None and row["stretched_sigma"] is None
+            assert row["beta0_check_pass"] is None
 
     def test_removed_random_bins_key_exit_1(self, tmp_path):
         cfg = _write(tmp_path, "random.dist = single\nrandom.bins = 64\n")
@@ -301,6 +305,13 @@ class TestCli:
         runner = CliRunner()
         res = runner.invoke(main, ["exponents", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
+
+    def test_singular_family_exit_1(self, tmp_path):
+        cfg = _write(tmp_path, "cocycle.kind = constant\ncocycle.entries = 1,0,0,0\n")
+        res = CliRunner().invoke(main, ["exponents", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: family is numerically singular at x=(0.0,), E=0.0")
+        assert not list((tmp_path / "o").glob("exponents*"))
 
     def test_numerical_refusal_exit_2(self, tmp_path):
         cfg = _write(

@@ -27,13 +27,13 @@ def test_rational_witness():
 
 
 def test_rational_shift_scores_zero():
-    c_est, worst = dio.diophantine_report(0.5, 2.0, 100)
+    worst, c_est = dio.diophantine_minima(0.5, 2.0, 100)[-1]
     assert c_est == 0.0
     assert worst == 2
 
 
 def test_golden_scan_pinned_and_convergent_oracle():
-    c_est, worst = dio.diophantine_report(GOLDEN_MEAN, 2.0, 10**5)
+    worst, c_est = dio.diophantine_minima(GOLDEN_MEAN, 2.0, 10**5)[-1]
     assert abs(c_est - GOLDEN_CEST) <= 1e-13
     assert worst == GOLDEN_WORST_N
     assert worst in FIBONACCI
@@ -64,8 +64,8 @@ def test_scan_monotone_in_exponent_for_n_at_least_3():
     base = dio.torus_distance(n * GOLDEN_MEAN) * n
     for a in (1.5, 2.0, 3.0):
         assert np.min(base * np.log(n) ** (2 * a)) >= np.min(base * np.log(n) ** a)
-    c2, n2 = dio.diophantine_report(GOLDEN_MEAN, 2.0, 2000)
-    c4, n4 = dio.diophantine_report(GOLDEN_MEAN, 4.0, 2000)
+    n2, c2 = dio.diophantine_minima(GOLDEN_MEAN, 2.0, 2000)[-1]
+    n4, c4 = dio.diophantine_minima(GOLDEN_MEAN, 4.0, 2000)[-1]
     assert n2 == n4 == 2 and c4 < c2  # the documented n = 2 exception
 
 
@@ -78,9 +78,9 @@ def test_records_are_decreasing_prefix_minima():
 
 def test_validation():
     with pytest.raises(ValidationError):
-        dio.diophantine_report(GOLDEN_MEAN, 2.0, 1)
+        dio.diophantine_minima(GOLDEN_MEAN, 2.0, 1)
     with pytest.raises(ValidationError):
-        dio.diophantine_report(GOLDEN_MEAN, 1.0, 100)
+        dio.diophantine_minima(GOLDEN_MEAN, 1.0, 100)
 
 
 def test_torus_distance():

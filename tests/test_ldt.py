@@ -75,14 +75,14 @@ class TestDeviationProfile:
             assert measure == direct
 
     def test_measure_bounds_enforced(self):
-        prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=4)
+        prof = ldt.DeviationProfile()
         with pytest.raises(ValidationError):
             prof.add(4, 0.1, 1.5)
 
 
 class TestFitDecay:
     def test_recovers_planted_exponential(self):
-        prof = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
+        prof = ldt.DeviationProfile()
         for n in (16, 32, 64, 128, 256, 512):
             prof.add(n, 0.1, float(np.exp(-0.05 * n)))
         fit = ldt.fit_decay(prof, 0.1)
@@ -91,15 +91,15 @@ class TestFitDecay:
         assert abs(fit.C) <= 1e-6
 
     def test_recovers_planted_stretched(self):
-        prof = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
+        prof = ldt.DeviationProfile()
         for n in (16, 32, 64, 128, 256):
             prof.add(n, 0.1, float(np.exp(-(n**0.6))))
         fit = ldt.fit_decay(prof, 0.1, model="stretched")
         assert abs(fit.tau - 0.6) <= 1e-9
 
     def test_picks_the_rows_of_its_delta(self):
-        single = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
-        both = ldt.DeviationProfile(family_kind="planted", E=0.0, p=1, grid_size=0)
+        single = ldt.DeviationProfile()
+        both = ldt.DeviationProfile()
         for n in (16, 32, 64, 128, 256):
             both.add(n, 0.05, float(np.exp(-0.01 * n)))
             single.add(n, 0.1, float(np.exp(-0.03 * n)))
@@ -109,19 +109,19 @@ class TestFitDecay:
         assert ldt.fit_decay(both, 0.05) != ldt.fit_decay(single, 0.1)
 
     def test_all_zero_rows_degenerate(self):
-        prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=0)
+        prof = ldt.DeviationProfile()
         for n in (16, 32, 64, 128):
             prof.add(n, 0.1, 0.0)
         assert ldt.fit_decay(prof, 0.1).degenerate
 
     def test_too_few_rows_degenerate(self):
-        prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=0)
+        prof = ldt.DeviationProfile()
         for n in (16, 32, 64):
             prof.add(n, 0.1, 0.5)
         assert ldt.fit_decay(prof, 0.1).degenerate
 
     def test_unknown_model(self):
-        prof = ldt.DeviationProfile(family_kind="x", E=0.0, p=1, grid_size=0)
+        prof = ldt.DeviationProfile()
         with pytest.raises(ValidationError):
             ldt.fit_decay(prof, 0.1, model="cubic")
 

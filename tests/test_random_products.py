@@ -164,9 +164,7 @@ class TestConvergenceDichotomy:
         scales = tuple(2**k for k in range(3, 10))
         vals = tuple(0.5 + np.exp(-0.4 * n) + 1e-6 * rng.standard_normal()
                      for n in scales)
-        series = rates.RateSeries(
-            family_kind="planted-noisy", E=0.0, j=1, scales=scales, values=vals,
-        )
+        series = rates.RateSeries(j=1, scales=scales, values=vals)
         v = rates.dichotomy(series, c1=0.05, l0=8, noise_floor=3e-5)
         assert v.classification == "exponential"
 

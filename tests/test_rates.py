@@ -20,9 +20,7 @@ SCHRODINGER_EDGE_GAMMA = 1.002205  # window [8.2, 9.2], n = 1024
 class TestRateSeries:
     def test_ladder_must_be_complete(self):
         with pytest.raises(ValidationError):
-            rates.RateSeries(
-                family_kind="x", E=0.0, j=1, scales=(4, 16), values=(0.0, 0.0),
-            )
+            rates.RateSeries(j=1, scales=(4, 16), values=(0.0, 0.0))
 
     def test_engine_series_constant(self, golden):
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
@@ -115,9 +113,7 @@ class TestDichotomy:
     def test_noise_floor_admits_unresolved_tail(self):
         rng = np.random.default_rng(1)
         noisy = tuple(0.9 + 1e-5 * rng.standard_normal() for _ in SCALES)
-        s = rates.RateSeries(
-            family_kind="noisy", E=0.0, j=1, scales=SCALES, values=noisy,
-        )
+        s = rates.RateSeries(j=1, scales=SCALES, values=noisy)
         v = rates.dichotomy(s, c1=0.05, l0=16, noise_floor=1e-4)
         assert v.classification == "exponential"
 
@@ -228,7 +224,7 @@ class TestHolderEstimate:
         base = ShiftBase(omega=DEFAULT_OMEGA_2D)
         fam = DiagonalExpFamily(
             base=base, dim=2, x_amp=np.zeros(2), e_amp=np.array([1.0, -1.0]),
-            param_values=np.array([0.1, 1.1]), check_grid=16,
+            param_values=np.array([0.1, 1.1]),
         )
         est = rates.holder_estimate(
             fam, 1, (0.1, 1.1), n=8, m=8, pair_budget=12, kappa=0.05, seed=2
