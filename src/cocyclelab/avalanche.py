@@ -10,7 +10,8 @@ Math. 154, 2001).  :func:`verify` certifies the hypotheses and computes
 the discrepancy of that identity with overflow-safe scaled products;
 :func:`overlap_bracket` brackets the consecutive stretch-direction
 overlaps by the pair-norm ratios; the rank-1 / rank-2 projection
-families show where the mechanism lives and where it genuinely fails.
+families (:func:`projection_matrices`, run through :func:`verify`) show
+where the mechanism lives and where it genuinely fails.
 
 Every number comes from one path.  Each factor gets one Jacobi SVD,
 which supplies the invertibility check, ``sigma_1``, ``sigma_2`` and the
@@ -233,17 +234,8 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
 # -- projection families ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionDemo:
-    eps: float
-    matrices: list[np.ndarray]
-    norms: np.ndarray
-    pair_norms: np.ndarray
-    discrepancy: float
-
-
-def projection_demo(thetas, eps: float, mode: str) -> ProjectionDemo:
-    """Rank-1 and rank-2 projection families in R^3.
+def projection_matrices(thetas, eps: float, mode: str) -> list[np.ndarray]:
+    """Rank-1 and rank-2 projection families in R^3, for :func:`verify`.
 
     ``rank1`` builds ``A_j = P_j + eps (1 - P_j)`` over rank-1 projections
     whose ranges turn by the given consecutive angles; as ``eps -> 0`` the
@@ -268,15 +260,4 @@ def projection_demo(thetas, eps: float, mode: str) -> ProjectionDemo:
             mats.append(proj + eps * (np.eye(3) - proj))
         else:
             mats.append((np.eye(3) - proj) + eps * proj)
-    mats, _, norms, scaled_pairs = _factors(mats)
-    return ProjectionDemo(
-        eps=float(eps),
-        matrices=mats,
-        norms=norms,
-        pair_norms=norms[:-1] * scaled_pairs,
-        discrepancy=_discrepancy(mats, norms, scaled_pairs),
-    )
-
-
-def projection_sweep(thetas, eps_values, mode: str) -> list[ProjectionDemo]:
-    return [projection_demo(thetas, eps, mode) for eps in eps_values]
+    return mats

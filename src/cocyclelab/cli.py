@@ -1,12 +1,17 @@
 """One executable, one subcommand per experiment.
 
-Every subcommand takes ``--config`` and writes data files (CSV or JSON)
-plus a run manifest into ``--out``.  Data files are deterministic for a
-fixed (config, seed): output begins with the config hash and the fully
-resolved config as comment lines, numbers carry 17 significant digits,
-and nothing time-dependent goes into them (wall times live in the
-manifest only).  Diagnostics go to stderr; exit status is 0 on success,
-1 on validation failure, 2 on a numerical refusal.
+A subcommand is a function ``body(cfg, run)`` registered by
+:func:`_subcommand`, which gives it ``--config``, ``--out`` and
+``--seed`` and owns everything around it: loading the config, the seed
+override, the run's data files and manifest, and the exit status.  The
+body computes and calls ``run.emit`` once per table.
+
+Data files (CSV or JSON) go into ``--out`` with a run manifest.  They are
+deterministic for a fixed (config, seed): output begins with the config
+hash and the fully resolved config as comment lines, numbers carry 17
+significant digits, and nothing time-dependent goes into them (wall
+times live in the manifest only).  Diagnostics go to stderr; exit status
+is 0 on success, 1 on validation failure, 2 on a numerical refusal.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__, avalanche, ldt, random_products, rates
-from .cocycle import check_ladder
+from .cocycle import QUADRATURE_TOL, check_ladder
 from .config import ExperimentConfig, parse_config_file, read_matrix_blocks
 from .diophantine import diophantine_minima
 from .errors import ConfigError, NumericalRefusal, ValidationError
@@ -35,7 +40,6 @@ class _Run:
         self.out = Path(out_dir)
         self.subcommand = subcommand
         self.base = str(cfg["output.path"]) or subcommand.replace("-", "_")
-        self.precision = int(cfg["output.precision"])
         self.fmt = str(cfg["output.format"])
         self.row_counts: dict[str, int] = {}
         self.stages: dict[str, float] = {}
@@ -55,7 +59,7 @@ class _Run:
         if isinstance(v, (int, np.integer)):
             return str(int(v))
         if isinstance(v, (float, np.floating)):
-            return format_float(float(v), self.precision)
+            return format_float(float(v))
         return str(v)
 
     def emit(self, section: str, columns: list[str], rows: list[tuple]):
@@ -106,310 +110,266 @@ def _jsonable(v):
     return v
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(), help="experiment config file")(fn)
-    fn = click.option("--out", "out_dir", default="./out", show_default=True,
-                      help="output directory")(fn)
-    fn = click.option("--seed", default=None, type=int,
-                      help="override numerics.seed")(fn)
-    return fn
-
-
-def _dispatch(subcommand: str, config_path, out_dir, seed, body):
-    try:
-        cfg = parse_config_file(config_path)
-        if seed is not None:
-            if not 0 <= seed < 2**64:
-                raise ConfigError("--seed must fit in 64 bits")
-            cfg.values["numerics.seed"] = int(seed)
-        run = _Run(cfg, out_dir, subcommand)
-        run.stage("load")
-        body(cfg, run)
-        run.finish()
-    except (ConfigError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except NumericalRefusal as exc:
-        click.echo(f"refused: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(0)
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
     """Numerical laboratory for Lyapunov exponents of linear cocycles."""
 
 
-@main.command()
-@_common_options
-def exponents(config_path, out_dir, seed):
+def _subcommand(name: str):
+    """Register ``body(cfg, run)`` as the subcommand ``name``.
+
+    The command takes ``--config``, ``--out`` and ``--seed``; it loads the
+    config, applies the seed override, hands ``body`` the config and a
+    fresh :class:`_Run`, writes the manifest, and exits 0, 1 on bad input
+    or 2 on a numerical refusal.
+    """
+
+    def register(body):
+        @main.command(name=name, help=body.__doc__)
+        @click.option("--seed", default=None, type=int, help="override numerics.seed")
+        @click.option("--out", "out_dir", default="./out", show_default=True,
+                      help="output directory")
+        @click.option("--config", "config_path", required=True, type=click.Path(),
+                      help="experiment config file")
+        def command(config_path, out_dir, seed):
+            try:
+                cfg = parse_config_file(config_path)
+                if seed is not None:
+                    if not 0 <= seed < 2**64:
+                        raise ConfigError("--seed must fit in 64 bits")
+                    cfg.values["numerics.seed"] = int(seed)
+                run = _Run(cfg, out_dir, name)
+                run.stage("load")
+                body(cfg, run)
+                run.finish()
+            except (ConfigError, ValidationError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
+            except NumericalRefusal as exc:
+                click.echo(f"refused: {exc}", err=True)
+                sys.exit(2)
+            sys.exit(0)
+
+        return command
+
+    return register
+
+
+def _rate_series(cfg: ExperimentConfig) -> rates.RateSeries:
+    """The ``rates.j`` series at the first grid energy (rates, dichotomy)."""
+    return rates.rate_series(
+        cfg.family(), float(cfg.param_grid()[0]), int(cfg["rates.j"]),
+        int(cfg["numerics.n_max"]), int(cfg["numerics.grid"]),
+        n_min=int(cfg["rates.n_min"]),
+    )
+
+
+def _emit_verdict(run: _Run, v: rates.DichotomyVerdict):
+    """The one-row verdict table of ``dichotomy`` and ``random``."""
+    run.emit(
+        "verdict",
+        ["classification", "c1", "c1_est", "trigger_scale", "noise_floor"],
+        [(v.classification, v.c1, v.c1_est, v.trigger_scale, v.noise_floor)],
+    )
+
+
+@_subcommand("exponents")
+def exponents(cfg: ExperimentConfig, run: _Run):
     """Finite-scale exponent table over the parameter grid."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        fam = cfg.family()
-        scales = dyadic_ladder(1, int(cfg["numerics.n_max"]))
-        grid = cfg.param_grid()
-        ladder = fam.exponent_ladder(grid, scales, cfg.grid_size())
-        run.stage("compute")
-        check_ladder(ladder, grid, fam.unit_determinant,
-                     max(1e-9, float(cfg["numerics.tol_quad"])))
-        run.emit("", ["E", "n", "j", "lambda"],
-                 [(E, n, j, v) for k, E in enumerate(grid) for n in scales
-                  for j, v in enumerate(ladder[n][k], start=1)])
-
-    _dispatch("exponents", config_path, out_dir, seed, body)
+    fam = cfg.family()
+    scales = dyadic_ladder(1, int(cfg["numerics.n_max"]))
+    grid = cfg.param_grid()
+    ladder = fam.exponent_ladder(grid, scales, int(cfg["numerics.grid"]))
+    run.stage("compute")
+    check_ladder(ladder, grid, fam.unit_determinant, QUADRATURE_TOL)
+    run.emit("", ["E", "n", "j", "lambda"],
+             [(E, n, j, v) for k, E in enumerate(grid) for n in scales
+              for j, v in enumerate(ladder[n][k], start=1)])
 
 
-@main.command(name="ap-verify")
-@_common_options
-def ap_verify(config_path, out_dir, seed):
+@_subcommand("ap-verify")
+def ap_verify(cfg: ExperimentConfig, run: _Run):
     """Avalanche-principle report for matrices read from ap.matrix_file."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        path = str(cfg["ap.matrix_file"])
-        if not path:
-            raise ConfigError("ap.matrix_file is required for ap-verify")
-        mats = read_matrix_blocks(path)
-        report = avalanche.verify(mats, mu=float(cfg["ap.mu"]) or None)
-        bracket = avalanche.overlap_bracket(mats, report)
-        run.stage("compute")
-        run.emit(
-            "factors",
-            ["j", "norm", "second_value", "gap"],
-            [(j + 1, report.norms[j], report.second_values[j], report.gaps[j])
-             for j in range(report.n)],
-        )
-        run.emit(
-            "pairs",
-            ["j", "pair_norm", "ratio", "overlap", "bracket_ok"],
-            [(j + 1, report.pair_norms[j], report.pair_ratios[j],
-              bracket.overlaps[j], bool(~bracket.violations[j]))
-             for j in range(report.n - 1)],
-        )
-        run.emit(
-            "summary",
-            ["n", "dim", "mu", "hypotheses_hold", "discrepancy", "bound"],
-            [(report.n, report.dim, report.mu, report.hypotheses_hold,
-              report.discrepancy, report.bound)],
-        )
-
-    _dispatch("ap-verify", config_path, out_dir, seed, body)
+    path = str(cfg["ap.matrix_file"])
+    if not path:
+        raise ConfigError("ap.matrix_file is required for ap-verify")
+    mats = read_matrix_blocks(path)
+    report = avalanche.verify(mats, mu=float(cfg["ap.mu"]) or None)
+    bracket = avalanche.overlap_bracket(mats, report)
+    run.stage("compute")
+    run.emit(
+        "factors",
+        ["j", "norm", "second_value", "gap"],
+        [(j + 1, report.norms[j], report.second_values[j], report.gaps[j])
+         for j in range(report.n)],
+    )
+    run.emit(
+        "pairs",
+        ["j", "pair_norm", "ratio", "overlap", "bracket_ok"],
+        [(j + 1, report.pair_norms[j], report.pair_ratios[j],
+          bracket.overlaps[j], bool(~bracket.violations[j]))
+         for j in range(report.n - 1)],
+    )
+    run.emit(
+        "summary",
+        ["n", "dim", "mu", "hypotheses_hold", "discrepancy", "bound"],
+        [(report.n, report.dim, report.mu, report.hypotheses_hold,
+          report.discrepancy, report.bound)],
+    )
 
 
-@main.command(name="ap-demo-projections")
-@_common_options
-def ap_demo_projections(config_path, out_dir, seed):
+@_subcommand("ap-demo-projections")
+def ap_demo_projections(cfg: ExperimentConfig, run: _Run):
     """Projection-family sweep: discrepancy versus epsilon."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        sweep = avalanche.projection_sweep(
-            cfg["ap.thetas"], cfg["ap.eps_sweep"], str(cfg["ap.mode"])
-        )
-        run.stage("compute")
-        rows = [
-            (demo.eps, float(np.min(demo.pair_norms)), float(np.max(demo.pair_norms)),
-             float(np.max(demo.norms)), demo.discrepancy)
-            for demo in sweep
-        ]
-        run.emit(
-            "", ["eps", "min_pair_norm", "max_pair_norm", "max_norm", "discrepancy"],
-            rows,
-        )
-
-    _dispatch("ap-demo-projections", config_path, out_dir, seed, body)
+    rows = []
+    for eps in cfg["ap.eps_sweep"]:
+        report = avalanche.verify(avalanche.projection_matrices(
+            cfg["ap.thetas"], eps, str(cfg["ap.mode"])))
+        rows.append((float(eps), float(np.min(report.pair_norms)),
+                     float(np.max(report.pair_norms)), float(np.max(report.norms)),
+                     report.discrepancy))
+    run.stage("compute")
+    run.emit(
+        "", ["eps", "min_pair_norm", "max_pair_norm", "max_norm", "discrepancy"], rows
+    )
 
 
-@main.command(name="ldt")
-@_common_options
-def ldt_cmd(config_path, out_dir, seed):
+@_subcommand("ldt")
+def ldt_cmd(cfg: ExperimentConfig, run: _Run):
     """Deviation-set measures, decay fit, almost invariance, monotonicity."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        fam = cfg.family()
-        e0 = float(cfg.param_grid()[0])
-        m = cfg.grid_size()
-        scales = cfg["ldt.scales"] or cfg.dyadic_scales(16)
-        prof = ldt.deviation_profile(
-            fam, e0, int(cfg["ldt.p"]), scales, cfg["ldt.deltas"], m
-        )
-        model = str(cfg["ldt.model"])
-        if model == "auto":
-            model = "exp_poly" if fam.base.nu == 1 else "stretched"
-        fits = [(delta, ldt.fit_decay(prof, delta, model)) for delta in cfg["ldt.deltas"]]
-        inv = ldt.almost_invariance(fam, e0, max(scales), int(cfg["ldt.k"]), m)
-        mono = ldt.monotonicity_audit(
-            fam, e0, cfg.dyadic_scales(16), m, tol=float(cfg["numerics.tol_quad"])
-        )
-        run.stage("compute")
-        run.emit("profile", ["n", "delta", "measure", "grid"],
-                 [(n, d, meas, m) for (n, d, meas) in prof.rows])
-        run.emit(
-            "fit",
-            ["delta", "model", "degenerate", "c", "C", "b", "tau", "residual"],
-            [(d, f.model, f.degenerate, f.c, f.C, f.b, f.tau, f.residual)
-             for d, f in fits],
-        )
-        run.emit(
-            "invariance",
-            ["n", "k", "sup_gap", "bound", "ok"],
-            [(inv.n, inv.k, inv.sup_gap, inv.bound, inv.ok)],
-        )
-        run.emit(
-            "monotonicity",
-            ["n", "lambda1", "violation_excess"],
-            [(n, v, next((e for s, e in mono.violations if s == n), 0.0))
-             for n, v in zip(mono.scales, mono.values)],
-        )
-
-    _dispatch("ldt", config_path, out_dir, seed, body)
+    fam = cfg.family()
+    e0 = float(cfg.param_grid()[0])
+    m = int(cfg["numerics.grid"])
+    scales = cfg["ldt.scales"] or cfg.dyadic_scales(16)
+    prof = ldt.deviation_profile(
+        fam, e0, int(cfg["ldt.p"]), scales, cfg["ldt.deltas"], m
+    )
+    model = str(cfg["ldt.model"])
+    if model == "auto":
+        model = "exp_poly" if fam.base.nu == 1 else "stretched"
+    fits = [(delta, ldt.fit_decay(prof, delta, model)) for delta in cfg["ldt.deltas"]]
+    inv = ldt.almost_invariance(fam, e0, max(scales), int(cfg["ldt.k"]), m)
+    mono = ldt.monotonicity_audit(fam, e0, cfg.dyadic_scales(16), m)
+    run.stage("compute")
+    run.emit("profile", ["n", "delta", "measure", "grid"],
+             [(n, d, meas, m) for (n, d, meas) in prof.rows])
+    run.emit(
+        "fit",
+        ["delta", "model", "degenerate", "c", "C", "b", "tau", "residual"],
+        [(d, f.model, f.degenerate, f.c, f.C, f.b, f.tau, f.residual)
+         for d, f in fits],
+    )
+    run.emit(
+        "invariance",
+        ["n", "k", "sup_gap", "bound", "ok"],
+        [(inv.n, inv.k, inv.sup_gap, inv.bound, inv.ok)],
+    )
+    run.emit(
+        "monotonicity",
+        ["n", "lambda1", "violation_excess"],
+        [(n, v, next((e for s, e in mono.violations if s == n), 0.0))
+         for n, v in zip(mono.scales, mono.values)],
+    )
 
 
-@main.command(name="rates")
-@_common_options
-def rates_cmd(config_path, out_dir, seed):
+@_subcommand("rates")
+def rates_cmd(cfg: ExperimentConfig, run: _Run):
     """Dyadic rate series, Richardson proxy, C/n table, R(n) sequence."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        fam = cfg.family()
-        e0 = float(cfg.param_grid()[0])
-        series = rates.rate_series(
-            fam, e0, int(cfg["rates.j"]), int(cfg["numerics.n_max"]),
-            cfg.grid_size(), n_min=int(cfg["rates.n_min"]),
-        )
-        c_est, table = rates.check_c_over_n(series)
-        rseq = rates.r_sequence(series)
-        run.stage("compute")
-        run.emit("series", ["n", "lambda", "n_weighted_deviation"],
-                 [(n, v, w) for (n, v), (_, w) in
-                  zip(zip(series.scales, series.values), table)])
-        run.emit("r", ["n", "R"], list(rseq.rows))
-        run.emit(
-            "summary",
-            ["j", "proxy_limit", "proxy_scale", "C_est", "r_tail_max",
-             "r_median", "r_bounded"],
-            [(series.j, series.proxy_limit, series.proxy_scale, c_est,
-              rseq.tail_max, rseq.median, rseq.bounded)],
-        )
-
-    _dispatch("rates", config_path, out_dir, seed, body)
+    series = _rate_series(cfg)
+    c_est, table = rates.check_c_over_n(series)
+    rseq = rates.r_sequence(series)
+    run.stage("compute")
+    run.emit("series", ["n", "lambda", "n_weighted_deviation"],
+             [(n, v, w) for (n, v), (_, w) in
+              zip(zip(series.scales, series.values), table)])
+    run.emit("r", ["n", "R"], list(rseq.rows))
+    run.emit(
+        "summary",
+        ["j", "proxy_limit", "proxy_scale", "C_est", "r_tail_max",
+         "r_median", "r_bounded"],
+        [(series.j, series.proxy_limit, series.proxy_scale, c_est,
+          rseq.tail_max, rseq.median, rseq.bounded)],
+    )
 
 
-@main.command(name="dichotomy")
-@_common_options
-def dichotomy_cmd(config_path, out_dir, seed):
+@_subcommand("dichotomy")
+def dichotomy_cmd(cfg: ExperimentConfig, run: _Run):
     """Exponential-versus-1/n classification of the rate series."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        fam = cfg.family()
-        e0 = float(cfg.param_grid()[0])
-        series = rates.rate_series(
-            fam, e0, int(cfg["rates.j"]), int(cfg["numerics.n_max"]),
-            cfg.grid_size(), n_min=int(cfg["rates.n_min"]),
-        )
-        verdict = rates.dichotomy(
-            series, c1=float(cfg["dichotomy.c1"]), l0=int(cfg["dichotomy.l0"])
-        )
-        run.stage("compute")
-        run.emit(
-            "verdict",
-            ["classification", "c1", "c1_est", "trigger_scale", "noise_floor"],
-            [(verdict.classification, verdict.c1, verdict.c1_est,
-              verdict.trigger_scale, verdict.noise_floor)],
-        )
-        run.emit("evidence", ["l", "second_difference", "threshold"],
-                 list(verdict.evidence))
-
-    _dispatch("dichotomy", config_path, out_dir, seed, body)
+    verdict = rates.dichotomy(
+        _rate_series(cfg), c1=float(cfg["dichotomy.c1"]), l0=int(cfg["dichotomy.l0"])
+    )
+    run.stage("compute")
+    _emit_verdict(run, verdict)
+    run.emit("evidence", ["l", "second_difference", "threshold"],
+             list(verdict.evidence))
 
 
-@main.command(name="holder")
-@_common_options
-def holder_cmd(config_path, out_dir, seed):
+@_subcommand("holder")
+def holder_cmd(cfg: ExperimentConfig, run: _Run):
     """Hölder-exponent regression over the parameter window."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        fam = cfg.family()
-        grid = cfg.param_grid()
-        window = (float(grid[0]), float(grid[-1]))
-        est = rates.holder_estimate(
-            fam,
-            int(cfg["holder.j"]),
-            window,
-            n=int(cfg["numerics.n_max"]),
-            m=cfg.grid_size(),
-            pair_budget=int(cfg["holder.pair_budget"]),
-            kappa=float(cfg["holder.kappa"]),
-            seed=int(cfg["numerics.seed"]),
-            decades=int(cfg["holder.decades"]),
-        )
-        run.stage("compute")
-        run.emit(
-            "summary",
-            ["j", "E_lo", "E_hi", "n", "gamma_est", "residual", "kappa_min",
-             "pairs_used", "pairs_excluded", "zero_variation",
-             "beta0_check_pass", "stretched_sigma"],
-            [(est.j, est.window[0], est.window[1], est.n, est.gamma_est,
-              est.residual, est.kappa_min, est.pairs_used, est.pairs_excluded,
-              est.zero_variation,
-              None if est.beta0_check is None else est.beta0_check.passes,
-              est.stretched_sigma)],
-        )
-        run.emit("pairs", ["distance", "dlambda"], list(est.pair_rows))
-
-    _dispatch("holder", config_path, out_dir, seed, body)
+    fam = cfg.family()
+    grid = cfg.param_grid()
+    window = (float(grid[0]), float(grid[-1]))
+    est = rates.holder_estimate(
+        fam,
+        int(cfg["holder.j"]),
+        window,
+        n=int(cfg["numerics.n_max"]),
+        m=int(cfg["numerics.grid"]),
+        pair_budget=int(cfg["holder.pair_budget"]),
+        kappa=float(cfg["holder.kappa"]),
+        seed=int(cfg["numerics.seed"]),
+        decades=int(cfg["holder.decades"]),
+    )
+    run.stage("compute")
+    run.emit(
+        "summary",
+        ["j", "E_lo", "E_hi", "n", "gamma_est", "residual", "kappa_min",
+         "pairs_used", "pairs_excluded", "zero_variation",
+         "beta0_check_pass", "stretched_sigma"],
+        [(est.j, est.window[0], est.window[1], est.n, est.gamma_est,
+          est.residual, est.kappa_min, est.pairs_used, est.pairs_excluded,
+          est.zero_variation,
+          None if est.beta0_check is None else est.beta0_check.passes,
+          est.stretched_sigma)],
+    )
+    run.emit("pairs", ["distance", "dlambda"], list(est.pair_rows))
 
 
-@main.command(name="random")
-@_common_options
-def random_cmd(config_path, out_dir, seed):
+@_subcommand("random")
+def random_cmd(cfg: ExperimentConfig, run: _Run):
     """Random matrix products: exponent ladder, LD rows, verdict."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        dist = cfg.distribution()
-        scales = cfg["random.scales"] or cfg.dyadic_scales(8)
-        report = random_products.rate_report(
-            dist,
-            scales,
-            int(cfg["random.trials"]),
-            deltas=cfg["random.deltas"],
-            ld_scales=cfg["random.ld_scales"] if cfg["random.deltas"] else (),
-            c1=float(cfg["random.c1"]),
-        )
-        run.stage("compute")
-        run.emit("rates", ["n", "estimate", "stderr", "trials"], list(report.rows))
-        if report.ld_rows:
-            run.emit("ld", ["n", "delta", "probability"], list(report.ld_rows))
-        v = report.verdict
-        run.emit(
-            "verdict",
-            ["classification", "c1", "c1_est", "trigger_scale", "noise_floor"],
-            [(v.classification, v.c1, v.c1_est,
-              v.trigger_scale, v.noise_floor)],
-        )
-
-    _dispatch("random", config_path, out_dir, seed, body)
+    dist = cfg.distribution()
+    scales = cfg["random.scales"] or cfg.dyadic_scales(8)
+    report = random_products.rate_report(
+        dist,
+        scales,
+        int(cfg["random.trials"]),
+        deltas=cfg["random.deltas"],
+        ld_scales=cfg["random.ld_scales"] if cfg["random.deltas"] else (),
+        c1=float(cfg["random.c1"]),
+    )
+    run.stage("compute")
+    run.emit("rates", ["n", "estimate", "stderr", "trials"], list(report.rows))
+    if report.ld_rows:
+        run.emit("ld", ["n", "delta", "probability"], list(report.ld_rows))
+    _emit_verdict(run, report.verdict)
 
 
-@main.command(name="dioph")
-@_common_options
-def dioph_cmd(config_path, out_dir, seed):
+@_subcommand("dioph")
+def dioph_cmd(cfg: ExperimentConfig, run: _Run):
     """Diophantine-quality scan of the shift frequency."""
-
-    def body(cfg: ExperimentConfig, run: _Run):
-        base = cfg.shift_base()
-        if base.nu != 1:
-            raise ConfigError("dioph requires shift.nu = 1")
-        n_max = int(cfg["numerics.n_max"])
-        records = diophantine_minima(base.omega[0], base.dio_exponent, n_max)
-        worst, c_est = records[-1]
-        run.stage("compute")
-        run.emit("", ["omega", "dio_exponent", "n_max", "c_est", "worst_n"],
-                 [(base.omega[0], base.dio_exponent, n_max, c_est, worst)])
-        run.emit("records", ["n", "value"], records)
-
-    _dispatch("dioph", config_path, out_dir, seed, body)
+    base = cfg.shift_base()
+    if base.nu != 1:
+        raise ConfigError("dioph requires shift.nu = 1")
+    n_max = int(cfg["numerics.n_max"])
+    records = diophantine_minima(base.omega[0], base.dio_exponent, n_max)
+    worst, c_est = records[-1]
+    run.stage("compute")
+    run.emit("", ["omega", "dio_exponent", "n_max", "c_est", "worst_n"],
+             [(base.omega[0], base.dio_exponent, n_max, c_est, worst)])
+    run.emit("records", ["n", "value"], records)
 
 
 if __name__ == "__main__":

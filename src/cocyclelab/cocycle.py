@@ -123,13 +123,23 @@ def _phase(pts: np.ndarray) -> np.ndarray:
 
 
 def _cos_sin_series(t: np.ndarray, cos_coeffs, sin_coeffs) -> np.ndarray:
-    out = np.zeros_like(t)
-    for k, c in enumerate(cos_coeffs):
-        if c:
-            out = out + c * np.cos(2.0 * np.pi * k * t)
-    for k, c in enumerate(sin_coeffs, start=1):
-        if c:
-            out = out + c * np.sin(2.0 * np.pi * k * t)
+    """``sum_k cos_coeffs[..., k] cos(2 pi k t) + sin_coeffs[..., k-1]
+    sin(2 pi k t)``, shape ``t.shape + cos_coeffs.shape[:-1]``.
+
+    Each harmonic with a nonzero coefficient is computed once and shared
+    by every entry of the leading coefficient shape.
+    """
+    lead = np.shape(cos_coeffs)[:-1]
+    expand = (...,) + (np.newaxis,) * len(lead)
+    out = np.zeros(t.shape + lead)
+    for k in range(np.shape(cos_coeffs)[-1]):
+        c = cos_coeffs[..., k]
+        if np.any(c):
+            out += c * np.cos(2.0 * np.pi * k * t)[expand]
+    for k in range(1, np.shape(sin_coeffs)[-1] + 1):
+        c = sin_coeffs[..., k - 1]
+        if np.any(c):
+            out += c * np.sin(2.0 * np.pi * k * t)[expand]
     return out
 
 
@@ -147,8 +157,6 @@ class CocycleFamily:
     dim: int
     param_values: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     beta0: float = 1.0
-
-    kind = "abstract"
 
     def __post_init__(self):
         object.__setattr__(
@@ -185,13 +193,18 @@ class CocycleFamily:
     def _validate_invertibility(self):
         pts = torus_grid(self.base.nu, CHECK_GRID)
         for E in self.param_values:
-            mats = self.evaluate_batch(pts, float(E))
-            top, low = linalg.extreme_singular_values_batch(mats)
-            bad = ~((top > 0.0) & (low / np.maximum(top, 1e-300) > linalg.INVERTIBILITY_RTOL))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mats = self.evaluate_batch(pts, float(E))
+            bad = ~np.all(np.isfinite(mats), axis=(1, 2))
+            problem = "has non-finite entries"
+            if not np.any(bad):
+                top, low = linalg.extreme_singular_values_batch(mats)
+                bad = ~((top > 0.0) & (low / np.maximum(top, 1e-300) > linalg.INVERTIBILITY_RTOL))
+                problem = "is numerically singular"
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise ValidationError(
-                    f"family is numerically singular at x={tuple(pts[i].tolist())}, E={E}"
+                    f"family {problem} at x={tuple(pts[i].tolist())}, E={E}"
                 )
 
     def orbit_lognorms(
@@ -291,8 +304,6 @@ class ConstantFamily(CocycleFamily):
 
     matrix: np.ndarray = field(default_factory=lambda: np.eye(2))
 
-    kind = "constant"
-
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (self.dim, self.dim):
@@ -322,8 +333,6 @@ class DiagonalExpFamily(CocycleFamily):
 
     x_amp: np.ndarray = field(default_factory=lambda: np.zeros(2))
     e_amp: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    kind = "diagonal-exp"
 
     def __post_init__(self):
         xa = np.asarray(self.x_amp, dtype=np.float64)
@@ -366,8 +375,6 @@ class TrigPolyFamily(CocycleFamily):
     cos_coeffs: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 1)))
     sin_coeffs: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 0)))
 
-    kind = "trig-poly"
-
     def __post_init__(self):
         cc = np.asarray(self.cos_coeffs, dtype=np.float64)
         sc = np.asarray(self.sin_coeffs, dtype=np.float64)
@@ -380,14 +387,7 @@ class TrigPolyFamily(CocycleFamily):
         super().__post_init__()
 
     def evaluate_batch(self, pts, E):
-        t = _phase(pts)
-        out = np.empty((pts.shape[0], self.dim, self.dim), dtype=np.float64)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[:, i, j] = _cos_sin_series(
-                    t, self.cos_coeffs[i, j], self.sin_coeffs[i, j]
-                )
-        return out
+        return _cos_sin_series(_phase(pts), self.cos_coeffs, self.sin_coeffs)
 
     def e_holder_constant(self) -> float:
         return 0.0
@@ -402,8 +402,6 @@ class SchrodingerFamily(CocycleFamily):
     coupling: float = 1.0
     sampling_cos: np.ndarray = field(default_factory=lambda: np.array([0.0, 2.0]))
     sampling_sin: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    kind = "schrodinger"
 
     def __post_init__(self):
         if self.dim != 2:

@@ -314,7 +314,7 @@ class HolderEstimate:
     n: int
     gamma_est: float | None
     residual: float | None
-    kappa_min: float
+    kappa_min: float | None  # None for d = 1, where the gap is vacuous
     pairs_used: int
     pairs_excluded: int
     zero_variation: bool
@@ -376,6 +376,8 @@ def holder_estimate(
         raise NumericalRefusal(
             f"gap check failed on the window: min gap {kappa_min:.6g} <= kappa {kappa}"
         )
+    if fam.dim == 1:
+        kappa_min = None
     decades = max(3, int(decades))
     per_decade = max(1, pair_budget // decades)
     pairs = _holder_pairs((lo, hi), decades, per_decade, seed)

@@ -47,7 +47,6 @@ def dyadic_ladder(n_min: int, n_max: int) -> tuple[int, ...]:
     return tuple(scales)
 
 
-def format_float(x: float, precision: int = 17) -> str:
-    """Format with a fixed number of significant digits (default 17,
-    enough for float64 round-trip)."""
-    return f"{float(x):.{precision}g}"
+def format_float(x: float) -> str:
+    """17 significant digits: the fewest that round-trip every float64."""
+    return f"{float(x):.17g}"

@@ -85,13 +85,16 @@ def test_03_avalanche_bound_on_certified_sequences():
 def test_04_projection_demo():
     t0 = time.monotonic()
     eps_sweep = [10.0 ** (-k) for k in range(1, 7)]
-    sweep = avalanche.projection_sweep([np.pi / 4, np.pi / 4], eps_sweep, "rank1")
-    discs = [d.discrepancy for d in sweep]
+    discs = [
+        avalanche.verify(avalanche.projection_matrices(
+            [np.pi / 4, np.pi / 4], eps, "rank1")).discrepancy
+        for eps in eps_sweep
+    ]
     rank1_ok = discs[-1] < 1e-3 and discs[-1] < discs[-2] < discs[-3]
     rank2_worst = 0.0
     for eps in eps_sweep:
-        demo = avalanche.projection_demo([0.4, 1.1, 0.2], eps, "rank2")
-        rank2_worst = max(rank2_worst, float(np.max(np.abs(demo.pair_norms - 1.0))))
+        rep = avalanche.verify(avalanche.projection_matrices([0.4, 1.1, 0.2], eps, "rank2"))
+        rank2_worst = max(rank2_worst, float(np.max(np.abs(rep.pair_norms - 1.0))))
     elapsed = time.monotonic() - t0
     verdict(
         4, "projection families", rank1_ok and rank2_worst <= 1e-12 and elapsed < 1.0,

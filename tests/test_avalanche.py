@@ -239,31 +239,35 @@ class TestOneSvdPerFactor:
             assert abs(rep.pair_norms[j] - exact) <= 1e-14 * exact
 
 
+def projection_report(thetas, eps: float, mode: str) -> ap.APReport:
+    return ap.verify(ap.projection_matrices(thetas, eps, mode))
+
+
 class TestProjectionDemos:
     def test_rank1_sweep_discrepancy_vanishes(self):
         eps_values = [10.0 ** (-k) for k in range(1, 7)]
-        sweep = ap.projection_sweep([np.pi / 4, np.pi / 4], eps_values, "rank1")
-        discs = [demo.discrepancy for demo in sweep]
+        sweep = [projection_report([np.pi / 4, np.pi / 4], eps, "rank1") for eps in eps_values]
+        discs = [rep.discrepancy for rep in sweep]
         assert discs[-1] < 1e-3
         assert discs[-1] < discs[-2] < discs[-3]
         assert np.allclose(sweep[-1].pair_norms, np.cos(np.pi / 4), atol=1e-5)
 
     def test_rank2_pair_norms_exactly_one(self):
         for eps in (1.0, 0.37, 1e-3, 1e-6):
-            demo = ap.projection_demo([0.4, 1.1, 0.2], eps, "rank2")
-            assert np.max(np.abs(demo.pair_norms - 1.0)) <= 1e-12
+            rep = projection_report([0.4, 1.1, 0.2], eps, "rank2")
+            assert np.max(np.abs(rep.pair_norms - 1.0)) <= 1e-12
 
     def test_rank1_orthogonal_ranges_annihilate(self):
-        demo = ap.projection_demo([np.pi / 2], 1e-6, "rank1")
-        assert demo.pair_norms[0] <= 2e-6
+        mats = ap.projection_matrices([np.pi / 2], 1e-6, "rank1")
+        assert ap.verify(mats).pair_norms[0] <= 2e-6
         for mu in (1.01, 100.0, 1e8):
-            rep = ap.verify(demo.matrices, mu=mu)
+            rep = ap.verify(mats, mu=mu)
             assert not rep.cond_no_cancellation
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ap.projection_demo([], 0.1, "rank1")
+            ap.projection_matrices([], 0.1, "rank1")
         with pytest.raises(ValidationError):
-            ap.projection_demo([0.1], 0.0, "rank1")
+            ap.projection_matrices([0.1], 0.0, "rank1")
         with pytest.raises(ValidationError):
-            ap.projection_demo([0.1], 0.5, "rank7")
+            ap.projection_matrices([0.1], 0.5, "rank7")

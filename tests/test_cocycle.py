@@ -102,6 +102,20 @@ class TestEvaluate:
                     want[i, j] += sin_c[i, j, k - 1] * np.sin(2 * np.pi * k * x)
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_trig_poly_shares_harmonics_bit_for_bit(self, golden):
+        # one series over the whole coefficient stack gives each entry the
+        # bits of its own scalar series, zero harmonics included
+        cos_c = np.array([[[2.0, 0.0, 0.3], [0.0, 0.5, 0.0]],
+                          [[0.0, 0.0, 0.0], [1.5, 0.2, 0.0]]])
+        sin_c = np.array([[[0.0, 0.1], [0.4, 0.0]], [[0.0, 0.0], [0.0, 0.7]]])
+        fam = TrigPolyFamily(base=golden, dim=2, cos_coeffs=cos_c, sin_coeffs=sin_c)
+        pts = cocycle.torus_grid(1, 64)
+        got = fam.evaluate_batch(pts, 0.0)
+        t = pts[:, 0]
+        for i, j in np.ndindex(2, 2):
+            want = cocycle._cos_sin_series(t, cos_c[i, j], sin_c[i, j])
+            assert np.array_equal(got[:, i, j], want)
+
     def test_construction_rejects_singular_family(self, golden):
         with pytest.raises(ValidationError, match=r"numerically singular at x=\(0\.0,\), E=0\.0"):
             ConstantFamily(base=golden, dim=2, matrix=np.diag([1.0, 0.0]))

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cocyclelab import cocycle
 from cocyclelab import config as cfgmod
 from cocyclelab.cli import main
 from cocyclelab.errors import ConfigError
@@ -20,7 +22,6 @@ class TestParseConfig:
         assert cfg["cocycle.kind"] == "schrodinger"
         assert cfg["numerics.grid"] == 1024  # auto-resolved for nu = 1
         assert cfg["output.format"] == "csv"
-        assert cfg["output.precision"] == 17
         assert cfg["shift.omega"] == "golden"
 
     def test_grid_zero_names_key(self):
@@ -87,19 +88,18 @@ class TestBuilders:
         cfg = cfgmod.parse_config(
             "cocycle.kind = constant\ncocycle.dim = 2\ncocycle.entries = 2,0,0,0.5\n"
         )
-        fam = cfg.family()
-        assert fam.kind == "constant"
+        assert type(cfg.family()) is cocycle.ConstantFamily
         cfg = cfgmod.parse_config(
             "cocycle.kind = diagonal-exp\ncocycle.e_amp = 1,-1\n"
             "param.E_min = 0.1\nparam.E_max = 0.5\nparam.E_count = 2\n"
         )
-        assert cfg.family().kind == "diagonal-exp"
+        assert type(cfg.family()) is cocycle.DiagonalExpFamily
         cfg = cfgmod.parse_config(
             "cocycle.kind = trig-poly\ncocycle.trig_degree = 1\n"
             "cocycle.trig_cos = 2,0, 0,0, 0,0, 2,0\n"
         )
-        assert cfg.family().kind == "trig-poly"
-        assert cfgmod.parse_config(MINIMAL).family().kind == "schrodinger"
+        assert type(cfg.family()) is cocycle.TrigPolyFamily
+        assert type(cfgmod.parse_config(MINIMAL).family()) is cocycle.SchrodingerFamily
 
     def test_entry_count_mismatch(self):
         cfg = cfgmod.parse_config(
@@ -222,6 +222,15 @@ class TestCli:
             f"numerics.n_max = 8\nnumerics.grid = 4\noutput.format = {fmt}\n",
             "holder.cfg",
         )
+        # d = 1: no second exponent, so no gap to report
+        holder_d1 = _write(
+            tmp_path,
+            "cocycle.kind = diagonal-exp\ncocycle.dim = 1\ncocycle.x_amp = 0\n"
+            "cocycle.e_amp = 1\nparam.E_min = 0\nparam.E_max = 1\nparam.E_count = 2\n"
+            f"numerics.grid = 4\nnumerics.n_max = 4\noutput.format = {fmt}\n"
+            "output.path = holder_d1\n",
+            "holder_d1.cfg",
+        )
         # a constant family has an empty deviation set: a degenerate fit
         ldt = _write(
             tmp_path,
@@ -230,11 +239,12 @@ class TestCli:
             "ldt.cfg",
         )
         out = tmp_path / "o"
-        for sub, cfg in (("holder", holder), ("ldt", ldt)):
+        for sub, cfg in (("holder", holder), ("holder", holder_d1), ("ldt", ldt)):
             res = CliRunner().invoke(main, [sub, "--config", cfg, "--out", str(out)])
             assert res.exit_code == 0, (sub, res.output)
         files = sorted(out.glob(f"*.{fmt}"))
-        assert {f.name for f in files} >= {f"holder_summary.{fmt}", f"ldt_fit.{fmt}"}
+        assert {f.name for f in files} >= {
+            f"holder_summary.{fmt}", f"holder_d1_summary.{fmt}", f"ldt_fit.{fmt}"}
         for f in files:
             text = f.read_text().lower()
             assert "nan" not in text and "inf" not in text, f.name
@@ -247,6 +257,8 @@ class TestCli:
             assert summary["zero_variation"] == "true"
             assert summary["gamma_est"] == summary["residual"] == summary["stretched_sigma"] == ""
             assert summary["beta0_check_pass"] == ""
+            d1 = dict(zip(*rows["holder_d1_summary"]))
+            assert d1["kappa_min"] == "" and d1["zero_variation"] == "false"
             fit = dict(zip(*rows["ldt_fit"]))
             assert fit["degenerate"] == "true"
             assert [fit[k] for k in ("c", "C", "b", "tau", "residual")] == [""] * 5
@@ -255,12 +267,17 @@ class TestCli:
             row = dict(zip(doc["columns"], doc["rows"][0]))
             assert row["gamma_est"] is None and row["stretched_sigma"] is None
             assert row["beta0_check_pass"] is None
+            doc = json.loads((out / "holder_d1_summary.json").read_text())
+            assert dict(zip(doc["columns"], doc["rows"][0]))["kappa_min"] is None
 
-    def test_removed_random_bins_key_exit_1(self, tmp_path):
-        cfg = _write(tmp_path, "random.dist = single\nrandom.bins = 64\n")
+    @pytest.mark.parametrize("line", [
+        "random.bins = 64", "numerics.tol_quad = 1e-6", "output.precision = 17",
+    ], ids=["random.bins", "numerics.tol_quad", "output.precision"])
+    def test_removed_key_exit_1(self, tmp_path, line):
+        cfg = _write(tmp_path, f"random.dist = single\n{line}\n")
         res = CliRunner().invoke(main, ["random", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
-        assert "unknown key" in res.output
+        assert "line 2: unknown key" in res.output
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_untriggered_verdict_writes_empty_cells(self, tmp_path, fmt):
@@ -312,6 +329,17 @@ class TestCli:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: family is numerically singular at x=(0.0,), E=0.0")
         assert not list((tmp_path / "o").glob("exponents*"))
+
+    def test_overflowing_family_exit_1(self, tmp_path):
+        # exp(800) overflows: the entries are not finite, which is not singularity
+        cfg = _write(tmp_path, "cocycle.kind = diagonal-exp\ncocycle.x_amp = 800,-800\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(
+                main, ["exponents", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: family has non-finite entries at x=(0.0,), E=0.0")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_numerical_refusal_exit_2(self, tmp_path):
         cfg = _write(
