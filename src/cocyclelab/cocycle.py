@@ -14,9 +14,13 @@ This is numerically stable where an SVD of the assembled product is not:
 the small singular values of a long product are unrecoverable directly.
 A QR-accumulation estimator is provided as a cross-check.
 
-Energies stack into the batch: ``evaluate_batch`` takes one ``E`` or one
-per point, so ``orbit_lognorms`` and ``exponent_ladder`` run ``K``
-energies as ``K * B`` independent (energy, point) lanes of one product.
+Energies stack into the batch: ``evaluate_batch`` takes one ``E`` or a
+1-d stack of ``K`` and returns ``K * B`` (energy, point) lanes, lane
+``k * B + b`` for energy ``k`` at point ``b``, so ``orbit_lognorms`` and
+``exponent_ladder`` run ``K`` energies as lanes of one product and the
+energy-free part of a factor (the potential of the Schrödinger kind) is
+computed once per point.  Every kind writes its stack lanes-last (see
+:mod:`linalg`).
 
 Finite-scale exponents are uniform-grid averages of the per-point
 profiles; reductions use a fixed-order pairwise tree so results do not
@@ -124,23 +128,40 @@ def _phase(pts: np.ndarray) -> np.ndarray:
 
 def _cos_sin_series(t: np.ndarray, cos_coeffs, sin_coeffs) -> np.ndarray:
     """``sum_k cos_coeffs[..., k] cos(2 pi k t) + sin_coeffs[..., k-1]
-    sin(2 pi k t)``, shape ``t.shape + cos_coeffs.shape[:-1]``.
+    sin(2 pi k t)``, shape ``cos_coeffs.shape[:-1] + t.shape``.
 
-    Each harmonic with a nonzero coefficient is computed once and shared
-    by every entry of the leading coefficient shape.
+    The constant term is added as it is.  Each other harmonic with a
+    nonzero coefficient is computed once and shared by every entry of the
+    leading coefficient shape.
     """
     lead = np.shape(cos_coeffs)[:-1]
-    expand = (...,) + (np.newaxis,) * len(lead)
-    out = np.zeros(t.shape + lead)
+    expand = (...,) + (np.newaxis,) * t.ndim
+    out = np.zeros(lead + t.shape)
     for k in range(np.shape(cos_coeffs)[-1]):
         c = cos_coeffs[..., k]
-        if np.any(c):
-            out += c * np.cos(2.0 * np.pi * k * t)[expand]
+        if k == 0:
+            out += c[expand]
+        elif np.any(c):
+            out += c[expand] * np.cos(2.0 * np.pi * k * t)
     for k in range(1, np.shape(sin_coeffs)[-1] + 1):
         c = sin_coeffs[..., k - 1]
         if np.any(c):
-            out += c * np.sin(2.0 * np.pi * k * t)[expand]
+            out += c[expand] * np.sin(2.0 * np.pi * k * t)
     return out
+
+
+def _energies(E) -> np.ndarray:
+    """One energy or a 1-d stack of them, as a 1-d float array."""
+    energies = np.atleast_1d(np.asarray(E, dtype=np.float64))
+    if energies.ndim != 1 or energies.size < 1:
+        raise ValidationError("E must be a number or a non-empty 1-d array")
+    return energies
+
+
+def _tile_lanes(lanes: np.ndarray, E) -> np.ndarray:
+    """An energy-free lanes-last ``(d, d, B)`` value repeated for each
+    energy of ``E``, as the ``(K * B, d, d)`` stack of a kind."""
+    return np.tile(lanes, _energies(E).size).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -175,8 +196,11 @@ class CocycleFamily:
     # -- kind-specific surface ------------------------------------------------
 
     def evaluate_batch(self, pts: np.ndarray, E) -> np.ndarray:
-        """``A(x, E)`` for a ``(B, nu)`` point stack, shape ``(B, d, d)``;
-        ``E`` is one energy or an array of ``B``, one per point."""
+        """``A(x, E)`` for a ``(B, nu)`` point stack and one energy or a
+        1-d stack of ``K``: shape ``(K * B, d, d)``, lane ``k * B + b``
+        for energy ``k`` at point ``b`` (``K = 1`` for one energy).  The
+        stack is lanes-last in memory, the transposed view of a
+        C-contiguous ``(d, d, K * B)`` array."""
         raise NotImplementedError
 
     def e_holder_constant(self) -> float:
@@ -223,24 +247,21 @@ class CocycleFamily:
         and must be increasing with final entry ``n``.
         """
         xs = as_points(xs, self.base.nu)
-        energies = np.atleast_1d(np.asarray(E, dtype=np.float64))
-        if energies.ndim != 1 or energies.size < 1:
-            raise ValidationError("E must be a number or a non-empty 1-d array")
+        energies = _energies(E)
         nb = xs.shape[0]
         per_pass = max(1, STACK_POINTS // nb)
         out = []
         for start in range(0, energies.size, per_pass):
             chunk = energies[start:start + per_pass]
-            lane_e = np.repeat(chunk, nb)
             factors = (
-                linalg.compound_batch(self.evaluate_batch(
-                    np.tile(self.base.orbit_points(xs, j), (chunk.size, 1)), lane_e), p)
+                linalg.compound_batch(
+                    self.evaluate_batch(self.base.orbit_points(xs, j), chunk), p)
                 for j in range(1, n + 1)
             )
             try:
                 out.append(linalg.scaled_product(factors, n, checkpoints))
             except NumericalRefusal as exc:
-                raise NumericalRefusal(f"{exc} (E={lane_e[exc.matrix]})") from None
+                raise NumericalRefusal(f"{exc} (E={chunk[exc.matrix // nb]})") from None
         return np.concatenate(out, axis=1)
 
     def finite_scale_exponents(self, E, n: int, m: int) -> np.ndarray:
@@ -312,7 +333,7 @@ class ConstantFamily(CocycleFamily):
         super().__post_init__()
 
     def evaluate_batch(self, pts, E):
-        return np.broadcast_to(self.matrix, (pts.shape[0],) + self.matrix.shape).copy()
+        return _tile_lanes(np.repeat(self.matrix[..., np.newaxis], pts.shape[0], axis=-1), E)
 
     def e_holder_constant(self) -> float:
         return 0.0
@@ -344,15 +365,16 @@ class DiagonalExpFamily(CocycleFamily):
         super().__post_init__()
 
     def evaluate_batch(self, pts, E):
-        t = _phase(pts)
+        # exponents[j, k, b] for diagonal entry j, energy k, point b
         exponents = (
-            self.x_amp[np.newaxis, :] * np.cos(2.0 * np.pi * t)[:, np.newaxis]
-            + self.e_amp[np.newaxis, :] * np.asarray(E)[..., np.newaxis]
+            self.x_amp[:, np.newaxis, np.newaxis] * np.cos(2.0 * np.pi * _phase(pts))
+            + self.e_amp[:, np.newaxis, np.newaxis] * _energies(E)[:, np.newaxis]
         )
-        out = np.zeros((pts.shape[0], self.dim, self.dim), dtype=np.float64)
+        diagonal = np.exp(exponents).reshape(self.dim, -1)
+        out = np.zeros((self.dim, self.dim, diagonal.shape[1]), dtype=np.float64)
         idx = np.arange(self.dim)
-        out[:, idx, idx] = np.exp(exponents)
-        return out
+        out[idx, idx] = diagonal
+        return out.transpose(2, 0, 1)
 
     def e_holder_constant(self) -> float:
         if not np.any(self.e_amp):
@@ -387,7 +409,7 @@ class TrigPolyFamily(CocycleFamily):
         super().__post_init__()
 
     def evaluate_batch(self, pts, E):
-        return _cos_sin_series(_phase(pts), self.cos_coeffs, self.sin_coeffs)
+        return _tile_lanes(_cos_sin_series(_phase(pts), self.cos_coeffs, self.sin_coeffs), E)
 
     def e_holder_constant(self) -> float:
         return 0.0
@@ -420,12 +442,13 @@ class SchrodingerFamily(CocycleFamily):
 
     def evaluate_batch(self, pts, E):
         v = self.potential(pts)
-        out = np.empty((pts.shape[0], 2, 2), dtype=np.float64)
-        out[:, 0, 0] = v - E
-        out[:, 0, 1] = -1.0
-        out[:, 1, 0] = 1.0
-        out[:, 1, 1] = 0.0
-        return out
+        energies = _energies(E)
+        out = np.empty((2, 2, energies.size, v.size), dtype=np.float64)
+        np.subtract(v, energies[:, np.newaxis], out=out[0, 0])
+        out[0, 1] = -1.0
+        out[1, 0] = 1.0
+        out[1, 1] = 0.0
+        return out.reshape(2, 2, -1).transpose(2, 0, 1)
 
     def e_holder_constant(self) -> float:
         return 1.0

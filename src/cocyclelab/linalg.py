@@ -11,6 +11,13 @@ their factor stacks (Benettin et al., Meccanica 15, 1980).  It rescales
 by exact powers of two after every step, keeping the exponents in an
 integer sum, and takes spectral norms only at the requested checkpoints.
 
+Batch stacks are lanes-last in memory: a ``(B, k, k)`` stack is the
+transposed view of a C-contiguous ``(k, k, B)`` array, so each matrix
+entry is one contiguous vector over the ``B`` lanes and a step of the
+product is a few vector operations, not ``B`` small BLAS calls.  The
+batch helpers accept any layout; the producers of the orbit and random
+kernels write this one.
+
 The SVD is a one-sided Jacobi iteration rather than a LAPACK call: at
 these dimensions it is fast enough, and it retains high relative
 accuracy on strongly graded matrices (Demmel-Veselic, SIAM J. Matrix
@@ -177,23 +184,32 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
     the size-``p`` subsets of ``{0..d-1}`` in lexicographic order.
 
     Multiplicative in its argument, and its spectral norm is the product
-    of the ``p`` largest singular values.
+    of the ``p`` largest singular values.  ``p = 1`` returns the input
+    itself, not a copy.  Otherwise the result is lanes-last: the ``p = 2``
+    minors are built from the entry vectors of the stack as ``a d - b c``,
+    the operations of :func:`det_batch`, straight into a ``(k, k, B)``
+    array whose transposed view is returned.
     """
     b = np.asarray(batch)
     d = b.shape[-1]
     if not 1 <= p <= d:
         raise ValidationError(f"compound order p={p} out of range 1..{d}")
     if p == 1:
-        return b.copy()
+        return b
     if p == d:
         return det_batch(b).reshape(-1, 1, 1)
-    basis = tuple(combinations(range(d), p))
-    out = np.empty((b.shape[0], len(basis), len(basis)), dtype=b.dtype)
-    for i, rows in enumerate(basis):
-        for j, cols in enumerate(basis):
-            sub = b[:, rows, :][:, :, cols]
-            out[:, i, j] = det_batch(sub) if p == 2 else np.linalg.det(sub)
-    return out
+    basis = np.array(tuple(combinations(range(d), p)))
+    if p == 2:
+        lanes = b.transpose(1, 2, 0)
+        r0, r1 = basis[:, 0, np.newaxis], basis[:, 1, np.newaxis]
+        c0, c1 = basis[:, 0], basis[:, 1]
+        out = lanes[r0, c0] * lanes[r1, c1] - lanes[r0, c1] * lanes[r1, c0]
+    else:
+        out = np.empty((len(basis), len(basis), b.shape[0]), dtype=b.dtype)
+        for i, rows in enumerate(basis):
+            for j, cols in enumerate(basis):
+                out[i, j] = np.linalg.det(b[:, rows, :][:, :, cols])
+    return out.transpose(2, 0, 1)
 
 
 def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
@@ -213,6 +229,16 @@ def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
     factor norms above about ``1e154`` or below about ``1e-162``, where
     that square leaves the float range.
 
+    The running product is a C-contiguous ``(k, k, B)`` array, and a
+    factor that arrives lanes-last (the transposed view of such an array)
+    is used as it is; any other layout is copied into it once.  Each
+    entry of the product is then ``sum_j f_ij p_jk``, added in order of
+    ``j`` as a plain multiply then add over contiguous lanes.  A batched
+    ``np.matmul`` makes one BLAS call per small matrix instead, and BLAS
+    uses fused multiply-adds, so the last bits of a product can differ
+    from ``np.matmul``'s; they never depend on ``B``, on the layout of
+    the factors or on how the lanes are chunked.
+
     Returns the log-norm per matrix at each checkpoint (default ``(n,)``;
     increasing, ending at ``n``), shape ``(len(checkpoints), B)``.  The
     factor stacks are never changed in place.
@@ -225,8 +251,9 @@ def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
     rows = []
     expo = prod = None
     for j, f in zip(range(1, n + 1), factors):
-        prod = np.array(f, dtype=np.float64) if prod is None else np.matmul(f, prod)
-        fro2 = np.einsum("bij,bij->b", prod, prod)
+        lanes = np.ascontiguousarray(np.asarray(f).transpose(1, 2, 0), dtype=np.float64)
+        prod = lanes.copy() if prod is None else np.einsum("ijb,jkb->ikb", lanes, prod)
+        fro2 = np.einsum("ijb,ijb->b", prod, prod)
         ok = np.isfinite(fro2) & (fro2 > 0.0)
         if not np.all(ok):
             exc = NumericalRefusal(f"degenerate factor in scaled product at step {j}, "
@@ -234,10 +261,10 @@ def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
             exc.matrix = int(np.argmin(ok))
             raise exc
         e = np.frexp(np.sqrt(fro2))[1]
-        np.ldexp(prod, -e[:, np.newaxis, np.newaxis], out=prod)
+        np.ldexp(prod, -e, out=prod)
         expo = e.astype(np.int64) if expo is None else expo + e
         if j in cps:
-            rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod)))
+            rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod.transpose(2, 0, 1))))
     if len(rows) != len(cps):
         raise ValidationError(f"expected {n} factor stacks")
     return np.array(rows)

@@ -150,12 +150,14 @@ def uniform_rotation(seed: int = 0) -> MatrixDistribution:
 def _batched_lognorms(
     dist: MatrixDistribution, n: int, streams, checkpoints=None
 ) -> np.ndarray:
-    """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T)."""
+    """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T).
+    Stream ``t`` is sampled into lane ``t`` of an ``(n, d, d, T)`` array, so
+    every step's factor stack arrives lanes-last."""
     streams = list(streams)
-    seqs = np.empty((len(streams), n, dist.dim, dist.dim))
+    seqs = np.empty((n, dist.dim, dist.dim, len(streams)))
     for t, sid in enumerate(streams):
-        seqs[t] = dist.sample_sequence(int(sid), n)
-    return linalg.scaled_product((seqs[:, j] for j in range(n)), n, checkpoints)
+        seqs[..., t] = dist.sample_sequence(int(sid), n)
+    return linalg.scaled_product((s.transpose(2, 0, 1) for s in seqs), n, checkpoints)
 
 
 def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> float:

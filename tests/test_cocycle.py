@@ -116,6 +116,35 @@ class TestEvaluate:
             want = cocycle._cos_sin_series(t, cos_c[i, j], sin_c[i, j])
             assert np.array_equal(got[:, i, j], want)
 
+    @pytest.mark.parametrize("kind", ["constant", "diagonal-exp", "trig-poly", "schrodinger"])
+    def test_energy_stack_is_per_energy_calls_lanes_last(self, kind):
+        # lane k * B + b is energy k at point b, with the bits of the
+        # one-energy call; the energy-free kinds tile their value
+        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+        rng = np.random.default_rng(19)
+        fam = {
+            "constant": lambda: ConstantFamily(base=base, dim=3, matrix=np.diag([2.0, 1.0, 0.5])),
+            "diagonal-exp": lambda: DiagonalExpFamily(
+                base=base, dim=3, x_amp=np.array([1.0, 0.5, -1.5]),
+                e_amp=np.array([0.3, -0.6, 0.3])),
+            "trig-poly": lambda: TrigPolyFamily(
+                base=base, dim=3,
+                cos_coeffs=rng.standard_normal((3, 3, 3)) * 0.1 + 3.0 * np.eye(3)[:, :, None],
+                sin_coeffs=rng.standard_normal((3, 3, 2)) * 0.1),
+            "schrodinger": lambda: SchrodingerFamily(base=base, dim=2, coupling=3.0),
+        }[kind]()
+        pts = torus_grid(2, 8)
+        energies = np.array([-1.5, 0.0, 0.25, 2.0])
+        got = fam.evaluate_batch(pts, energies)
+        d = fam.dim
+        assert got.shape == (energies.size * pts.shape[0], d, d)
+        assert got.transpose(1, 2, 0).flags.c_contiguous
+        per_energy = [fam.evaluate_batch(pts, E) for E in energies]
+        assert all(m.shape == (pts.shape[0], d, d) for m in per_energy)
+        assert np.array_equal(got, np.concatenate(per_energy))
+        if kind in ("constant", "trig-poly"):
+            assert all(np.array_equal(m, per_energy[0]) for m in per_energy)
+
     def test_construction_rejects_singular_family(self, golden):
         with pytest.raises(ValidationError, match=r"numerically singular at x=\(0\.0,\), E=0\.0"):
             ConstantFamily(base=golden, dim=2, matrix=np.diag([1.0, 0.0]))

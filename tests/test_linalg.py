@@ -44,6 +44,41 @@ def power_iteration_norm(m: np.ndarray, iters: int = 2000) -> float:
     return float(np.sqrt(v @ g @ v))
 
 
+def factor_stacks(k: int, lanes: int, n: int = 10) -> np.ndarray:
+    """``n`` C-contiguous ``(lanes, k, k)`` factor stacks of an invertible
+    random product."""
+    rng = np.random.default_rng(100 + k)
+    return rng.standard_normal((n, lanes, k, k)) + 2.0 * np.eye(k)
+
+
+def sequential_scaled_product(stacks: np.ndarray, cps) -> np.ndarray:
+    """Loop reference for ``scaled_product``: every entry of every step is
+    ``sum_j f_ij p_jk``, one multiply then one add per ``j`` in order, and
+    the renormalisation follows the documented rule."""
+    n, lanes, k, _ = stacks.shape
+    prod = stacks[0].copy()
+    expo = np.zeros(lanes, dtype=np.int64)
+    rows = []
+    for step in range(1, n + 1):
+        if step > 1:
+            f, new = stacks[step - 1], np.empty_like(prod)
+            for i, m in np.ndindex(k, k):
+                acc = np.zeros(lanes)
+                for j in range(k):
+                    acc = acc + f[:, i, j] * prod[:, j, m]
+                new[:, i, m] = acc
+            prod = new
+        fro2 = np.zeros(lanes)
+        for i, j in np.ndindex(k, k):
+            fro2 = fro2 + prod[:, i, j] * prod[:, i, j]
+        e = np.frexp(np.sqrt(fro2))[1]
+        prod = np.ldexp(prod, -e[:, np.newaxis, np.newaxis])
+        expo += e
+        if step in cps:
+            rows.append(expo * np.log(2.0) + np.log(linalg.spectral_norm_batch(prod)))
+    return np.array(rows)
+
+
 class TestSvd:
     def test_diagonal(self):
         r = linalg.svd(np.diag([3.0, 2.0, 1.0]))
@@ -312,6 +347,36 @@ class TestScaledProduct:
         stacks = ones + [np.full((1, 2, 2), bad)] + ones
         with pytest.raises(NumericalRefusal, match="step 5"):
             linalg.scaled_product(stacks, 9, checkpoints=(2, 9))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_lanes_and_chunks_move_no_bits(self, k):
+        stacks = factor_stacks(k, lanes=37)
+        cps = (1, 4, 9, 10)
+        whole = linalg.scaled_product(iter(stacks), 10, cps)
+        per_lane = np.concatenate(
+            [linalg.scaled_product(iter(stacks[:, b:b + 1]), 10, cps) for b in range(37)], axis=1)
+        chunks = np.concatenate(
+            [linalg.scaled_product(iter(stacks[:, b:b + 7]), 10, cps) for b in range(0, 37, 7)],
+            axis=1)
+        assert np.array_equal(per_lane, whole)
+        assert np.array_equal(chunks, whole)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_multiply_is_sequential_multiply_add(self, k):
+        stacks = factor_stacks(k, lanes=37)
+        cps = (1, 2, 7, 10)
+        assert np.array_equal(linalg.scaled_product(iter(stacks), 10, cps),
+                              sequential_scaled_product(stacks, cps))
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_layout_moves_no_bits(self, k):
+        stacks = factor_stacks(k, lanes=37)
+        lanes_last = [np.ascontiguousarray(s.transpose(1, 2, 0)).transpose(2, 0, 1)
+                      for s in stacks]
+        assert all(s.flags.c_contiguous for s in stacks)
+        assert not any(s.flags.c_contiguous for s in lanes_last)
+        assert np.array_equal(linalg.scaled_product(iter(stacks), 10, (3, 10)),
+                              linalg.scaled_product(iter(lanes_last), 10, (3, 10)))
 
     def test_spectral_norm_taken_only_at_checkpoints(self, monkeypatch):
         calls = []
