@@ -145,14 +145,18 @@ def verify(matrices, mu: float | None = None) -> APReport:
     if mu_used <= 0.0:
         raise ValidationError("mu must be positive")
 
+    with np.errstate(over="ignore"):
+        neighbours = norms[1:] * norms[:-1]
+    if not np.all(np.isfinite(neighbours) & (neighbours > 0.0)):
+        raise NumericalRefusal("a product of neighbouring factor norms leaves the float range")
     pair_norms = norms[:-1] * scaled_pairs
-    pair_ratios = pair_norms / (norms[1:] * norms[:-1])
+    pair_ratios = pair_norms / neighbours
 
     # compare gap ratios, not the product norms >= seconds*mu: at the factor
     # that defines the certified mu the product form can miss by one ulp
     cond_a = bool(np.all(gaps >= mu_used))
     cond_b = bool(mu_used >= 16.0 * n * n)
-    cond_c = bool(np.all(norms[1:] * norms[:-1] < mu_used**0.25 * pair_norms))
+    cond_c = bool(np.all(neighbours < mu_used**0.25 * pair_norms))
     return APReport(
         n=n,
         dim=d,
@@ -223,6 +227,7 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     overlaps = np.empty(n - 1)
     for j in range(n - 1):
         img = mats[j] @ report.directions[j]
+        img = np.ldexp(img, -np.frexp(np.max(np.abs(img)))[1])  # exact; squares stay in range
         overlaps[j] = abs(float(np.vdot(report.directions[j + 1], img / np.linalg.norm(img))))
     lower = report.pair_ratios - 2.0 / report.mu
     upper = report.pair_ratios + 1.0 / report.mu

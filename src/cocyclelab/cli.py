@@ -241,16 +241,14 @@ def ldt_cmd(cfg: ExperimentConfig, run: _Run):
     fam = cfg.family()
     e0 = float(cfg.param_grid()[0])
     m = int(cfg["numerics.grid"])
-    scales = cfg["ldt.scales"] or cfg.dyadic_scales(16)
-    prof = ldt.deviation_profile(
-        fam, e0, int(cfg["ldt.p"]), scales, cfg["ldt.deltas"], m
-    )
+    ladder = cfg.dyadic_scales(16)
+    prof, inv, mono = ldt.reports(
+        fam, e0, cfg["ldt.scales"] or ladder, cfg["ldt.deltas"], m,
+        p=int(cfg["ldt.p"]), k=int(cfg["ldt.k"]), ladder=ladder)
     model = str(cfg["ldt.model"])
     if model == "auto":
         model = "exp_poly" if fam.base.nu == 1 else "stretched"
     fits = [(delta, ldt.fit_decay(prof, delta, model)) for delta in cfg["ldt.deltas"]]
-    inv = ldt.almost_invariance(fam, e0, max(scales), int(cfg["ldt.k"]), m)
-    mono = ldt.monotonicity_audit(fam, e0, cfg.dyadic_scales(16), m)
     run.stage("compute")
     run.emit("profile", ["n", "delta", "measure", "grid"],
              [(n, d, meas, m) for (n, d, meas) in prof.rows])

@@ -12,7 +12,6 @@ power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
 A^(n)_x||``, and consecutive differences recover each ``log sigma_j``.
 This is numerically stable where an SVD of the assembled product is not:
 the small singular values of a long product are unrecoverable directly.
-A QR-accumulation estimator is provided as a cross-check.
 
 Energies stack into the batch: ``evaluate_batch`` takes one ``E`` or a
 1-d stack of ``K`` and returns ``K * B`` (energy, point) lanes, lane
@@ -269,45 +268,26 @@ class CocycleFamily:
         ``(K, d)`` for an array of ``K`` energies)."""
         return self.exponent_ladder(E, (n,), m)[n]
 
-    def exponent_ladder(self, E, scales: tuple[int, ...], m: int) -> dict[int, np.ndarray]:
+    def exponent_ladder(self, E, scales, m: int, j: int | None = None) -> dict[int, np.ndarray]:
         """``finite_scale_exponents`` at every scale of an increasing ladder,
         from a single orbit pass per compound order.  With an array of
-        ``K`` energies each value gains a leading energy axis."""
+        ``K`` energies each value gains a leading energy axis.  With ``j``,
+        each value is ``lambda_{j,n}`` alone, from orders ``j - 1`` and ``j``."""
         scales = tuple(sorted(set(int(s) for s in scales)))
         if not scales or scales[0] < 1:
             raise ValidationError("scales must be positive")
+        if j is not None and not 1 <= j <= self.dim:
+            raise ValidationError(f"exponent index j={j} out of range 1..{self.dim}")
         xs = torus_grid(self.base.nu, m)
         partial = np.zeros((len(scales), np.size(E), self.dim + 1), dtype=np.float64)
-        for p in range(1, self.dim + 1):
+        for p in range(1, self.dim + 1) if j is None else range(max(j - 1, 1), j + 1):
             lognorms = self.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales)
             lognorms = lognorms.reshape(len(scales), -1, xs.shape[0])
             for i, k in np.ndindex(*lognorms.shape[:2]):
                 partial[i, k, p] = pairwise_mean(lognorms[i, k])
-        ladder = {n: np.diff(partial[i]) / n for i, n in enumerate(scales)}
+        cols = slice(None) if j is None else j - 1
+        ladder = {n: (np.diff(partial[i]) / n)[:, cols] for i, n in enumerate(scales)}
         return ladder if np.ndim(E) else {n: v[0] for n, v in ladder.items()}
-
-    def finite_scale_exponents_qr(self, E: float, n: int, m: int) -> np.ndarray:
-        """QR-accumulation (diagonal-of-R) cross-check estimator.
-
-        Exact on families whose frames stay axis-aligned; for generic
-        families it differs from the compound estimator by an O(1/n)
-        frame-alignment correction.
-        """
-        xs = torus_grid(self.base.nu, m)
-        nbatch = xs.shape[0]
-        q = np.broadcast_to(np.eye(self.dim), (nbatch, self.dim, self.dim)).copy()
-        sums = np.zeros((nbatch, self.dim), dtype=np.float64)
-        for j in range(1, n + 1):
-            w = np.matmul(self.evaluate_batch(self.base.orbit_points(xs, j), E), q)
-            q, r = np.linalg.qr(w)
-            diag = np.diagonal(r, axis1=1, axis2=2)
-            signs = np.where(diag < 0.0, -1.0, 1.0)
-            q = q * signs[:, np.newaxis, :]
-            mags = np.abs(diag)
-            if np.any(mags <= 0.0):
-                raise NumericalRefusal(f"rank collapse in QR accumulation at step {j}")
-            sums += np.log(mags)
-        return np.array([pairwise_mean(sums[:, j]) for j in range(self.dim)]) / n
 
     def one_step_log_extremes(self, E: float, m: int) -> tuple[float, float]:
         """Grid maxima of ``log||A||`` and ``log||A^-1||`` at one step."""

@@ -6,6 +6,10 @@ from its grid mean by more than ``delta``.  Its measure is estimated as
 the fraction of the same uniform grid used for the quadrature, i.e. a
 Lebesgue-measure approximation with O(1/M) resolution; centering uses
 the grid-computed finite-scale means, not extrapolated limits.
+
+The three reports (deviation profile, almost invariance, monotonicity)
+reduce log-norm arrays of the one grid profile ``u_n(x) = n^-1
+log||A^(n)_x||``; :func:`reports` feeds them from one orbit pass.
 """
 
 from __future__ import annotations
@@ -51,25 +55,15 @@ class DecayFit:
     residual: float | None = None
 
 
-def deviation_profile(
-    fam: CocycleFamily,
-    E: float,
-    p: int,
-    scales,
-    deltas,
-    m: int,
-) -> DeviationProfile:
-    """Deviation measures on a ``scales x deltas`` grid, one orbit pass per
-    scale ladder."""
-    scales = tuple(sorted(set(int(s) for s in scales)))
+def deviation_profile(lognorms, scales, deltas) -> DeviationProfile:
+    """Deviation measures on a ``scales x deltas`` grid, from the grid
+    log-norms ``lognorms[i]`` at scale ``scales[i]``."""
     deltas = tuple(float(d) for d in deltas)
     if any(d <= 0.0 for d in deltas):
         raise ValidationError("deltas must be positive")
     prof = DeviationProfile()
-    xs = torus_grid(fam.base.nu, m)
-    lognorms = fam.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales)
-    for i, n in enumerate(scales):
-        vals = lognorms[i] / n
+    for n, row in zip(scales, lognorms):
+        vals = row / n
         centered = vals - pairwise_mean(vals)
         for delta in deltas:
             frac = float(np.count_nonzero(np.abs(centered) > delta)) / centered.size
@@ -121,24 +115,17 @@ class AlmostInvarianceReport:
         return self.sup_gap <= self.bound + 1e-10
 
 
-def almost_invariance(
-    fam: CocycleFamily, E: float, n: int, k: int, m: int
-) -> AlmostInvarianceReport:
-    """Uniform shift-invariance defect of ``u_n = n^-1 log||A^(n)_x||``.
+def almost_invariance(here, shifted, n: int, k: int, top, inv) -> AlmostInvarianceReport:
+    """Uniform shift-invariance defect of ``u_n`` from the grid log-norms
+    ``here`` at ``x`` and ``shifted`` at ``x + k omega``.
 
     ``sup_gap`` is the grid supremum of ``|u_n(x + k omega) - u_n(x)|``;
-    the bound is ``k (max log||A|| + max log||A^-1||) / n``, which holds
-    pointwise by telescoping one conjugation step at a time.
+    the bound ``k (top + inv) / n``, with ``top`` and ``inv`` the grid
+    maxima of ``log||A||`` and ``log||A^-1||``, holds pointwise by
+    telescoping one conjugation step at a time.
     """
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    xs = torus_grid(fam.base.nu, m)
-    both = np.concatenate([xs, fam.base.orbit_points(xs, k)])
-    u_here, u_shift = np.split(fam.orbit_lognorms(E, both, n)[0] / n, 2)
-    sup_gap = float(np.max(np.abs(u_shift - u_here)))
-    top, inv = fam.one_step_log_extremes(E, m)
-    bound = k * (top + inv) / n
-    return AlmostInvarianceReport(sup_gap=sup_gap, bound=float(bound), k=k, n=n)
+    sup_gap = float(np.max(np.abs(shifted / n - here / n)))
+    return AlmostInvarianceReport(sup_gap=sup_gap, bound=float(k * (top + inv) / n), k=k, n=n)
 
 
 @dataclass(frozen=True)
@@ -152,19 +139,38 @@ class MonotonicityReport:
         return not self.violations
 
 
-def monotonicity_audit(
-    fam: CocycleFamily, E: float, scales, m: int, tol: float = QUADRATURE_TOL
-) -> MonotonicityReport:
-    """Check ``lambda_{1,2n} <= lambda_{1,n} + tol`` along a dyadic ladder."""
-    scales = tuple(sorted(set(int(s) for s in scales)))
+def monotonicity_audit(lognorms, scales) -> MonotonicityReport:
+    """Check ``lambda_{1,2n} <= lambda_{1,n} + QUADRATURE_TOL`` along a dyadic ladder
+    from the order-1 grid log-norms ``lognorms[i]`` at ``scales[i]``."""
+    scales = tuple(int(s) for s in scales)
     for a, b in zip(scales, scales[1:]):
         if b != 2 * a:
             raise ValidationError("scales must form a dyadic ladder")
-    ladder = fam.exponent_ladder(E, scales, m)
-    values = tuple(float(ladder[n][0]) for n in scales)
-    violations = []
-    for i in range(len(scales) - 1):
-        excess = values[i + 1] - values[i]
-        if excess > tol:
-            violations.append((scales[i + 1], float(excess)))
-    return MonotonicityReport(scales=scales, values=values, violations=tuple(violations))
+    values = tuple(pairwise_mean(row) / n for n, row in zip(scales, lognorms))
+    excess = [(n, b - a) for n, a, b in zip(scales[1:], values, values[1:])]
+    violations = tuple((n, float(e)) for n, e in excess if e > QUADRATURE_TOL)
+    return MonotonicityReport(scales=scales, values=values, violations=violations)
+
+
+def reports(fam: CocycleFamily, E: float, scales, deltas, m: int, p: int = 1, k: int = 1,
+            ladder=()):
+    """``(deviation_profile, almost_invariance, monotonicity_audit)`` on the
+    ``m``-grid: the order-``p`` profile on ``scales x deltas``, invariance
+    under ``k`` shifts at the top scale and the audit along ``ladder``, from
+    one order-1 pass on the grid and its ``k``-shift (a second if ``p != 1``)."""
+    if k < 1:
+        raise ValidationError("k must be at least 1")
+    scales = tuple(sorted(set(int(s) for s in scales)))
+    cps = tuple(sorted(set(scales + tuple(ladder))))
+    xs = torus_grid(fam.base.nu, m)
+    both = np.concatenate([xs, fam.base.orbit_points(xs, k)])
+    here, shifted = np.split(fam.orbit_lognorms(E, both, cps[-1], checkpoints=cps), 2, axis=1)
+    top = cps.index(scales[-1])
+    profile = (here[[cps.index(n) for n in scales]] if p == 1 else
+               fam.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales))
+    return (
+        deviation_profile(profile, scales, deltas),
+        almost_invariance(here[top], shifted[top], scales[-1], k,
+                          *fam.one_step_log_extremes(E, m)),
+        monotonicity_audit(here[[cps.index(n) for n in ladder]], ladder),
+    )

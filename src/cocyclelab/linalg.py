@@ -28,6 +28,7 @@ values and the right singular vectors, the only parts those checks read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -43,6 +44,9 @@ _LN2 = float(np.log(2.0))
 
 _JACOBI_TOL = 1e-15
 _MAX_SWEEPS = 60
+#: svd scales a matrix whose largest entry lies beyond 2^+-250, where a product
+#: of two squared column norms could leave the float range
+_SAFE_EXPONENT = 250
 
 
 def _as_square(m) -> np.ndarray:
@@ -75,7 +79,11 @@ def svd(m) -> SvdResult:
     """
     a = _as_square(m)
     d = a.shape[0]
-    b = a.copy()
+    # exact scaling by the power of two of the largest entry, only outside
+    # the safe range, as LAPACK's xGESVD does (-1022 keeps the factor finite)
+    e = math.frexp(float(np.abs(a).max()))[1]
+    e = max(e, -1022) if abs(e) > _SAFE_EXPONENT else 0
+    b = a * math.ldexp(1.0, -e)
     v = np.eye(d, dtype=a.dtype)
 
     for _ in range(_MAX_SWEEPS):
@@ -110,7 +118,7 @@ def svd(m) -> SvdResult:
     else:
         raise NumericalRefusal("Jacobi SVD failed to converge")
 
-    sigma = np.sqrt(np.sum(np.abs(b) ** 2, axis=0))
+    sigma = np.ldexp(np.sqrt(np.sum(np.abs(b) ** 2, axis=0)), e)
     order = np.argsort(-sigma, kind="stable")
     return SvdResult(singular_values=sigma[order], right_factor=v[:, order])
 
@@ -145,10 +153,13 @@ def spectral_norm_batch(batch: np.ndarray) -> np.ndarray:
         return np.abs(b[:, 0, 0])
     if d == 2:
         # for [[p, q], [r, s]], sigma_1 = (|(p+s, q-r)| + |(p-s, q+r)|) / 2:
-        # a sum of norms, so no digits cancel when sigma_1 ~ sigma_2
-        p, q, r, s = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
-        return 0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2)
-                      + np.sqrt((p - s) ** 2 + (q + r) ** 2))
+        # a sum of norms, so no digits cancel when sigma_1 ~ sigma_2; scaling
+        # by the power of two of the largest entry keeps the squares in range
+        # and is exact, so in-range matrices keep every bit
+        e = np.frexp(np.max(np.abs(b), axis=(1, 2)))[1]
+        p, q, r, s = (np.ldexp(b[:, i, k], -e) for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        return np.ldexp(0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2)
+                               + np.sqrt((p - s) ** 2 + (q + r) ** 2)), e)
     return np.linalg.svd(b, compute_uv=False)[:, 0]
 
 

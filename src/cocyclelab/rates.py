@@ -59,34 +59,15 @@ def richardson_proxy(values: tuple[float, ...]) -> float:
     return 2.0 * values[-1] - values[-2]
 
 
-def planted_series(
-    scales, limit: float, coeff: float, law: str, rate: float = 0.0
-) -> RateSeries:
-    """Synthetic series ``limit + coeff/n`` or ``limit + coeff*exp(-rate*n)``
-    for calibrating the classifiers."""
-    scales = tuple(int(s) for s in scales)
-    if law == "one_over_n":
-        vals = tuple(limit + coeff / n for n in scales)
-    elif law == "exponential":
-        vals = tuple(limit + coeff * exp(-rate * n) for n in scales)
-    elif law == "constant":
-        vals = tuple(float(limit) for _ in scales)
-    else:
-        raise ValidationError(f"unknown planted law {law!r}")
-    return RateSeries(j=1, scales=scales, values=vals)
-
-
 def rate_series(
     fam: CocycleFamily, E: float, j: int, n_max: int, m: int, n_min: int = 4
 ) -> RateSeries:
     """Fill the dyadic ladder ``n_min..n_max`` for exponent index ``j``."""
-    if not 1 <= j <= fam.dim:
-        raise ValidationError(f"exponent index j={j} out of range 1..{fam.dim}")
     if n_max < 2 * n_min or n_max & (n_max - 1):
         raise ValidationError("n_max must be a power of two at least twice n_min")
     scales = dyadic_ladder(n_min, n_max)
-    ladder = fam.exponent_ladder(E, scales, m)
-    vals = tuple(float(ladder[n][j - 1]) for n in scales)
+    ladder = fam.exponent_ladder(E, scales, m, j)
+    vals = tuple(float(ladder[n]) for n in scales)
     return RateSeries(j=int(j), scales=scales, values=vals)
 
 
@@ -137,7 +118,7 @@ def r_sequence(series: RateSeries) -> RSequenceReport:
 class DichotomyVerdict:
     classification: str  # exponential | one_over_n | inconclusive
     c1: float
-    c1_est: float | None  # None: fewer than two positive second differences
+    c1_est: float | None  # None: fewer than two second differences above noise_floor
     trigger_scale: int | None
     evidence: tuple[tuple[int, float, float], ...]  # (l, second_difference, threshold)
     noise_floor: float = 0.0
@@ -185,11 +166,11 @@ def dichotomy(
             trigger = n
             break
 
-    # empirical decay rate of the positive second differences
-    pos = [(n, s) for n, s, _ in evidence if s > 0.0]
-    if len(pos) >= 2:
-        xs = np.array([n for n, _ in pos], dtype=np.float64)
-        ys = np.log(np.array([s for _, s in pos]))
+    # empirical decay rate of the second differences resolved above the floor
+    resolved = [(n, s) for n, s, _ in evidence if s > noise_floor]
+    if len(resolved) >= 2:
+        xs = np.array([n for n, _ in resolved], dtype=np.float64)
+        ys = np.log(np.array([s for _, s in resolved]))
         slope = float(np.polyfit(xs, ys, 1)[0])
         c1_est = max(-slope, 0.0)
     else:
@@ -256,7 +237,7 @@ def gap_monitor(
         if fam.dim == 1:
             gaps: tuple[float, ...] = (float("inf"),)
         else:
-            gaps = tuple(float(g) for g in -np.diff(spec))
+            gaps = tuple(float(g) for g in spec[:-1] - spec[1:])  # equal: +0, not -0
         min_gap = min(gaps)
         out.append(GapRecord(min_gap=min_gap, gaps=gaps, passes=min_gap > kappa))
     return out
@@ -381,7 +362,7 @@ def holder_estimate(
     decades = max(3, int(decades))
     per_decade = max(1, pair_budget // decades)
     pairs = _holder_pairs((lo, hi), decades, per_decade, seed)
-    lam = fam.finite_scale_exponents(np.array(pairs).reshape(-1), n, m)[:, j - 1]
+    lam = fam.exponent_ladder(np.array(pairs).reshape(-1), (n,), m, j)[n]
     rows = []
     excluded = 0
     for (a, b), la, lb in zip(pairs, lam[0::2], lam[1::2]):

@@ -18,6 +18,7 @@ from cocyclelab.cocycle import ConstantFamily, DiagonalExpFamily, SchrodingerFam
 from tests.test_avalanche import admissible_sequence, rot
 from tests.test_cocycle import mp_norm_2x2, mp_schrodinger_product
 from tests.test_linalg import exterior_power
+from tests.test_rates import planted_series
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
@@ -136,7 +137,7 @@ def test_05_exterior_power_identities():
 
 def test_06_almost_invariance(schrodinger3):
     t0 = time.monotonic()
-    reps = [ldt.almost_invariance(schrodinger3, 0.0, 1024, k, 1024) for k in (1, 8)]
+    reps = [ldt.reports(schrodinger3, 0.0, (1024,), (), 1024, k=k)[1] for k in (1, 8)]
     ok = all(r.sup_gap <= r.bound + 1e-10 for r in reps)
     elapsed = time.monotonic() - t0
     verdict(
@@ -188,15 +189,15 @@ def test_08_herman_lower_bound(schrodinger3, schrodinger_ladder):
 def test_09_rate_law_on_planted_data():
     t0 = time.monotonic()
     scales = tuple(2**k for k in range(2, 12))
-    s_lin = rates.planted_series(scales, limit=1.5, coeff=-0.73, law="one_over_n")
+    s_lin = planted_series(scales, limit=1.5, coeff=-0.73, law="one_over_n")
     c_est, _ = rates.check_c_over_n(s_lin)
     c_ok = abs(c_est - 0.73) <= 1e-12
     v1 = rates.dichotomy(
-        rates.planted_series(scales, limit=1.5, coeff=1.0, law="one_over_n"),
+        planted_series(scales, limit=1.5, coeff=1.0, law="one_over_n"),
         c1=0.05, l0=16,
     )
     v2 = rates.dichotomy(
-        rates.planted_series(scales, limit=0.7, coeff=1.0, law="exponential", rate=0.5),
+        planted_series(scales, limit=0.7, coeff=1.0, law="exponential", rate=0.5),
         c1=0.05, l0=16,
     )
     elapsed = time.monotonic() - t0
@@ -224,9 +225,7 @@ def test_10_r_sequence_bounded(schrodinger_ladder):
 
 def test_11_deviation_measure_trend(schrodinger3):
     t0 = time.monotonic()
-    prof = ldt.deviation_profile(
-        schrodinger3, 0.0, 1, (16, 23, 32, 45, 64, 4096), (0.1,), 8192
-    )
+    prof, _, _ = ldt.reports(schrodinger3, 0.0, (16, 23, 32, 45, 64, 4096), (0.1,), 8192)
     measure = {n: meas for n, _, meas in prof.rows}
     m64, m4096 = measure[64], measure[4096]
     fit = ldt.fit_decay(prof, 0.1)

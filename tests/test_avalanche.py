@@ -195,6 +195,24 @@ class TestOverlapBracket:
         with pytest.raises(ValidationError, match="report"):
             ap.overlap_bracket(mats[:2], ap.verify(mats))
 
+    def test_factors_beyond_square_range(self):
+        # each factor's squared norm leaves the float range, its neighbour
+        # products do not; overlaps and pair ratios are scale invariant
+        big, small = np.diag([1e200, 1e190]), np.diag([1e-200, 1e-190])
+        mats = [big @ rot(0.1), small @ rot(0.3), big]
+        report = ap.verify(mats)
+        assert np.allclose(report.norms, [1e200, 1e-190, 1e200], rtol=1e-15)
+        unit = [m / np.linalg.norm(m, 2) for m in mats]
+        unit_report = ap.verify(unit)
+        assert np.allclose(report.pair_ratios, unit_report.pair_ratios, rtol=1e-12)
+        assert np.allclose(ap.overlap_bracket(mats, report).overlaps,
+                           ap.overlap_bracket(unit, unit_report).overlaps, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_neighbour_products_beyond_float_range_refused(self, scale):
+        with pytest.raises(NumericalRefusal, match="leaves the float range"):
+            ap.verify([np.diag([scale, scale * 1e-10])] * 3)
+
     def test_scalar_factors_refused(self):
         # no second singular value: no gap, so no report to bracket against
         mats = [np.array([[2.0]]), np.array([[3.0]])]

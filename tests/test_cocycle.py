@@ -15,8 +15,28 @@ from cocyclelab.cocycle import (
     torus_grid,
 )
 from cocyclelab.errors import NumericalRefusal, ValidationError
+from cocyclelab.util import pairwise_mean
 
 LN2 = np.log(2.0)
+
+
+def finite_scale_exponents_qr(fam, E: float, n: int, m: int) -> np.ndarray:
+    """QR-accumulation (diagonal-of-R) reference for ``finite_scale_exponents``.
+
+    Exact on families whose frames stay axis-aligned; for generic
+    families it differs from the compound estimator by an O(1/n)
+    frame-alignment correction.
+    """
+    xs = torus_grid(fam.base.nu, m)
+    q = np.broadcast_to(np.eye(fam.dim), (xs.shape[0], fam.dim, fam.dim)).copy()
+    sums = np.zeros((xs.shape[0], fam.dim), dtype=np.float64)
+    for j in range(1, n + 1):
+        q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(fam.base.orbit_points(xs, j), E), q))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q = q * np.where(diag < 0.0, -1.0, 1.0)[:, np.newaxis, :]
+        assert np.all(diag != 0.0), f"rank collapse in QR accumulation at step {j}"
+        sums += np.log(np.abs(diag))
+    return np.array([pairwise_mean(sums[:, j]) for j in range(fam.dim)]) / n
 
 
 def mp_norm_2x2(m):
@@ -273,8 +293,6 @@ class TestFiniteScaleExponents:
     def test_partial_sum_consistency(self, schrodinger3):
         n, m = 32, 64
         xs = torus_grid(1, m)
-        from cocyclelab.util import pairwise_mean
-
         lam = schrodinger3.finite_scale_exponents(0.0, n, m)
         for p in (1, 2):
             avg = pairwise_mean(schrodinger3.orbit_lognorms(0.0, xs, n, p=p)[0]) / n
@@ -289,7 +307,7 @@ class TestFiniteScaleExponents:
 class TestQrCrossCheck:
     def test_exact_on_axis_aligned_families(self, golden):
         fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
-        got = fam.finite_scale_exponents_qr(0.0, 256, 8)
+        got = finite_scale_exponents_qr(fam, 0.0, 256, 8)
         assert np.allclose(got, [LN2, 0.0, -LN2], atol=1e-6)
         # diagonal family with a genuine gap: drift dominates oscillation,
         # so the QR frame is the singular frame and the estimators coincide
@@ -297,7 +315,7 @@ class TestQrCrossCheck:
             base=golden, dim=2, x_amp=np.array([1.5, -1.5]),
             e_amp=np.array([1.0, -1.0]), param_values=np.array([0.5]),
         )
-        a = dfam.finite_scale_exponents_qr(0.5, 256, 64)
+        a = finite_scale_exponents_qr(dfam, 0.5, 256, 64)
         b = dfam.finite_scale_exponents(0.5, 256, 64)
         assert np.max(np.abs(a - b)) <= 1e-6
 
@@ -307,7 +325,7 @@ class TestQrCrossCheck:
         dfam = DiagonalExpFamily(
             base=golden, dim=2, x_amp=np.array([1.5, -1.5]), e_amp=np.zeros(2)
         )
-        a = dfam.finite_scale_exponents_qr(0.0, 256, 64)
+        a = finite_scale_exponents_qr(dfam, 0.0, 256, 64)
         b = dfam.finite_scale_exponents(0.0, 256, 64)
         assert abs(a[0]) <= 1e-12      # signed growth cancels on the grid
         assert b[0] > 1e-4             # singular growth cannot cancel
@@ -315,7 +333,7 @@ class TestQrCrossCheck:
     def test_generic_family_agreement_is_frame_limited(self, schrodinger3):
         # rotation factors displace the QR frame from the singular frame by
         # an O(1/n) correction, so agreement is coarse, not 1e-6
-        a = schrodinger3.finite_scale_exponents_qr(0.0, 1024, 256)
+        a = finite_scale_exponents_qr(schrodinger3, 0.0, 1024, 256)
         b = schrodinger3.finite_scale_exponents(0.0, 1024, 256)
         diff = abs(a[0] - b[0])
         assert diff <= 1e-3
@@ -353,7 +371,7 @@ class TestLadderCheck:
 
     def test_qr_method_table(self, golden):
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([3.0, 1.0 / 3.0]))
-        lam = fam.finite_scale_exponents_qr(0.0, 8, 4)
+        lam = finite_scale_exponents_qr(fam, 0.0, 8, 4)
         assert abs(lam[0] - np.log(3.0)) <= 1e-9
 
 
@@ -425,10 +443,12 @@ class TestStackedEnergies:
 
     @pytest.mark.parametrize("budget", [4, 24])
     def test_holder_makes_two_ladder_calls(self, golden, orbit_calls, budget):
+        # the gap ladder runs orders 1 and 2; the pair ladder reads lambda_1,
+        # which needs order 1 alone
         est = rates.holder_estimate(split_exp(golden), 1, (1.0, 2.0), n=8, m=16,
                                     pair_budget=budget, beta0_scale=2)
         assert est.pairs_used + est.pairs_excluded == budget
-        assert len(orbit_calls) == 2 * 2
+        assert len(orbit_calls) == 2 + 1
 
     def test_failed_gap_check_refuses_before_pair_work(self, golden, orbit_calls):
         with pytest.raises(NumericalRefusal, match="gap check"):
@@ -448,5 +468,48 @@ class TestStackedEnergies:
         assert len(orbit_calls) == 2
 
     def test_almost_invariance_makes_one_call(self, schrodinger3, orbit_calls):
-        rep = ldt.almost_invariance(schrodinger3, 0.0, 16, 3, 64)
-        assert rep.ok and len(orbit_calls) == 1
+        _, rep, mono = ldt.reports(schrodinger3, 0.0, (8, 16), (0.1,), 64, k=3,
+                                   ladder=(4, 8, 16, 32))
+        assert rep.ok and mono.scales == (4, 8, 16, 32) and len(orbit_calls) == 1
+
+
+class TestOrbitPasses:
+    """Each orbit subcommand runs only the compound orders it reads."""
+
+    def run_cli(self, tmp_path, sub, extra):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("cocycle.kind = schrodinger\ncocycle.coupling = 3.0\n"
+                       f"numerics.n_max = 32\nnumerics.grid = 16\n{extra}")
+        res = CliRunner().invoke(cli_main, [sub, "--config", str(cfg),
+                                            "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("p, calls", [(1, 1), (2, 2)])
+    def test_ldt_makes_one_pass_per_order(self, tmp_path, orbit_calls, p, calls):
+        self.run_cli(tmp_path, "ldt", f"ldt.p = {p}\n")
+        assert len(orbit_calls) == calls
+
+    @pytest.mark.parametrize("sub", ["rates", "dichotomy"])
+    @pytest.mark.parametrize("j, calls", [(1, 1), (2, 2)])
+    def test_rate_series_runs_orders_j_minus_1_and_j(self, tmp_path, orbit_calls, sub, j,
+                                                     calls):
+        self.run_cli(tmp_path, sub, f"rates.j = {j}\ndichotomy.l0 = 8\n")
+        assert len(orbit_calls) == calls
+
+    @pytest.mark.parametrize("kind", ["schrodinger", "diagonal-exp", "trig-poly"])
+    def test_single_exponent_is_the_ladder_column(self, golden, kind):
+        if kind == "schrodinger":
+            fam = SchrodingerFamily(base=golden, dim=2, coupling=3.0)
+        elif kind == "diagonal-exp":
+            fam = DiagonalExpFamily(base=golden, dim=3, x_amp=np.array([1.0, 0.5, -1.5]),
+                                    e_amp=np.array([1.0, 0.0, -1.0]))
+        else:
+            fam = TrigPolyFamily(base=golden, dim=3,
+                                 cos_coeffs=np.eye(3)[..., np.newaxis] * [2.0, 0.5],
+                                 sin_coeffs=np.ones((3, 3, 1)) * 0.3)
+        energies = np.array([-0.4, 0.3])
+        full = fam.exponent_ladder(energies, (4, 16), 32)
+        for j in range(1, fam.dim + 1):
+            one = fam.exponent_ladder(energies, (4, 16), 32, j)
+            assert all((one[n] == full[n][:, j - 1]).all() for n in (4, 16))
+            assert fam.exponent_ladder(0.3, (16,), 32, j)[16] == full[16][1, j - 1]

@@ -24,8 +24,17 @@ def diag_exp(golden):
 
 
 def measures(fam, n: int, p: int, deltas, m: int) -> list[float]:
-    """Deviation measures of ``deviation_profile`` at the single scale ``n``."""
-    return [meas for _, _, meas in ldt.deviation_profile(fam, 0.0, p, (n,), deltas, m).rows]
+    """Deviation measures of the ``ldt`` reports at the single scale ``n``."""
+    prof, _, _ = ldt.reports(fam, 0.0, (n,), deltas, m, p=p)
+    return [meas for _, _, meas in prof.rows]
+
+
+def invariance(fam, n: int, k: int, m: int) -> ldt.AlmostInvarianceReport:
+    return ldt.reports(fam, 0.0, (n,), (), m, k=k)[1]
+
+
+def audit(fam, ladder, m: int) -> ldt.MonotonicityReport:
+    return ldt.reports(fam, 0.0, ladder[-1:], (), m, ladder=ladder)[2]
 
 
 class TestDeviationMeasure:
@@ -53,7 +62,7 @@ class TestDeviationMeasure:
             param_values=np.array([0.0, 0.7]),
         )
         deltas = (0.05, 0.1, 0.2, 0.4)
-        rows = [ldt.deviation_profile(fam, E, 1, (2,), deltas, 256).rows for E in (0.0, 0.7)]
+        rows = [ldt.reports(fam, E, (2,), deltas, 256)[0].rows for E in (0.0, 0.7)]
         assert rows[0] == rows[1]
         assert all(0.0 < meas < 1.0 for _, _, meas in rows[0])
 
@@ -66,7 +75,7 @@ class TestDeviationMeasure:
 
 class TestDeviationProfile:
     def test_rows_match_pointwise_op(self, schrodinger3):
-        prof = ldt.deviation_profile(schrodinger3, 0.0, 1, (16, 32), (0.05, 0.1), 128)
+        prof = ldt.reports(schrodinger3, 0.0, (16, 32), (0.05, 0.1), 128)[0]
         xs = torus_grid(1, 128)
         for n, delta, measure in prof.rows:
             # reference: a separate orbit pass at this scale, centered here
@@ -128,40 +137,70 @@ class TestFitDecay:
 
 class TestAlmostInvariance:
     def test_constant_family_zero_gap(self, const2):
-        rep = ldt.almost_invariance(const2, 0.0, 64, 1, 32)
+        rep = invariance(const2, 64, 1, 32)
         assert rep.sup_gap == 0.0
         assert rep.ok
 
     def test_iteration_bound(self, schrodinger3):
-        rep1 = ldt.almost_invariance(schrodinger3, 0.0, 256, 1, 128)
-        rep2 = ldt.almost_invariance(schrodinger3, 0.0, 256, 2, 128)
+        rep1 = invariance(schrodinger3, 256, 1, 128)
+        rep2 = invariance(schrodinger3, 256, 2, 128)
         assert rep2.sup_gap <= 2.0 * rep1.bound + 1e-10
         assert rep1.ok and rep2.ok
 
     def test_pinned_values(self, schrodinger3):
-        rep = ldt.almost_invariance(schrodinger3, 0.0, 1024, 1, 1024)
+        rep = invariance(schrodinger3, 1024, 1, 1024)
         assert abs(rep.sup_gap - SCHRODINGER_AI_K1[0]) <= 1e-10
         assert abs(rep.bound - SCHRODINGER_AI_K1[1]) <= 1e-10
         assert rep.ok
 
     def test_validation(self, const2):
         with pytest.raises(ValidationError):
-            ldt.almost_invariance(const2, 0.0, 64, 0, 32)
+            invariance(const2, 64, 0, 32)
 
 
 class TestMonotonicityAudit:
     def test_constant_equalities(self, const2):
-        rep = ldt.monotonicity_audit(const2, 0.0, (16, 32, 64), 16)
+        rep = audit(const2, (16, 32, 64), 16)
         assert rep.ok
         assert np.allclose(rep.values, np.log(2.0), atol=1e-13)
 
     def test_diagonal_exp_strictly_monotone(self, diag_exp):
-        rep = ldt.monotonicity_audit(
-            diag_exp, 0.0, tuple(2**k for k in range(4, 10)), 256, tol=1e-10
-        )
+        rep = audit(diag_exp, tuple(2**k for k in range(4, 10)), 256)
         assert rep.ok
         assert rep.violations == ()
+        assert all(b < a for a, b in zip(rep.values, rep.values[1:]))
 
     def test_non_dyadic_rejected(self, const2):
         with pytest.raises(ValidationError):
-            ldt.monotonicity_audit(const2, 0.0, (16, 48), 16)
+            audit(const2, (16, 48), 16)
+
+
+class TestOnePass:
+    def test_reports_equal_one_pass_per_report(self, schrodinger3):
+        # the shared pass moves no bit: each report equals its own pass
+        scales, ladder, deltas, m, k = (16, 24, 64), (16, 32, 64), (0.05, 0.1), 128, 3
+        prof, inv, mono = ldt.reports(schrodinger3, 0.0, scales, deltas, m, k=k, ladder=ladder)
+        xs = torus_grid(1, m)
+        assert prof == ldt.deviation_profile(
+            schrodinger3.orbit_lognorms(0.0, xs, 64, checkpoints=scales), scales, deltas)
+        here = schrodinger3.orbit_lognorms(0.0, xs, 64)[0]
+        shifted = schrodinger3.orbit_lognorms(0.0, schrodinger3.base.orbit_points(xs, k), 64)[0]
+        assert inv == ldt.almost_invariance(
+            here, shifted, 64, k, *schrodinger3.one_step_log_extremes(0.0, m))
+        assert mono == ldt.monotonicity_audit(
+            schrodinger3.orbit_lognorms(0.0, xs, 64, checkpoints=ladder), ladder)
+
+    def test_monotonicity_values_are_the_ladder(self, schrodinger3):
+        ladder = (16, 32, 64, 128)
+        mono = audit(schrodinger3, ladder, 256)
+        lam1 = schrodinger3.exponent_ladder(0.0, ladder, 256, 1)
+        full = schrodinger3.exponent_ladder(0.0, ladder, 256)
+        assert mono.values == tuple(float(lam1[n]) for n in ladder)
+        assert mono.values == tuple(float(full[n][0]) for n in ladder)
+
+    def test_second_order_profile(self, schrodinger3):
+        # p = 2 is (1/n) log|det| = 0; invariance and monotonicity keep order 1
+        prof, inv, mono = ldt.reports(schrodinger3, 0.0, (32,), (1e-9,), 64, p=2,
+                                      ladder=(16, 32))
+        assert prof.rows == [(32, 1e-9, 0.0)]
+        assert (inv, mono) == ldt.reports(schrodinger3, 0.0, (32,), (), 64, ladder=(16, 32))[1:]

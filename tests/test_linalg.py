@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -252,6 +253,15 @@ class TestInvertibility:
         with pytest.raises(NumericalRefusal, match="factor 0"):
             linalg.require_invertible(np.zeros((2, 2)), context="factor 0")
 
+    @pytest.mark.parametrize("sigma", [(1e200, 1e190), (1e-200, 1e-210)])
+    def test_column_norms_beyond_square_range(self, sigma):
+        # sigma_2 / sigma_1 = 1e-10 is well conditioned, though every
+        # squared column norm leaves the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = linalg.require_invertible(np.diag(sigma))
+        assert tuple(res.singular_values) == sigma
+
 
 class TestBatchHelpers:
     def test_spectral_norm_batch_matches_svd(self):
@@ -269,6 +279,22 @@ class TestBatchHelpers:
         c, s = np.cos(theta), np.sin(theta)
         rots = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
         assert np.max(np.abs(linalg.spectral_norm_batch(rots) - 1.0)) <= 4 * EPS
+
+    def test_spectral_norm_2x2_beyond_square_range(self):
+        big = np.array([[1e200, 3e199], [-2e199, 5e199]])
+        b = np.stack([big, big * 1e-300 * 1e-100, np.eye(2)])  # entries near 1e200, 1e-200, 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = linalg.spectral_norm_batch(b)
+        want = np.array([np.linalg.norm(m, 2) for m in b])
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    def test_spectral_norm_2x2_prescale_moves_no_bits(self):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((8192, 2, 2)) * np.exp(rng.uniform(-30, 30, (8192, 1, 1)))
+        p, q, r, s = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
+        plain = 0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2) + np.sqrt((p - s) ** 2 + (q + r) ** 2))
+        assert (linalg.spectral_norm_batch(b) == plain).all()
 
     def test_extreme_singular_values(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+from math import exp
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,22 @@ SCALES = tuple(2**k for k in range(2, 12))
 
 # frozen after the first run at grid 1024
 SCHRODINGER_EDGE_GAMMA = 1.002205  # window [8.2, 9.2], n = 1024
+
+
+def planted_series(
+    scales, limit: float, coeff: float, law: str, rate: float = 0.0
+) -> rates.RateSeries:
+    """Synthetic series ``limit + coeff/n`` or ``limit + coeff*exp(-rate*n)``
+    for calibrating the classifiers."""
+    scales = tuple(int(s) for s in scales)
+    if law == "one_over_n":
+        vals = tuple(limit + coeff / n for n in scales)
+    elif law == "exponential":
+        vals = tuple(limit + coeff * exp(-rate * n) for n in scales)
+    else:
+        assert law == "constant", law
+        vals = tuple(float(limit) for _ in scales)
+    return rates.RateSeries(j=1, scales=scales, values=vals)
 
 
 class TestRateSeries:
@@ -48,17 +66,17 @@ class TestRateSeries:
 
 class TestRichardson:
     def test_exact_on_one_over_n(self):
-        s = rates.planted_series(SCALES, limit=1.5, coeff=-3.7, law="one_over_n")
+        s = planted_series(SCALES, limit=1.5, coeff=-3.7, law="one_over_n")
         assert abs(rates.richardson_proxy(s.values) - 1.5) <= 1e-12
 
     def test_exact_on_constant(self):
-        s = rates.planted_series(SCALES, limit=0.25, coeff=0.0, law="constant")
+        s = planted_series(SCALES, limit=0.25, coeff=0.0, law="constant")
         assert rates.richardson_proxy(s.values) == 0.25
 
 
 class TestCOverN:
     def test_planted_recovers_coefficient(self):
-        s = rates.planted_series(SCALES, limit=2.0, coeff=1.0, law="one_over_n")
+        s = planted_series(SCALES, limit=2.0, coeff=1.0, law="one_over_n")
         c_est, table = rates.check_c_over_n(s)
         assert abs(c_est - 1.0) <= 1e-12
         assert all(abs(w - 1.0) <= 1e-9 for n, w in table if n <= SCALES[-1] // 4)
@@ -72,13 +90,13 @@ class TestCOverN:
 
 class TestRSequence:
     def test_planted_constant_rows(self):
-        s = rates.planted_series(SCALES, limit=0.0, coeff=2.5, law="one_over_n")
+        s = planted_series(SCALES, limit=0.0, coeff=2.5, law="one_over_n")
         rep = rates.r_sequence(s)
         assert all(abs(r - 2.5) <= 1e-9 for _, r in rep.rows)
         assert rep.bounded
 
     def test_constant_series_all_zero(self):
-        s = rates.planted_series(SCALES, limit=1.0, coeff=0.0, law="constant")
+        s = planted_series(SCALES, limit=1.0, coeff=0.0, law="constant")
         rep = rates.r_sequence(s)
         assert all(r == 0.0 for _, r in rep.rows)
         assert rep.bounded
@@ -86,26 +104,26 @@ class TestRSequence:
 
 class TestDichotomy:
     def test_planted_one_over_n_full_cascade(self):
-        s = rates.planted_series(SCALES, limit=1.5, coeff=1.0, law="one_over_n")
+        s = planted_series(SCALES, limit=1.5, coeff=1.0, law="one_over_n")
         v = rates.dichotomy(s, c1=0.05, l0=16)
         assert v.classification == "one_over_n"
         assert v.trigger_scale is not None and v.trigger_scale >= 16
 
     def test_planted_exponential(self):
-        s = rates.planted_series(SCALES, limit=0.7, coeff=1.0, law="exponential", rate=0.5)
+        s = planted_series(SCALES, limit=0.7, coeff=1.0, law="exponential", rate=0.5)
         v = rates.dichotomy(s, c1=0.05, l0=16)
         assert v.classification == "exponential"
         assert v.trigger_scale is None
 
     def test_constant_degenerate_exponential(self):
-        s = rates.planted_series(SCALES, limit=0.3, coeff=0.0, law="constant")
+        s = planted_series(SCALES, limit=0.3, coeff=0.0, law="constant")
         v = rates.dichotomy(s, c1=0.05, l0=16)
         assert v.classification == "exponential"
 
     def test_short_untriggered_ladder_is_inconclusive(self):
         # 1/n data whose ladder ends before the trigger threshold drops
         # below the deviations: the safety valve, not a misclassification
-        s = rates.planted_series((4, 8, 16, 32, 64), limit=1.5, coeff=1.0,
+        s = planted_series((4, 8, 16, 32, 64), limit=1.5, coeff=1.0,
                                  law="one_over_n")
         v = rates.dichotomy(s, c1=0.05, l0=16)
         assert v.classification == "inconclusive"
@@ -117,8 +135,27 @@ class TestDichotomy:
         v = rates.dichotomy(s, c1=0.05, l0=16, noise_floor=1e-4)
         assert v.classification == "exponential"
 
+    def test_decay_rate_ignores_second_differences_below_the_floor(self):
+        # an exact-zero exponent whose estimates are rounding noise: every
+        # second difference is about 1e-17, under the 1e-12 working floor
+        noise = (3.5e-18, -1.4e-17, 8.0e-18, 1.1e-17, -6.0e-18, 9.0e-18, -1.2e-17,
+                 4.0e-18, 1.3e-17, -2.0e-18)
+        s = rates.RateSeries(j=1, scales=SCALES, values=noise)
+        v = rates.dichotomy(s, c1=0.05, l0=16)
+        assert all(0.0 < sd < 1e-15 for _, sd, _ in v.evidence)
+        assert v.c1_est is None
+        assert v.classification == "exponential"
+
+    def test_decay_rate_fits_resolved_second_differences(self):
+        s = planted_series(SCALES, limit=0.7, coeff=1.0, law="exponential", rate=0.05)
+        v = rates.dichotomy(s, c1=0.05, l0=16)
+        resolved = [(n, sd) for n, sd, _ in v.evidence if sd > v.noise_floor]
+        assert 2 <= len(resolved) < len(v.evidence)
+        x = np.array([n for n, _ in resolved], dtype=np.float64)
+        assert v.c1_est == -float(np.polyfit(x, np.log([sd for _, sd in resolved]), 1)[0])
+
     def test_ladder_length_guard(self):
-        s = rates.planted_series((4, 8, 16, 32), limit=0.0, coeff=1.0, law="one_over_n")
+        s = planted_series((4, 8, 16, 32), limit=0.0, coeff=1.0, law="one_over_n")
         with pytest.raises(ValidationError):
             rates.dichotomy(s, c1=0.05, l0=16)
 
@@ -194,6 +231,14 @@ class TestHolderEstimate:
             rates.holder_estimate(
                 fam, 1, (0.0, 1.0), n=16, m=16, pair_budget=12, kappa=5.0, seed=1
             )
+
+    def test_gap_refusal_prints_zero_gap_unsigned(self, golden):
+        # equal exponents give a gap of +0; "-0" would read as a sign
+        fam = ConstantFamily(base=golden, dim=2, matrix=np.eye(2),
+                             param_values=np.array([0.0, 1.0]))
+        with pytest.raises(NumericalRefusal) as exc:
+            rates.holder_estimate(fam, 1, (0.0, 1.0), n=16, m=16)
+        assert str(exc.value) == "gap check failed on the window: min gap 0 <= kappa 0.05"
 
     def test_schrodinger_spectral_edge_window(self):
         fam = SchrodingerFamily(
