@@ -145,6 +145,20 @@ def require_invertible(m, context: str = "matrix") -> SvdResult:
 
 # --- batched helpers used by the orbit kernels -------------------------------
 
+def _scaled_2x2(b: np.ndarray):
+    """Exponent ``e`` of the largest entry of each 2x2 matrix of a stack, its
+    entries ``p, q, r, s`` scaled by ``2^-e``, and its scaled sigma_1.
+
+    For [[p, q], [r, s]], sigma_1 = (|(p+s, q-r)| + |(p-s, q+r)|) / 2: a sum
+    of norms, so no digits cancel when sigma_1 ~ sigma_2.  The scaling keeps
+    every square and product in range and is exact, so in-range matrices
+    keep every bit."""
+    e = np.frexp(np.max(np.abs(b), axis=(1, 2)))[1]
+    p, q, r, s = (np.ldexp(b[:, i, k], -e) for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    top = 0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2) + np.sqrt((p - s) ** 2 + (q + r) ** 2))
+    return e, (p, q, r, s), top
+
+
 def spectral_norm_batch(batch: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a real ``(B, d, d)`` stack."""
     b = np.asarray(batch)
@@ -152,14 +166,8 @@ def spectral_norm_batch(batch: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.abs(b[:, 0, 0])
     if d == 2:
-        # for [[p, q], [r, s]], sigma_1 = (|(p+s, q-r)| + |(p-s, q+r)|) / 2:
-        # a sum of norms, so no digits cancel when sigma_1 ~ sigma_2; scaling
-        # by the power of two of the largest entry keeps the squares in range
-        # and is exact, so in-range matrices keep every bit
-        e = np.frexp(np.max(np.abs(b), axis=(1, 2)))[1]
-        p, q, r, s = (np.ldexp(b[:, i, k], -e) for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        return np.ldexp(0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2)
-                               + np.sqrt((p - s) ** 2 + (q + r) ** 2)), e)
+        e, _, top = _scaled_2x2(b)
+        return np.ldexp(top, e)
     return np.linalg.svd(b, compute_uv=False)[:, 0]
 
 
@@ -171,11 +179,11 @@ def extreme_singular_values_batch(batch: np.ndarray) -> tuple[np.ndarray, np.nda
         s = np.abs(b[:, 0, 0])
         return s, s.copy()
     if d == 2:
-        top = spectral_norm_batch(b)
-        det = np.abs(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0])
+        # sigma_2 = |det| / sigma_1, both from the scaled entries
+        e, (p, q, r, s), top = _scaled_2x2(b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            low = np.where(top > 0.0, det / top, 0.0)
-        return top, low
+            low = np.where(top > 0.0, np.abs(p * s - q * r) / top, 0.0)
+        return np.ldexp(top, e), np.ldexp(low, e)
     s = np.linalg.svd(b, compute_uv=False)
     return s[:, 0], s[:, -1]
 

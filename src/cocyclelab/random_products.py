@@ -11,6 +11,12 @@ checkpointed pass serves every scale of a report.  Products go through
 :func:`linalg.scaled_product`, the same renormalised accumulator as the
 orbit kernel.
 
+A factor is a function of one compact draw per step: the support index
+of a finite-support distribution (in the smallest unsigned integer type
+that holds it), or the angle of ``uniform_rotation``.  The kernel holds
+only the ``(n, T)`` draws of its ``T`` streams and turns each step's row
+of draws into a lanes-last factor stack as the product reaches it.
+
 Strong irreducibility and contraction of a distribution are not
 algorithmically certifiable; the shipped example distributions satisfy
 them by construction; the rate verdict assumes them, it does not test
@@ -19,7 +25,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +49,10 @@ class MatrixDistribution:
     seed: int
     support: tuple[tuple[np.ndarray, float], ...] | None = None
     sampler: str | None = None
+    #: the support matrices lanes-last, ``(d, d, K)``, and their cumulative
+    #: probabilities, both derived from ``support``
+    _lanes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.support is None) == (self.sampler is None):
@@ -62,6 +72,8 @@ class MatrixDistribution:
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"probabilities sum to {total}, not 1")
             object.__setattr__(self, "support", tuple(mats))
+            object.__setattr__(self, "_lanes", np.stack([m for m, _ in mats], axis=2))
+            object.__setattr__(self, "_cum", np.cumsum([p for _, p in mats]))
         elif self.sampler not in ("uniform_rotation",):
             raise ValidationError(f"unknown sampler {self.sampler!r}")
         elif self.dim != 2:
@@ -72,21 +84,29 @@ class MatrixDistribution:
             np.random.Philox(key=[self.seed & (2**64 - 1), stream_id & (2**64 - 1)])
         )
 
+    def draws(self, stream_id: int, n: int) -> np.ndarray:
+        """The first ``n`` draws of stream ``stream_id``: support indices in
+        the smallest unsigned type that holds them, or rotation angles."""
+        u = self.generator(stream_id).random(n)
+        if self.support is None:
+            return 2.0 * np.pi * u
+        k = len(self.support)
+        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), k - 1)
+        return idx.astype(np.min_scalar_type(k - 1))
+
+    def factors(self, draws: np.ndarray) -> np.ndarray:
+        """The factors of a 1-d array of draws as a lanes-last ``(m, d, d)``
+        stack: the transposed view of a C-contiguous ``(d, d, m)`` array."""
+        if self.support is not None:
+            return np.take(self._lanes, draws, axis=2).transpose(2, 0, 1)
+        c, s = np.cos(draws), np.sin(draws)
+        out = np.empty((2, 2, len(draws)))
+        out[0, 0], out[0, 1], out[1, 0], out[1, 1] = c, -s, s, c
+        return out.transpose(2, 0, 1)
+
     def sample_sequence(self, stream_id: int, n: int) -> np.ndarray:
         """The first ``n`` factors of stream ``stream_id``, shape (n, d, d)."""
-        gen = self.generator(stream_id)
-        if self.support is not None:
-            mats = np.stack([m for m, _ in self.support])
-            cum = np.cumsum([p for _, p in self.support])
-            idx = np.searchsorted(cum, gen.random(n), side="right")
-            return mats[np.minimum(idx, len(self.support) - 1)]
-        angles = 2.0 * np.pi * gen.random(n)
-        out = np.empty((n, 2, 2))
-        out[:, 0, 0] = np.cos(angles)
-        out[:, 0, 1] = -np.sin(angles)
-        out[:, 1, 0] = np.sin(angles)
-        out[:, 1, 1] = np.cos(angles)
-        return out
+        return self.factors(self.draws(stream_id, n))
 
 
 # -- shipped example distributions ----------------------------------------------
@@ -151,13 +171,11 @@ def _batched_lognorms(
     dist: MatrixDistribution, n: int, streams, checkpoints=None
 ) -> np.ndarray:
     """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T).
-    Stream ``t`` is sampled into lane ``t`` of an ``(n, d, d, T)`` array, so
-    every step's factor stack arrives lanes-last."""
-    streams = list(streams)
-    seqs = np.empty((n, dist.dim, dist.dim, len(streams)))
-    for t, sid in enumerate(streams):
-        seqs[..., t] = dist.sample_sequence(int(sid), n)
-    return linalg.scaled_product((s.transpose(2, 0, 1) for s in seqs), n, checkpoints)
+    Stream ``t`` fills column ``t`` of an ``(n, T)`` draw array, and each
+    step's row becomes one lanes-last factor stack only when the product
+    reaches it, so no more than one step of factors is ever held."""
+    draws = np.stack([dist.draws(int(sid), n) for sid in streams], axis=1)
+    return linalg.scaled_product((dist.factors(row) for row in draws), n, checkpoints)
 
 
 def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> float:

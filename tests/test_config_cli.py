@@ -341,6 +341,18 @@ class TestCli:
         assert res.stderr.startswith("error: family has non-finite entries at x=(0.0,), E=0.0")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_family_beyond_square_range_refused_by_the_product(self, tmp_path):
+        # construction sees a well-conditioned diag(1e200, 1e190); the product's
+        # squared Frobenius norm leaves the float range, which is exit 2
+        cfg = _write(tmp_path, "cocycle.kind = constant\ncocycle.entries = 1e200,0,0,1e190\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(
+                main, ["exponents", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "degenerate factor in scaled product at step 1" in res.stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_numerical_refusal_exit_2(self, tmp_path):
         cfg = _write(
             tmp_path,

@@ -295,6 +295,9 @@ class TestBatchHelpers:
         p, q, r, s = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
         plain = 0.5 * (np.sqrt((p + s) ** 2 + (q - r) ** 2) + np.sqrt((p - s) ** 2 + (q + r) ** 2))
         assert (linalg.spectral_norm_batch(b) == plain).all()
+        top, low = linalg.extreme_singular_values_batch(b)
+        assert (top == plain).all()
+        assert (low == np.abs(p * s - q * r) / plain).all()
 
     def test_extreme_singular_values(self):
         rng = np.random.default_rng(4)
@@ -304,6 +307,14 @@ class TestBatchHelpers:
             sv = np.array([np.linalg.svd(x, compute_uv=False) for x in b])
             assert np.allclose(top, sv[:, 0], rtol=1e-11)
             assert np.allclose(low, sv[:, -1], rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize("sigma", [(1e200, 1e190), (1e-190, 1e-200)])
+    def test_extreme_singular_values_2x2_beyond_square_range(self, sigma):
+        # the determinant is formed from the scaled entries, so it stays in range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            top, low = linalg.extreme_singular_values_batch(np.diag(sigma)[np.newaxis])
+        assert (top[0], low[0]) == sigma
 
     def test_compound_batch_matches_single(self):
         rng = np.random.default_rng(6)

@@ -1,8 +1,11 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cocyclelab import linalg, rates
 from cocyclelab import random_products as rp
-from cocyclelab import rates
 from cocyclelab.config import parse_config
 from cocyclelab.errors import ConfigError, NumericalRefusal, ValidationError
 
@@ -78,6 +81,93 @@ class TestStreamContract:
         assert abs(lognorm(fur, 100, 7) - PIN_SAMPLE_N100_S7) <= 1e-9
 
 
+def sampled_factors(dist, stream_id: int, n: int) -> np.ndarray:
+    """Reference sampler: the factors of one stream built straight from its
+    uniforms, as an ``(n, d, d)`` array (inverse-CDF pick over the support,
+    or a rotation by ``2 pi u``)."""
+    u = dist.generator(stream_id).random(n)
+    if dist.support is None:
+        a = 2.0 * np.pi * u
+        return np.stack([np.stack([np.cos(a), -np.sin(a)], -1),
+                         np.stack([np.sin(a), np.cos(a)], -1)], -2)
+    mats = np.stack([m for m, _ in dist.support])
+    idx = np.searchsorted(np.cumsum([p for _, p in dist.support]), u, side="right")
+    return mats[np.minimum(idx, len(mats) - 1)]
+
+
+def _support_dist(k: int, d: int, seed: int) -> rp.MatrixDistribution:
+    rng = np.random.default_rng(seed)
+    mats = np.eye(d) + 0.3 * rng.standard_normal((k, d, d))
+    probs = rng.uniform(0.5, 1.5, k)
+    probs /= probs.sum()
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return rp.MatrixDistribution(dim=d, seed=seed, support=tuple(zip(mats, probs)))
+
+
+KERNEL_DISTS = {
+    "stretch-or-rotate": rp.stretch_or_rotate(seed=11),
+    "three-3x3": _support_dist(3, 3, seed=12),
+    "single-1x1": rp.single_matrix([[1.5]], seed=13),
+    "uniform-rotation": rp.uniform_rotation(seed=14),
+    "support-300": _support_dist(300, 2, seed=15),
+}
+
+
+class TestDrawKernel:
+    """The kernel holds one compact draw per step and stream; each step's
+    factors are built from that step's draws."""
+
+    @pytest.mark.parametrize("name", KERNEL_DISTS)
+    def test_kernel_equals_the_single_stream_route(self, name):
+        # for uniform_rotation this also pins that cos/sin over a row of T
+        # lanes give the values they give over one stream's n draws
+        dist = KERNEL_DISTS[name]
+        streams, n, cps = [4, 0, 9, 2, 17, 3, 30], 150, (1, 37, 64, 150)
+        seqs = np.stack([dist.sample_sequence(s, n) for s in streams], axis=1)
+        want = linalg.scaled_product(iter(seqs), n, cps)
+        assert np.array_equal(rp._batched_lognorms(dist, n, streams, cps), want)
+
+    @pytest.mark.parametrize("name", KERNEL_DISTS)
+    def test_sample_sequence_is_the_reference_sampler(self, name):
+        dist = KERNEL_DISTS[name]
+        got = dist.sample_sequence(6, 500)
+        assert got.shape == (500, dist.dim, dist.dim)
+        assert np.array_equal(got, sampled_factors(dist, 6, 500))
+
+    def test_support_index_dtype(self):
+        for dist in (rp.stretch_or_rotate(), rp.single_matrix(np.eye(3)),
+                     rp.two_rotations(0.7, 1.3), rp.rotated_stretch_pair()):
+            assert dist.draws(0, 4).dtype == np.uint8
+        wide = KERNEL_DISTS["support-300"].draws(0, 5000)
+        assert wide.dtype == np.uint16
+        assert wide.max() > 255
+
+    def test_factor_stack_is_lanes_last(self):
+        for dist in KERNEL_DISTS.values():
+            stack = dist.factors(dist.draws(1, 9))
+            assert stack.shape == (9, dist.dim, dist.dim)
+            assert stack.transpose(1, 2, 0).flags.c_contiguous
+
+    def test_kernel_binds_n(self):
+        # work counters bind the product length by name
+        dist = rp.stretch_or_rotate()
+        args = inspect.signature(rp._batched_lognorms).bind(dist, n=8, streams=[0])
+        assert args.arguments["n"] == 8
+
+    def test_kernel_holds_draws_not_factors(self):
+        # 1000 streams of 512 steps: the draws are 0.5 MiB of uint8, where an
+        # (n, d, d, T) float64 factor array would be 16 MiB
+        dist = rp.stretch_or_rotate(seed=11)
+        rp._batched_lognorms(dist, 8, range(4))
+        tracemalloc.start()
+        try:
+            rp._batched_lognorms(dist, 512, range(1000), (64, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
 class TestTopExponent:
     def test_single_matrix_exact(self):
         dist = rp.single_matrix(np.diag([2.0, 0.5]), seed=1)
@@ -122,8 +212,8 @@ class TestTopExponent:
     def test_degenerate_draws_refused(self, monkeypatch):
         dist = rp.two_rotations(0.7, 1.3, seed=2)
         monkeypatch.setattr(
-            rp.MatrixDistribution, "sample_sequence",
-            lambda self, stream_id, n: np.zeros((n, 2, 2)),
+            rp.MatrixDistribution, "factors",
+            lambda self, draws: np.zeros((len(draws), 2, 2)),
         )
         with pytest.raises(NumericalRefusal, match="step 1"):
             lognorm(dist, 4, 0)
@@ -182,3 +272,32 @@ class TestRateReport:
         assert len(report.rows) == 4
         assert len(report.ld_rows) == 2
         assert report.verdict is not None
+
+
+class TestExactLimit:
+    """Upper-triangular support ``[[a_i, b_i], [0, c_i]]``: the diagonal of a
+    product is the product of the diagonals, so
+    ``lambda_1 = max(sum p_i log|a_i|, sum p_i log|c_i|)`` exactly, and the
+    off-diagonal entries only add a ``C/n`` bias."""
+
+    SUPPORT = ((0.5, [[2.0, 1.0], [0.0, 0.5]]),
+               (0.25, [[0.8, -0.5], [0.0, 1.5]]),
+               (0.25, [[1.2, 0.3], [0.0, 0.7]]))
+    # E log||Y_n ... Y_1|| - sum log|a_i| over the same draws: 0.1592 and
+    # 0.1591 at n = 64..512 over 4000 streams each at seeds 3 and 4; the
+    # tolerance allows twice that
+    BIAS_C = 2.0 * 0.16
+
+    def test_top_rung_meets_the_exact_exponent(self, tmp_path):
+        support = tmp_path / "support.txt"
+        support.write_text("\n".join(
+            f"{p}\n" + "\n".join(" ".join(map(str, row)) for row in m) + "\n"
+            for p, m in self.SUPPORT))
+        cfg = parse_config(f"random.dist = file\nrandom.support_file = {support}\n"
+                           "numerics.seed = 5\n")
+        lam_a = sum(p * np.log(abs(m[0][0])) for p, m in self.SUPPORT)
+        lam_c = sum(p * np.log(abs(m[1][1])) for p, m in self.SUPPORT)
+        lam1 = max(lam_a, lam_c)
+        n, est, stderr, _ = rp.rate_report(cfg.distribution(), (64, 128, 256, 512), 1000).rows[-1]
+        assert n == 512
+        assert abs(est - lam1) <= 4.0 * stderr + self.BIAS_C / n
