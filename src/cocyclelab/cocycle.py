@@ -83,9 +83,14 @@ class ShiftBase:
         return len(self.omega)
 
     def orbit_points(self, xs: np.ndarray, step: int) -> np.ndarray:
-        """``xs + step*omega`` mod 1 for a ``(B, nu)`` stack of points."""
-        w = np.asarray(self.omega)
-        return np.mod(xs + step * w[np.newaxis, :], 1.0)
+        """``xs + step*omega`` mod 1 for a ``(B, nu)`` stack of points.
+
+        ``y - floor(y)`` is the same single rounding of the exact fraction
+        as ``np.mod(y, 1.0)``, bit for bit for every finite ``y``, and
+        several times cheaper."""
+        y = xs + step * np.asarray(self.omega)
+        y -= np.floor(y)
+        return y
 
 
 def golden_base(dio_exponent: float = 2.0) -> ShiftBase:

@@ -77,6 +77,16 @@ class TestShiftBase:
         assert 0.0 <= pts[0, 0] < 1.0
         assert np.isclose(pts[0, 0], np.mod(0.9 + 3 * golden.omega[0], 1.0))
 
+    @pytest.mark.parametrize("omega", [(cocycle.GOLDEN_MEAN,), cocycle.DEFAULT_OMEGA_2D])
+    def test_orbit_points_bit_equal_to_np_mod(self, omega):
+        base = ShiftBase(omega=omega)
+        xs = np.random.default_rng(19).uniform(-3.0, 1.0, (8, base.nu))
+        xs[:4] = np.array([-0.0, -2.0, -1e-20, 0.5])[:, np.newaxis]
+        steps = np.arange(100_000)
+        got = np.stack([base.orbit_points(xs, int(k)) for k in steps])
+        want = np.mod(xs + steps[:, np.newaxis, np.newaxis] * np.asarray(omega), 1.0)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
     def test_two_torus_default(self):
         base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
         assert base.nu == 2
@@ -373,6 +383,32 @@ class TestLadderCheck:
         fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([3.0, 1.0 / 3.0]))
         lam = finite_scale_exponents_qr(fam, 0.0, 8, 4)
         assert abs(lam[0] - np.log(3.0)) <= 1e-9
+
+
+class TestNoPerMatrixLapack:
+    def test_d3_orbit_step_calls_no_lapack(self, monkeypatch):
+        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+        fam = TrigPolyFamily(base=base, dim=3,
+                             cos_coeffs=np.eye(3)[..., np.newaxis] * [2.0, 0.5],
+                             sin_coeffs=np.ones((3, 3, 1)) * 0.3)
+        xs = torus_grid(2, 8)
+        n = 12
+        factors = [fam.evaluate_batch(base.orbit_points(xs, j), 0.0) for j in range(1, n + 1)]
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = f @ prod
+        sigma = np.linalg.svd(prod, compute_uv=False)
+        logdet = sum(np.log(np.abs(np.linalg.det(f))) for f in factors)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("per-matrix LAPACK call on the orbit step")
+
+        monkeypatch.setattr(np.linalg, "det", lapack)
+        monkeypatch.setattr(np.linalg, "svd", lapack)
+        for p, want in ((1, np.log(sigma[:, 0])), (2, np.log(sigma[:, 0] * sigma[:, 1])),
+                        (3, logdet)):
+            got = fam.orbit_lognorms(0.0, xs, n, p=p)[0]
+            assert np.max(np.abs(got - want)) <= 1e-12 * n
 
 
 class TestTwoTorus:

@@ -1,6 +1,7 @@
 import warnings
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,6 +44,15 @@ def power_iteration_norm(m: np.ndarray, iters: int = 2000) -> float:
         w = g @ v
         v = w / np.linalg.norm(w)
     return float(np.sqrt(v @ g @ v))
+
+
+def with_singular_values(sigma, n: int, seed: int) -> np.ndarray:
+    """``n`` matrices ``U diag(sigma) V^T`` with random orthogonal ``U, V``."""
+    rng = np.random.default_rng(seed)
+    k = len(sigma)
+    u = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    return u @ (np.asarray(sigma)[:, np.newaxis] * v.transpose(0, 2, 1))
 
 
 def factor_stacks(k: int, lanes: int, n: int = 10) -> np.ndarray:
@@ -298,6 +308,55 @@ class TestBatchHelpers:
         top, low = linalg.extreme_singular_values_batch(b)
         assert (top == plain).all()
         assert (low == np.abs(p * s - q * r) / plain).all()
+
+    @pytest.mark.parametrize("sigma", [(1.0, 1.0, 1e-12), (1.0, 1.0 - 1e-9, 0.5),
+                                       (1.0, 1e-8, 1e-16)])
+    def test_spectral_norm_3x3_matches_lapack(self, sigma):
+        # sigma_1 ~ sigma_2 in the first two: the trigonometric root of the
+        # characteristic cubic errs there by ~2e7 units; then a graded spectrum
+        b = with_singular_values(sigma, 2000, seed=7)
+        want = np.linalg.svd(b, compute_uv=False)[:, 0]
+        assert np.max(np.abs(linalg.spectral_norm_batch(b) - want) / want) <= 8 * EPS
+
+    def test_spectral_norm_3x3_on_orthogonal_matrices(self):
+        q = np.linalg.qr(np.random.default_rng(21).standard_normal((20000, 3, 3)))[0]
+        assert np.max(np.abs(linalg.spectral_norm_batch(q) - 1.0)) <= 4 * EPS
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_spectral_norm_beyond_square_range(self, d, scale):
+        b = with_singular_values(np.linspace(3.0, 0.5, d), 50, seed=d) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = linalg.spectral_norm_batch(b)
+        want = np.linalg.svd(b, compute_uv=False)[:, 0]
+        assert np.max(np.abs(got - want) / want) <= 8 * EPS
+
+    def test_spectral_norm_of_zero_is_zero(self):
+        # crude_continuity_check takes the norm of a difference that can be zero
+        b = np.zeros((3, 3, 3))
+        b[1] = np.diag([0.0, 2.0, 0.0])
+        assert linalg.spectral_norm_batch(b).tolist() == [0.0, 2.0, 0.0]
+
+    def test_spectral_norm_unconverged_lane_is_refused(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_GRAM_SWEEPS", 1)
+        with pytest.raises(NumericalRefusal, match="did not converge"):
+            linalg.spectral_norm_batch(np.random.default_rng(3).standard_normal((4, 3, 3)))
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_det_3x3_matches_lapack_and_mpmath(self, complex_field):
+        rng = np.random.default_rng(8)
+        scale = np.exp(rng.uniform(-200.0, 200.0, (300, 1, 1)))
+        b = rng.standard_normal((300, 3, 3)) * scale
+        if complex_field:
+            b = b + 1j * rng.standard_normal((300, 3, 3)) * scale
+        got = linalg.det_batch(b)
+        hadamard = np.prod(np.linalg.norm(b, axis=2), axis=1)  # >= |det|
+        with mp.workdps(50):
+            exact = np.array([complex(mp.det(mp.matrix(m.tolist()))) for m in b])
+        assert np.max(np.abs(got - exact) / hadamard) <= 4 * EPS
+        # NumPy's det is sign * exp(log|det|), which costs it up to |log|det|| units
+        assert np.max(np.abs(got - np.linalg.det(b)) / hadamard) <= 1e-12
 
     def test_extreme_singular_values(self):
         rng = np.random.default_rng(4)

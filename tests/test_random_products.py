@@ -288,16 +288,29 @@ class TestExactLimit:
     # tolerance allows twice that
     BIAS_C = 2.0 * 0.16
 
-    def test_top_rung_meets_the_exact_exponent(self, tmp_path):
+    def lam1(self) -> float:
+        lam_a = sum(p * np.log(abs(m[0][0])) for p, m in self.SUPPORT)
+        lam_c = sum(p * np.log(abs(m[1][1])) for p, m in self.SUPPORT)
+        return max(lam_a, lam_c)
+
+    def report_rows(self, tmp_path):
         support = tmp_path / "support.txt"
         support.write_text("\n".join(
             f"{p}\n" + "\n".join(" ".join(map(str, row)) for row in m) + "\n"
             for p, m in self.SUPPORT))
         cfg = parse_config(f"random.dist = file\nrandom.support_file = {support}\n"
                            "numerics.seed = 5\n")
-        lam_a = sum(p * np.log(abs(m[0][0])) for p, m in self.SUPPORT)
-        lam_c = sum(p * np.log(abs(m[1][1])) for p, m in self.SUPPORT)
-        lam1 = max(lam_a, lam_c)
-        n, est, stderr, _ = rp.rate_report(cfg.distribution(), (64, 128, 256, 512), 1000).rows[-1]
+        return rp.rate_report(cfg.distribution(), (64, 128, 256, 512), 1000).rows
+
+    def test_top_rung_meets_the_exact_exponent(self, tmp_path):
+        n, est, stderr, _ = self.report_rows(tmp_path)[-1]
         assert n == 512
-        assert abs(est - lam1) <= 4.0 * stderr + self.BIAS_C / n
+        assert abs(est - self.lam1()) <= 4.0 * stderr + self.BIAS_C / n
+
+    def test_richardson_proxy_meets_the_exact_exponent(self, tmp_path):
+        # 2 lambda_512 - lambda_256 cancels the C/n bias; its stderr is at
+        # most 2 se_512 + se_256, the rungs sharing their streams
+        rows = self.report_rows(tmp_path)
+        proxy = rates.richardson_proxy(tuple(est for _, est, _, _ in rows))
+        (_, _, se_low, _), (_, _, se_top, _) = rows[-2:]
+        assert abs(proxy - self.lam1()) <= 4.0 * (2.0 * se_top + se_low)
