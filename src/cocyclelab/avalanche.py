@@ -13,12 +13,15 @@ overlaps by the pair-norm ratios; the rank-1 / rank-2 projection
 families (:func:`projection_matrices`, run through :func:`verify`) show
 where the mechanism lives and where it genuinely fails.
 
-Every number comes from one path.  Each factor gets one Jacobi SVD,
-which supplies the invertibility check, ``sigma_1``, ``sigma_2`` and the
-top right-singular direction.  Each adjacent pair gets one scaled norm
-``||A_{j+1} (A_j / ||A_j||)||``, which gives both the reported pair norm
-and the pair term of the discrepancy.  The running product of the full
-sequence is the only other norm taken, so ``n`` factors cost ``3n - 1``
+Every number comes from one path, the scalar Jacobi SVD of
+:func:`linalg.svd`, whose only client this module is: it needs
+``sigma_2`` and the top right-singular direction to relative accuracy.
+Each factor gets one SVD, which supplies the invertibility check,
+``sigma_1``, ``sigma_2`` and the top direction.  Each adjacent pair gets
+one scaled norm ``||A_{j+1} (A_j / ||A_j||)||``, which gives both the
+reported pair norm and the pair term of the discrepancy.  The running
+product of the full sequence, renormalised by its norm after every
+factor, is the only other norm taken, so ``n`` factors cost ``3n - 1``
 SVDs.
 """
 
@@ -41,49 +44,47 @@ C_IMPL = 100.0
 DEGENERATE_GAP_RTOL = 1e-8
 
 
-def scaled_log_norm(matrices) -> float:
-    """``log || A_n ... A_1 ||`` of an ordered factor list (index 0 applied
-    first), accumulated with per-step renormalization."""
-    prod = None
-    logs = 0.0
-    for m in matrices:
-        a = np.asarray(m, dtype=np.float64)
-        prod = a if prod is None else a @ prod
-        nrm = linalg.operator_norm(prod)
-        if nrm <= 0.0:
-            raise NumericalRefusal("zero product norm in scaled accumulation")
-        prod = prod / nrm
-        logs += float(np.log(nrm))
-    return logs
-
-
-def _factors(matrices):
-    """Validated float factors, one SVD each, their norms, and the scaled
-    pair norms ``||A_{j+1} (A_j / ||A_j||)||``.
-
-    A scaled pair norm is the second step of :func:`scaled_log_norm` on
-    ``A_j, A_{j+1}``, so ``log ||A_j|| + log`` of it is that pair's scaled
-    log-norm bit for bit, and the ``n = 2`` discrepancy cancels exactly.
-    """
+def _factors(matrices) -> list[np.ndarray]:
+    """The factors as float arrays: at least two, all of one square shape."""
     mats = [np.asarray(m, dtype=np.float64) for m in matrices]
     if len(mats) < 2:
         raise ValidationError("need at least two factors")
     d = mats[0].shape[0]
-    svds = []
     for i, m in enumerate(mats):
         if m.shape != (d, d):
             raise ValidationError(f"factor {i} has shape {m.shape}, expected ({d},{d})")
-        svds.append(linalg.require_invertible(m, context=f"factor {i}"))
+    return mats
+
+
+def _decompose(mats):
+    """One SVD per factor, which also checks that it is invertible, their
+    norms, and the scaled pair norms ``||A_{j+1} (A_j / ||A_j||)||``.
+
+    A scaled pair norm is the second step of the running product of
+    :func:`_discrepancy` on ``A_j, A_{j+1}``, so ``log ||A_j|| + log`` of it
+    is that pair's scaled log-norm bit for bit, and the ``n = 2``
+    discrepancy cancels exactly.
+    """
+    svds = [linalg.require_invertible(m, context=f"factor {i}") for i, m in enumerate(mats)]
     norms = np.array([s.singular_values[0] for s in svds])
-    scaled_pairs = np.array(
-        [linalg.operator_norm(b @ (a / nrm)) for a, b, nrm in zip(mats, mats[1:], norms)]
-    )
-    return mats, svds, norms, scaled_pairs
+    scaled_pairs = np.array([linalg.svd(b @ (a / nrm)).singular_values[0]
+                             for a, b, nrm in zip(mats, mats[1:], norms)])
+    return svds, norms, scaled_pairs
 
 
 def _discrepancy(mats, norms, scaled_pairs) -> float:
+    """The AP discrepancy, with ``log ||A_n ... A_1||`` from a running
+    product renormalised by its norm after every factor."""
+    total = 0.0
+    prod = None
+    for a in mats:
+        prod = a if prod is None else a @ prod
+        nrm = linalg.svd(prod).singular_values[0]
+        if nrm <= 0.0:
+            raise NumericalRefusal("zero product norm in scaled accumulation")
+        prod = prod / nrm
+        total += float(np.log(nrm))
     logs = [float(np.log(x)) for x in norms]
-    total = scaled_log_norm(mats)
     middle = sum(logs[1:-1])
     pairs = sum(logs[j] + float(np.log(s)) for j, s in enumerate(scaled_pairs))
     return abs(total + middle - pairs)
@@ -96,11 +97,13 @@ class APReport:
 
     ``mu`` is the certified gap: the largest value for which every factor
     satisfies ``norm >= second_value * mu``, i.e. ``min_j norms/seconds``.
-    ``directions[j]`` is the top right-singular vector of ``A_j``.
+    ``directions[j]`` is the top right-singular vector of ``A_j``, and
+    ``factors`` are the validated ``A_j`` the report describes.
     """
 
     n: int
     dim: int
+    factors: tuple[np.ndarray, ...]
     norms: np.ndarray
     second_values: np.ndarray
     directions: np.ndarray
@@ -130,13 +133,15 @@ def verify(matrices, mu: float | None = None) -> APReport:
     With ``mu=None`` the certified gap ``min_j ||A_j|| / sigma_2(A_j)``
     is used (the tightest admissible choice); otherwise the caller's
     ``mu`` is tested as given.  Refuses 1x1 factors: they have no second
-    singular value, so no gap and no dominant direction to certify.
+    singular value, so no gap and no dominant direction to certify, and
+    that refusal comes before any SVD.
     """
-    mats, svds, norms, scaled_pairs = _factors(matrices)
+    mats = _factors(matrices)
     n = len(mats)
     d = mats[0].shape[0]
     if d < 2:
         raise ValidationError("AP factors must be at least 2x2: a gap needs a second singular value")
+    svds, norms, scaled_pairs = _decompose(mats)
     # positive: every factor passed the invertibility check
     seconds = np.array([s.singular_values[1] for s in svds])
     gaps = norms / seconds
@@ -160,6 +165,7 @@ def verify(matrices, mu: float | None = None) -> APReport:
     return APReport(
         n=n,
         dim=d,
+        factors=tuple(mats),
         norms=norms,
         second_values=seconds,
         directions=np.array([s.right_factor[:, 0] for s in svds]),
@@ -180,9 +186,11 @@ def ap_discrepancy(matrices) -> float:
     sum_{j=1}^{n-1} log||A_{j+1} A_j|| |``.
 
     The full product and the pairs go through the same scaled
-    accumulation, so the ``n = 2`` case cancels exactly.
+    accumulation, so the ``n = 2`` case cancels exactly.  Unlike
+    :func:`verify` it takes 1x1 factors.
     """
-    mats, _, norms, scaled_pairs = _factors(matrices)
+    mats = _factors(matrices)
+    _, norms, scaled_pairs = _decompose(mats)
     return _discrepancy(mats, norms, scaled_pairs)
 
 
@@ -198,12 +206,12 @@ class OverlapBracket:
         return not bool(np.any(self.violations))
 
 
-def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
+def overlap_bracket(report: APReport) -> OverlapBracket:
     """Compute top-direction overlaps and check the two-sided pair-ratio
     bracket.
 
-    ``report`` is :func:`verify` of the same matrices; its top directions,
-    pair ratios and ``mu`` are used as they are, so no factor is
+    The factors, top directions, pair ratios and ``mu`` of ``report`` (a
+    :func:`verify` result) are used as they are, so no factor is
     decomposed a second time.
 
     For each factor, the top right-singular direction is where the
@@ -212,11 +220,7 @@ def overlap_bracket(matrices, report: APReport) -> OverlapBracket:
     when a factor's top singular value is degenerate (relative gap below
     ``1e-8``): the mechanism requires lines, not planes.
     """
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    n = len(mats)
-    d = mats[0].shape[0]
-    if (n, d) != (report.n, report.dim):
-        raise ValidationError("report does not describe these matrices")
+    mats, n = report.factors, report.n
     s1, s2 = report.norms, report.second_values
     for i in range(n):
         if (s1[i] - s2[i]) <= DEGENERATE_GAP_RTOL * s1[i]:

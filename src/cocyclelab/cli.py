@@ -196,7 +196,7 @@ def ap_verify(cfg: ExperimentConfig, run: _Run):
         raise ConfigError("ap.matrix_file is required for ap-verify")
     mats = read_matrix_blocks(path)
     report = avalanche.verify(mats, mu=float(cfg["ap.mu"]) or None)
-    bracket = avalanche.overlap_bracket(mats, report)
+    bracket = avalanche.overlap_bracket(report)
     run.stage("compute")
     run.emit(
         "factors",

@@ -227,7 +227,7 @@ class CocycleFamily:
             problem = "has non-finite entries"
             if not np.any(bad):
                 top, low = linalg.extreme_singular_values_batch(mats)
-                bad = ~((top > 0.0) & (low / np.maximum(top, 1e-300) > linalg.INVERTIBILITY_RTOL))
+                bad = ~linalg.invertible(top, low)
                 problem = "is numerically singular"
             if np.any(bad):
                 i = int(np.argmax(bad))

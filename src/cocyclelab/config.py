@@ -25,7 +25,7 @@ from .util import dyadic_ladder
 _GRID_AUTO = -1  # sentinel: 1024 for nu=1, 64 per axis otherwise
 
 
-def _parse_bool_like_int(raw: str, key: str, line: int | None) -> int:
+def _parse_int(raw: str, key: str, line: int | None) -> int:
     try:
         return int(raw, 0)
     except ValueError:
@@ -53,33 +53,33 @@ def _parse_int_list(raw: str, key: str, line: int | None) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(_parse_bool_like_int(tok, key, line) for tok in raw.replace(",", " ").split())
+    return tuple(_parse_int(tok, key, line) for tok in raw.replace(",", " ").split())
 
 
-# key -> (type, default, allowed-choices-or-None)
-# types: int, float, str, floats (list), ints (list)
-_SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
+# key -> (kind, default, allowed): kind is int, float, str, floats (a list)
+# or ints (a list); allowed is None, a tuple of choices, or a range predicate
+_SCHEMA: dict[str, tuple[str, object, object]] = {
     "cocycle.kind": ("str", "schrodinger", ("constant", "diagonal-exp", "trig-poly", "schrodinger")),
-    "cocycle.dim": ("int", 2, None),
+    "cocycle.dim": ("int", 2, lambda v: v >= 1),
     "cocycle.coupling": ("float", 1.0, None),
     "cocycle.entries": ("floats", (), None),
     "cocycle.x_amp": ("floats", (), None),
     "cocycle.e_amp": ("floats", (), None),
     "cocycle.sampling_cos": ("floats", (0.0, 2.0), None),
     "cocycle.sampling_sin": ("floats", (), None),
-    "cocycle.trig_degree": ("int", 1, None),
+    "cocycle.trig_degree": ("int", 1, lambda v: v >= 0),
     "cocycle.trig_cos": ("floats", (), None),
     "cocycle.trig_sin": ("floats", (), None),
-    "cocycle.beta0": ("float", 1.0, None),
-    "shift.nu": ("int", 1, None),
+    "cocycle.beta0": ("float", 1.0, lambda v: 0.0 < v <= 1.0),
+    "shift.nu": ("int", 1, lambda v: v >= 1),
     "shift.omega": ("str", "golden", None),
-    "shift.dio_exponent": ("float", 2.0, None),
+    "shift.dio_exponent": ("float", 2.0, lambda v: v > 1.0),
     "param.E_min": ("float", 0.0, None),
     "param.E_max": ("float", 0.0, None),
-    "param.E_count": ("int", 1, None),
-    "numerics.grid": ("int", _GRID_AUTO, None),
-    "numerics.n_max": ("int", 1024, None),
-    "numerics.seed": ("int", 0, None),
+    "param.E_count": ("int", 1, lambda v: v >= 1),
+    "numerics.grid": ("int", _GRID_AUTO, lambda v: v >= 1 or v == _GRID_AUTO),
+    "numerics.n_max": ("int", 1024, lambda v: v >= 1),
+    "numerics.seed": ("int", 0, lambda v: 0 <= v < 2**64),
     "output.format": ("str", "csv", ("csv", "json")),
     "output.path": ("str", "", None),
     "ap.mode": ("str", "rank1", ("rank1", "rank2")),
@@ -87,19 +87,19 @@ _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
     "ap.eps_sweep": ("floats", (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), None),
     "ap.matrix_file": ("str", "", None),
     "ap.mu": ("float", 0.0, None),  # 0 means: use the certified gap
-    "ldt.p": ("int", 1, None),
+    "ldt.p": ("int", 1, lambda v: v >= 1),
     "ldt.deltas": ("floats", (0.1,), None),
     "ldt.scales": ("ints", (), None),  # empty: dyadic 16..n_max
     "ldt.model": ("str", "auto", ("auto", "exp_poly", "stretched")),
-    "ldt.k": ("int", 1, None),
-    "rates.j": ("int", 1, None),
-    "rates.n_min": ("int", 4, None),
-    "dichotomy.c1": ("float", 0.05, None),
-    "dichotomy.l0": ("int", 16, None),
-    "holder.j": ("int", 1, None),
-    "holder.pair_budget": ("int", 24, None),
-    "holder.kappa": ("float", 0.05, None),
-    "holder.decades": ("int", 4, None),
+    "ldt.k": ("int", 1, lambda v: v >= 1),
+    "rates.j": ("int", 1, lambda v: v >= 1),
+    "rates.n_min": ("int", 4, lambda v: v >= 2),
+    "dichotomy.c1": ("float", 0.05, lambda v: v > 0.0),
+    "dichotomy.l0": ("int", 16, lambda v: v >= 2),
+    "holder.j": ("int", 1, lambda v: v >= 1),
+    "holder.pair_budget": ("int", 24, lambda v: v >= 3),
+    "holder.kappa": ("float", 0.05, lambda v: v > 0.0),
+    "holder.decades": ("int", 4, lambda v: v >= 3),
     "random.dist": ("str", "rotated_stretch_pair",
                     ("single", "two_rotations", "rotated_stretch_pair",
                      "stretch_or_rotate", "uniform_rotation", "file")),
@@ -109,35 +109,11 @@ _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
     "random.stretch": ("float", 2.0, None),
     "random.angle": ("float", 1.0, None),
     "random.support_file": ("str", "", None),
-    "random.trials": ("int", 400, None),
+    "random.trials": ("int", 400, lambda v: v >= 2),
     "random.scales": ("ints", (), None),  # empty: dyadic 8..n_max
     "random.deltas": ("floats", (), None),
     "random.ld_scales": ("ints", (50, 400), None),
-    "random.c1": ("float", 0.05, None),
-}
-
-_RANGE_CHECKS = {
-    "cocycle.dim": lambda v: v >= 1,
-    "cocycle.beta0": lambda v: 0.0 < v <= 1.0,
-    "cocycle.trig_degree": lambda v: v >= 0,
-    "shift.nu": lambda v: v >= 1,
-    "shift.dio_exponent": lambda v: v > 1.0,
-    "param.E_count": lambda v: v >= 1,
-    "numerics.grid": lambda v: v >= 1 or v == _GRID_AUTO,
-    "numerics.n_max": lambda v: v >= 1,
-    "numerics.seed": lambda v: 0 <= v < 2**64,
-    "ldt.p": lambda v: v >= 1,
-    "ldt.k": lambda v: v >= 1,
-    "rates.j": lambda v: v >= 1,
-    "rates.n_min": lambda v: v >= 2,
-    "dichotomy.c1": lambda v: v > 0.0,
-    "dichotomy.l0": lambda v: v >= 2,
-    "holder.j": lambda v: v >= 1,
-    "holder.pair_budget": lambda v: v >= 3,
-    "holder.kappa": lambda v: v > 0.0,
-    "holder.decades": lambda v: v >= 3,
-    "random.trials": lambda v: v >= 2,
-    "random.c1": lambda v: v > 0.0,
+    "random.c1": ("float", 0.05, lambda v: v > 0.0),
 }
 
 
@@ -324,9 +300,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        kind, _, choices = _SCHEMA[key]
+        kind, _, allowed = _SCHEMA[key]
         if kind == "int":
-            val: object = _parse_bool_like_int(raw_val, key, lineno)
+            val: object = _parse_int(raw_val, key, lineno)
         elif kind == "float":
             val = _parse_float(raw_val, key, lineno)
         elif kind == "floats":
@@ -335,12 +311,11 @@ def parse_config(text: str) -> ExperimentConfig:
             val = _parse_int_list(raw_val, key, lineno)
         else:
             val = " ".join(raw_val.split())
-        if choices is not None and val not in choices:
+        if isinstance(allowed, tuple) and val not in allowed:
             raise ConfigError(
-                f"value {val!r} for {key} not in {sorted(choices)}", lineno
+                f"value {val!r} for {key} not in {sorted(allowed)}", lineno
             )
-        check = _RANGE_CHECKS.get(key)
-        if check is not None and not check(val):
+        if callable(allowed) and not allowed(val):
             raise ConfigError(f"value {val!r} for {key} out of range", lineno)
         values[key] = val
     for key, (kind, default, _) in _SCHEMA.items():

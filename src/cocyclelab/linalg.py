@@ -1,11 +1,8 @@
 """Dense exact-shape linear algebra for small matrices.
 
-Everything here treats a matrix as a plain ``numpy`` array of shape
-``(d, d)`` with float64 or complex128 entries; the scalar field is the
-dtype.  The spectral norm is the one matrix norm used throughout the
-package.  The batch helpers at the end take ``(B, d, d)`` stacks: real
-ones everywhere, and :func:`det_batch` and :func:`compound_batch` also
-complex ones.
+The spectral norm is the one matrix norm used throughout the package.
+The batch helpers take ``(B, d, d)`` stacks: real ones everywhere, and
+:func:`det_batch` and :func:`compound_batch` also complex ones.
 
 No batch helper on the orbit step makes one LAPACK call per small matrix.
 Up to ``d = 3`` a determinant is a closed form on the entry vectors, and
@@ -30,12 +27,15 @@ product is a few vector operations, not ``B`` small BLAS calls.  The
 batch helpers accept any layout; the producers of the orbit and random
 kernels write this one.
 
-The SVD is a one-sided Jacobi iteration rather than a LAPACK call: at
-these dimensions it is fast enough, and it retains high relative
-accuracy on strongly graded matrices (Demmel-Veselic, SIAM J. Matrix
-Anal. Appl. 13, 1992), which matters because singular value *ratios*
-feed the avalanche-principle hypothesis checks.  It returns the singular
-values and the right singular vectors, the only parts those checks read.
+The scalar SVD belongs to the avalanche-principle checker, its one
+client: a one-sided Jacobi iteration on one real matrix, not a LAPACK
+call, because it keeps high relative accuracy on strongly graded
+matrices (Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and the
+checker reads singular value *ratios*, ``sigma_2`` and the top right
+singular direction.  It returns the singular values and the orthogonal
+right factor, the only parts the checker reads.  Membership in GL(d) is
+one rule on the extreme singular values, :func:`invertible`, which the
+checker, the family construction check and the random supports share.
 """
 
 from __future__ import annotations
@@ -66,42 +66,37 @@ _GRAM_SWEEPS = 30
 _SAFE_EXPONENT = 250
 
 
-def _as_square(m) -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.complexfloating):
-        a = a.astype(np.float64)
-    else:
-        a = a.astype(np.complex128)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix has non-finite entries")
-    return a
-
-
 @dataclass(frozen=True)
 class SvdResult:
-    """Singular values ``s`` (non-increasing) and the unitary right factor
-    ``V`` of ``M = U @ diag(s) @ V.conj().T``: the columns of ``M @ V``
-    are orthogonal with norms ``s``."""
+    """Singular values ``s`` (non-increasing) and the orthogonal right
+    factor ``V`` of a real ``M = U @ diag(s) @ V.T``: the columns of
+    ``M @ V`` are orthogonal with norms ``s``."""
 
     singular_values: np.ndarray
     right_factor: np.ndarray
 
 
 def svd(m) -> SvdResult:
-    """One-sided Jacobi SVD ``(s, V)`` of a square real or complex matrix.
+    """One-sided Jacobi SVD ``(s, V)`` of a real square matrix; refuses
+    complex and non-finite input.
 
     Deterministic: identical input yields byte-identical output.
     """
-    a = _as_square(m)
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if np.iscomplexobj(a):
+        raise ValidationError("svd takes real matrices")
+    a = a.astype(np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix has non-finite entries")
     d = a.shape[0]
     # exact scaling by the power of two of the largest entry, only outside
     # the safe range, as LAPACK's xGESVD does (-1022 keeps the factor finite)
     e = math.frexp(float(np.abs(a).max()))[1]
     e = max(e, -1022) if abs(e) > _SAFE_EXPONENT else 0
     b = a * math.ldexp(1.0, -e)
-    v = np.eye(d, dtype=a.dtype)
+    v = np.eye(d)
 
     for _ in range(_MAX_SWEEPS):
         rotated = False
@@ -109,50 +104,48 @@ def svd(m) -> SvdResult:
             for q in range(p + 1, d):
                 bp = b[:, p].copy()
                 bq = b[:, q].copy()
-                app = float(np.real(np.vdot(bp, bp)))
-                aqq = float(np.real(np.vdot(bq, bq)))
-                g = np.vdot(bp, bq)  # conj(bp) . bq
+                app = float(np.vdot(bp, bp))
+                aqq = float(np.vdot(bq, bq))
+                g = np.vdot(bp, bq)
                 mag = abs(g)
                 if mag <= _JACOBI_TOL * np.sqrt(app * aqq) or mag == 0.0:
                     continue
                 rotated = True
-                phase = g / mag
                 tau = (aqq - app) / (2.0 * mag)
                 t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
                 c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                # right-multiply columns (p,q) by diag(1, conj(phase)) then
-                # the real rotation [[c, s], [-s, c]]; phase is +-1 for reals
-                bq_al = bq * np.conj(phase)
-                b[:, p] = c * bp - s * bq_al
-                b[:, q] = s * bp + c * bq_al
+                # the rotation [[c, s], [-s, c]] of columns (p, q), with the
+                # sign of g folded into s
+                s = c * t * np.sign(g)
+                b[:, p] = c * bp - s * bq
+                b[:, q] = s * bp + c * bq
                 vp = v[:, p].copy()
-                vq_al = v[:, q] * np.conj(phase)
-                v[:, p] = c * vp - s * vq_al
-                v[:, q] = s * vp + c * vq_al
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
         if not rotated:
             break
     else:
         raise NumericalRefusal("Jacobi SVD failed to converge")
 
-    sigma = np.ldexp(np.sqrt(np.sum(np.abs(b) ** 2, axis=0)), e)
+    sigma = np.ldexp(np.sqrt(np.sum(b * b, axis=0)), e)
     order = np.argsort(-sigma, kind="stable")
     return SvdResult(singular_values=sigma[order], right_factor=v[:, order])
 
 
-def operator_norm(m) -> float:
-    """Spectral norm, i.e. the largest singular value."""
-    a = _as_square(m)
-    if a.shape[0] == 1:
-        return float(abs(a[0, 0]))
-    return float(svd(a).singular_values[0])
+def invertible(top, low):
+    """The GL(d) rule on the extreme singular values ``top >= low`` of one
+    matrix or of a stack: ``top > 0`` and ``low / top > INVERTIBILITY_RTOL``."""
+    top, low = np.asarray(top), np.asarray(low)
+    ratio = np.divide(low, top, out=np.zeros(np.shape(low)), where=top > 0.0)
+    return (top > 0.0) & (ratio > INVERTIBILITY_RTOL)
 
 
 def require_invertible(m, context: str = "matrix") -> SvdResult:
     """Conditioning-based GL(d) membership test; returns the SVD it tested."""
     res = svd(m)
     s = res.singular_values
-    if not (s[0] > 0.0 and float(s[-1] / s[0]) > INVERTIBILITY_RTOL):
+    if not invertible(s[0], s[-1]):
         raise NumericalRefusal(
             f"{context} is numerically singular "
             f"(singular value ratio below {INVERTIBILITY_RTOL:g})"

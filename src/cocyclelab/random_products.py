@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import NumericalRefusal, ValidationError
 from .rates import DichotomyVerdict, RateSeries, dichotomy
 from .util import pairwise_mean
 
@@ -58,22 +58,30 @@ class MatrixDistribution:
         if (self.support is None) == (self.sampler is None):
             raise ValidationError("exactly one of support/sampler must be given")
         if self.support is not None:
-            mats = []
-            total = 0.0
-            for m, prob in self.support:
-                a = np.asarray(m, dtype=np.float64)
-                if a.shape != (self.dim, self.dim):
-                    raise ValidationError("support matrix shape mismatch")
-                linalg.require_invertible(a, context="support matrix")
-                if prob < 0.0:
-                    raise ValidationError("negative probability")
-                mats.append((a, float(prob)))
-                total += float(prob)
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError(f"probabilities sum to {total}, not 1")
-            object.__setattr__(self, "support", tuple(mats))
-            object.__setattr__(self, "_lanes", np.stack([m for m, _ in mats], axis=2))
-            object.__setattr__(self, "_cum", np.cumsum([p for _, p in mats]))
+            mats = [np.asarray(m, dtype=np.float64) for m, _ in self.support]
+            if not mats:
+                raise ValidationError("empty support")
+            if any(a.shape != (self.dim, self.dim) for a in mats):
+                raise ValidationError("support matrix shape mismatch")
+            lanes = np.stack(mats, axis=2)
+            finite = np.all(np.isfinite(lanes), axis=(0, 1))
+            if not np.all(finite):
+                raise ValidationError(
+                    f"support matrix {np.argmin(finite)} has non-finite entries")
+            ok = linalg.invertible(*linalg.extreme_singular_values_batch(lanes.transpose(2, 0, 1)))
+            if not np.all(ok):
+                raise NumericalRefusal(
+                    f"support matrix {np.argmin(ok)} is numerically singular "
+                    f"(singular value ratio below {linalg.INVERTIBILITY_RTOL:g})")
+            probs = [float(prob) for _, prob in self.support]
+            if any(prob < 0.0 for prob in probs):
+                raise ValidationError("negative probability")
+            cum = np.cumsum(probs)  # summed in order, so cum[-1] is the total
+            if not abs(cum[-1] - 1.0) <= 1e-12:  # a nan probability too
+                raise ValidationError(f"probabilities sum to {cum[-1]}, not 1")
+            object.__setattr__(self, "support", tuple(zip(mats, probs)))
+            object.__setattr__(self, "_lanes", lanes)
+            object.__setattr__(self, "_cum", cum)
         elif self.sampler not in ("uniform_rotation",):
             raise ValidationError(f"unknown sampler {self.sampler!r}")
         elif self.dim != 2:

@@ -62,10 +62,14 @@ def richardson_proxy(values: tuple[float, ...]) -> float:
 def rate_series(
     fam: CocycleFamily, E: float, j: int, n_max: int, m: int, n_min: int = 4
 ) -> RateSeries:
-    """Fill the dyadic ladder ``n_min..n_max`` for exponent index ``j``."""
+    """Fill the dyadic ladder ``n_min..n_max`` for exponent index ``j``; the
+    ladder must end at ``n_max``, a power of two."""
     if n_max < 2 * n_min or n_max & (n_max - 1):
         raise ValidationError("n_max must be a power of two at least twice n_min")
     scales = dyadic_ladder(n_min, n_max)
+    if scales[-1] != n_max:
+        raise ValidationError(
+            f"the dyadic ladder from n_min = {n_min} ends at {scales[-1]}, not at n_max = {n_max}")
     ladder = fam.exponent_ladder(E, scales, m, j)
     vals = tuple(float(ladder[n]) for n in scales)
     return RateSeries(j=int(j), scales=scales, values=vals)

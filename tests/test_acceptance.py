@@ -107,24 +107,31 @@ def test_04_projection_demo():
 def test_05_exterior_power_identities():
     t0 = time.monotonic()
     rng = np.random.default_rng(5)
-    worst_fun = 0.0
-    worst_ref = 0.0
-    worst_norm = 0.0
+    cases = {}  # (d, p) -> the (a, b) pairs drawn for it
     for _ in range(200):
         d = int(rng.integers(2, 7))
         p = int(rng.integers(1, d + 1))
         a = rng.standard_normal((d, d))
         b = rng.standard_normal((d, d))
-        wedge_a, wedge_b, lhs = linalg.compound_batch(np.stack([a, b, a @ b]), p)
-        rhs = wedge_a @ wedge_b
-        scale = max(linalg.operator_norm(lhs), 1e-300)
-        worst_fun = max(worst_fun, linalg.operator_norm(lhs - rhs) / scale)
-        ref = exterior_power(a, p)
-        worst_ref = max(worst_ref, linalg.operator_norm(wedge_a - ref) / linalg.operator_norm(ref))
-        sigma = linalg.svd(a).singular_values
-        want = float(np.prod(sigma[:p]))
-        got = linalg.operator_norm(wedge_a)
-        worst_norm = max(worst_norm, abs(got - want) / max(want, 1e-300))
+        cases.setdefault((d, p), []).append((a, b))
+    worst_fun = 0.0
+    worst_ref = 0.0
+    worst_norm = 0.0
+    for (d, p), pairs in cases.items():
+        # one stack per (d, p), so the compound norms are one batched call
+        a_s = np.array([a for a, _ in pairs])
+        b_s = np.array([b for _, b in pairs])
+        wedge_a = linalg.compound_batch(a_s, p)
+        wedge_b = linalg.compound_batch(b_s, p)
+        lhs = linalg.compound_batch(a_s @ b_s, p)
+        for a, wa, wb, wab in zip(a_s, wedge_a, wedge_b, lhs):
+            scale = max(np.linalg.norm(wab, 2), 1e-300)
+            worst_fun = max(worst_fun, np.linalg.norm(wab - wa @ wb, 2) / scale)
+            ref = exterior_power(a, p)
+            worst_ref = max(worst_ref, np.linalg.norm(wa - ref, 2) / np.linalg.norm(ref, 2))
+        want = np.prod(np.linalg.svd(a_s, compute_uv=False)[:, :p], axis=1)
+        got = linalg.spectral_norm_batch(wedge_a)
+        worst_norm = max(worst_norm, float(np.max(np.abs(got - want) / np.maximum(want, 1e-300))))
     elapsed = time.monotonic() - t0
     verdict(
         5, "exterior-power identities",

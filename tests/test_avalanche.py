@@ -156,7 +156,7 @@ class TestOverlapBracket:
     def test_aligned_diagonals_overlap_one(self):
         mats = [np.diag([1e6, 1.0])] * 4
         report = ap.verify(mats)
-        br = ap.overlap_bracket(mats, report)
+        br = ap.overlap_bracket(report)
         assert np.allclose(br.overlaps, 1.0)
         assert np.allclose(report.pair_ratios, 1.0)
         assert br.ok
@@ -167,11 +167,11 @@ class TestOverlapBracket:
         d = np.diag([1e6, 1.0])
         for theta in (0.1, 0.4, 1.0):
             mats = [d, d @ rot(theta)]
-            br = ap.overlap_bracket(mats, ap.verify(mats))
+            br = ap.overlap_bracket(ap.verify(mats))
             assert abs(br.overlaps[0] - abs(np.cos(theta))) <= 1e-12
             # rotating the output side instead leaves the directions aligned
             mats = [d, rot(theta) @ d]
-            br2 = ap.overlap_bracket(mats, ap.verify(mats))
+            br2 = ap.overlap_bracket(ap.verify(mats))
             assert abs(br2.overlaps[0] - 1.0) <= 1e-12
 
     def test_bracket_on_seeded_admissible_sequences(self):
@@ -180,7 +180,7 @@ class TestOverlapBracket:
         for _ in range(1000):
             d = np.diag([10.0 ** rng.uniform(4, 6), rng.uniform(0.5, 2.0)])
             mats = [d @ rot(rng.uniform(-0.2, 0.2)) for _ in range(int(rng.integers(2, 8)))]
-            br = ap.overlap_bracket(mats, ap.verify(mats))
+            br = ap.overlap_bracket(ap.verify(mats))
             assert br.ok
             checked += len(br.overlaps)
         assert checked > 1000
@@ -188,12 +188,7 @@ class TestOverlapBracket:
     def test_degenerate_top_value_refused(self):
         with pytest.raises(NumericalRefusal, match="unverifiable"):
             mats = [rot(0.3), np.diag([2.0, 1.0])]
-            ap.overlap_bracket(mats, ap.verify(mats))
-
-    def test_report_must_match_matrices(self):
-        mats = [np.diag([1e6, 1.0])] * 3
-        with pytest.raises(ValidationError, match="report"):
-            ap.overlap_bracket(mats[:2], ap.verify(mats))
+            ap.overlap_bracket(ap.verify(mats))
 
     def test_factors_beyond_square_range(self):
         # each factor's squared norm leaves the float range, its neighbour
@@ -205,8 +200,8 @@ class TestOverlapBracket:
         unit = [m / np.linalg.norm(m, 2) for m in mats]
         unit_report = ap.verify(unit)
         assert np.allclose(report.pair_ratios, unit_report.pair_ratios, rtol=1e-12)
-        assert np.allclose(ap.overlap_bracket(mats, report).overlaps,
-                           ap.overlap_bracket(unit, unit_report).overlaps, rtol=1e-12)
+        assert np.allclose(ap.overlap_bracket(report).overlaps,
+                           ap.overlap_bracket(unit_report).overlaps, rtol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_neighbour_products_beyond_float_range_refused(self, scale):
@@ -218,6 +213,22 @@ class TestOverlapBracket:
         mats = [np.array([[2.0]]), np.array([[3.0]])]
         with pytest.raises(ValidationError, match="at least 2x2"):
             ap.verify(mats)
+
+    def test_scalar_factors_refused_before_any_svd(self, monkeypatch):
+        # a singular 1x1 factor is still a 1x1 factor: exit 1, not exit 2
+        def no_svd(m):
+            raise AssertionError("SVD of a factor verify must refuse")
+
+        monkeypatch.setattr(linalg, "svd", no_svd)
+        with pytest.raises(ValidationError, match="at least 2x2"):
+            ap.verify([np.array([[0.0]]), np.array([[2.0]])])
+
+    def test_report_carries_its_factors(self):
+        mats = [np.diag([1e6, 1.0]), [[2e6, 0.0], [0.0, 1.0]]]
+        report = ap.verify(mats)
+        assert len(report.factors) == 2
+        assert all(f.dtype == np.float64 and np.array_equal(f, m)
+                   for f, m in zip(report.factors, mats))
 
 
 class TestOneSvdPerFactor:
@@ -241,7 +252,7 @@ class TestOneSvdPerFactor:
             rep = ap.verify(mats)
             assert len(svd_calls) == 3 * n - 1
             svd_calls.clear()
-            ap.overlap_bracket(mats, rep)
+            ap.overlap_bracket(rep)
             assert svd_calls == []
 
     def test_report_reuses_the_factor_decomposition(self):
@@ -253,7 +264,7 @@ class TestOneSvdPerFactor:
             assert rep.second_values[j] == res.singular_values[1]
             assert np.array_equal(rep.directions[j], res.right_factor[:, 0])
         for j in range(rep.n - 1):
-            exact = linalg.operator_norm(mats[j + 1] @ mats[j])
+            exact = np.linalg.norm(mats[j + 1] @ mats[j], 2)
             assert abs(rep.pair_norms[j] - exact) <= 1e-14 * exact
 
 

@@ -1,11 +1,16 @@
+import ast
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cocyclelab import linalg
+from cocyclelab import random_products as rp
+from cocyclelab.cocycle import (DEFAULT_OMEGA_2D, ConstantFamily, SchrodingerFamily, ShiftBase,
+                                TrigPolyFamily, golden_base, torus_grid)
 from cocyclelab.errors import NumericalRefusal, ValidationError
 
 EPS = np.finfo(np.float64).eps
@@ -114,18 +119,25 @@ class TestSvd:
         d = int(rng.integers(1, 7))
         m = rng.standard_normal((d, d))
         if complex_field:
-            m = m + 1j * rng.standard_normal((d, d))
+            # svd refuses complex input; a complex X + iY enters through its
+            # real form [[X, -Y], [Y, X]], which has each singular value twice
+            z = m + 1j * rng.standard_normal((d, d))
+            m = np.block([[z.real, -z.imag], [z.imag, z.real]])
+            d *= 2
         r = linalg.svd(m)
+        if complex_field:
+            want = np.linalg.svd(z, compute_uv=False)
+            assert np.allclose(r.singular_values, np.repeat(want, 2), rtol=1e-12, atol=0)
         s1 = r.singular_values[0]
         tol = d * EPS * max(s1, 1.0) * 32
         assert np.all(np.diff(r.singular_values) <= 0)
         assert np.all(r.singular_values >= 0)
-        # the columns of M V are orthogonal with norms sigma, and V is unitary
+        # the columns of M V are orthogonal with norms sigma, and V is orthogonal
         mv = m @ r.right_factor
-        gram = mv.conj().T @ mv
+        gram = mv.T @ mv
         assert np.max(np.abs(gram - np.diag(r.singular_values**2))) <= tol * max(s1, 1.0)
         eye = np.eye(d)
-        assert np.max(np.abs(r.right_factor.conj().T @ r.right_factor - eye)) <= tol
+        assert np.max(np.abs(r.right_factor.T @ r.right_factor - eye)) <= tol
 
     def test_graded_matrix_relative_accuracy(self):
         m = np.diag([1e9, 1.0, 1e-9])
@@ -146,6 +158,17 @@ class TestSvd:
         with pytest.raises(ValidationError):
             linalg.svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_complex(self):
+        with pytest.raises(ValidationError, match="real"):
+            linalg.svd(np.eye(2) + 1j * np.eye(2))
+        with pytest.raises(ValidationError, match="real"):
+            linalg.svd(np.eye(3, dtype=np.complex128))
+
+    def test_rejects_non_square(self):
+        for bad in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
+            with pytest.raises(ValidationError, match="square"):
+                linalg.svd(bad)
+
     def test_zero_matrix(self):
         r = linalg.svd(np.zeros((3, 3)))
         assert np.all(r.singular_values == 0.0)
@@ -153,16 +176,19 @@ class TestSvd:
 
 
 class TestOperatorNorm:
+    """The operator norm is ``spectral_norm_batch``, on one-matrix stacks here."""
+
     def test_identity(self):
-        assert linalg.operator_norm(np.eye(4)) == 1.0
+        assert linalg.spectral_norm_batch(np.eye(4)[np.newaxis]).tolist() == [1.0]
 
     def test_diagonal(self):
-        assert linalg.operator_norm(np.diag([2.0, 0.5])) == 2.0
+        assert linalg.spectral_norm_batch(np.diag([2.0, 0.5])[np.newaxis]).tolist() == [2.0]
 
     def test_power_iteration_oracle(self):
         rng = np.random.default_rng(55)
         m = rng.standard_normal((5, 5))
-        assert abs(linalg.operator_norm(m) - power_iteration_norm(m)) <= 1e-10
+        got = linalg.spectral_norm_batch(m[np.newaxis])[0]
+        assert abs(got - power_iteration_norm(m)) <= 1e-10
 
 
 class TestExteriorPower:
@@ -222,8 +248,8 @@ class TestExteriorPower:
                 b = b + 1j * rng.standard_normal((d, d))
             lhs = compound(a @ b, p)
             rhs = compound(a, p) @ compound(b, p)
-            scale = max(linalg.operator_norm(lhs), 1e-30)
-            assert linalg.operator_norm(lhs - rhs) <= 1e-10 * scale
+            scale = max(np.linalg.norm(lhs, 2), 1e-30)
+            assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * scale
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_isometry_preserved(self, complex_field):
@@ -234,8 +260,8 @@ class TestExteriorPower:
             m = rng.standard_normal((d, d))
             if complex_field:
                 m = m + 1j * rng.standard_normal((d, d))
-            v = linalg.svd(m).right_factor
-            assert abs(linalg.operator_norm(compound(v, p)) - 1.0) <= 1e-12
+            v = np.linalg.qr(m)[0]  # orthogonal, or unitary
+            assert abs(np.linalg.norm(compound(v, p), 2) - 1.0) <= 1e-12
 
     def test_norm_equals_singular_value_product(self):
         rng = np.random.default_rng(23)
@@ -243,9 +269,9 @@ class TestExteriorPower:
             d = int(rng.integers(2, 7))
             p = int(rng.integers(1, d + 1))
             m = rng.standard_normal((d, d))
-            sigma = linalg.svd(m).singular_values
+            sigma = np.linalg.svd(m, compute_uv=False)
             expected = float(np.prod(sigma[:p]))
-            got = linalg.operator_norm(compound(m, p))
+            got = np.linalg.norm(compound(m, p), 2)
             assert abs(got - expected) <= 1e-10 * max(expected, 1e-30)
 
 
@@ -271,6 +297,64 @@ class TestInvertibility:
             warnings.simplefilter("error", RuntimeWarning)
             res = linalg.require_invertible(np.diag(sigma))
         assert tuple(res.singular_values) == sigma
+
+
+    def test_rule_on_extreme_singular_values(self):
+        top = np.array([1.0, 1.0, 1.0, 0.0, 1e-305, 1e200])
+        low = np.array([1e-10, 1e-13, 0.0, 0.0, 1e-310, 1e190])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert linalg.invertible(top, low).tolist() == [True, False, False, False, True, True]
+            assert linalg.invertible(2.0, 1.0) and not linalg.invertible(0.0, 0.0)
+
+    def test_one_rule_for_families_supports_and_ap_factors(self, monkeypatch):
+        calls = []
+        real = linalg.invertible
+        monkeypatch.setattr(linalg, "invertible",
+                            lambda top, low: calls.append(1) or real(top, low))
+        ConstantFamily(base=golden_base(), dim=2, matrix=np.diag([2.0, 0.5]))
+        assert calls
+        calls.clear()
+        rp.single_matrix(np.diag([2.0, 0.5]))
+        assert calls
+        calls.clear()
+        linalg.require_invertible(np.diag([2.0, 0.5]))
+        assert calls
+
+
+class TestScalarSvdConfinement:
+    """The scalar Jacobi SVD serves the avalanche-principle checker alone."""
+
+    def test_no_other_module_calls_it(self):
+        src = Path(linalg.__file__).parent
+        callers = set()
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in ("svd", "require_invertible"):
+                    if isinstance(node.value, ast.Name) and node.value.id == "linalg":
+                        callers.add(path.name)
+                if isinstance(node, ast.ImportFrom) and any(
+                        a.name in ("svd", "require_invertible") for a in node.names):
+                    callers.add(path.name)
+        assert callers == {"avalanche.py"}
+
+    def test_construction_and_kernels_make_no_scalar_svd(self, monkeypatch):
+        def scalar_svd(*args, **kwargs):
+            raise AssertionError("scalar Jacobi SVD outside the AP checker")
+
+        monkeypatch.setattr(linalg, "svd", scalar_svd)
+        monkeypatch.setattr(linalg, "require_invertible", scalar_svd)
+        fam = SchrodingerFamily(base=golden_base(), dim=2, coupling=3.0)
+        base = ShiftBase(omega=DEFAULT_OMEGA_2D)
+        fam3 = TrigPolyFamily(base=base, dim=3,
+                              cos_coeffs=np.eye(3)[..., np.newaxis] * [2.0, 0.5],
+                              sin_coeffs=np.ones((3, 3, 1)) * 0.3)
+        assert np.all(np.isfinite(fam.orbit_lognorms(0.0, torus_grid(1, 8), 16)))
+        assert np.all(np.isfinite(fam3.orbit_lognorms(0.0, torus_grid(2, 4), 16, p=2)))
+        for dim in (2, 3):
+            dist = rp.MatrixDistribution(dim=dim, seed=1, support=(
+                (2.0 * np.eye(dim), 0.5), (np.triu(np.ones((dim, dim))), 0.5)))
+            assert np.all(np.isfinite(rp._batched_lognorms(dist, 16, range(4))))
 
 
 class TestBatchHelpers:
