@@ -13,16 +13,17 @@ overlaps by the pair-norm ratios; the rank-1 / rank-2 projection
 families (:func:`projection_matrices`, run through :func:`verify`) show
 where the mechanism lives and where it genuinely fails.
 
-Every number comes from one path, the scalar Jacobi SVD of
+Every number comes from one path, the one-sided Jacobi SVD of
 :func:`linalg.svd`, whose only client this module is: it needs
 ``sigma_2`` and the top right-singular direction to relative accuracy.
-Each factor gets one SVD, which supplies the invertibility check,
-``sigma_1``, ``sigma_2`` and the top direction.  Each adjacent pair gets
-one scaled norm ``||A_{j+1} (A_j / ||A_j||)||``, which gives both the
-reported pair norm and the pair term of the discrepancy.  The running
-product of the full sequence, renormalised by its norm after every
-factor, is the only other norm taken, so ``n`` factors cost ``3n - 1``
-SVDs.
+One call on the stack of all ``n`` factors supplies the invertibility
+check, ``sigma_1``, ``sigma_2`` and the top directions.  One call on the
+stack of the ``n - 1`` scaled pair products ``A_{j+1} (A_j / ||A_j||)``
+gives both the reported pair norms and the pair terms of the
+discrepancy.  The running product of the full sequence, renormalised by
+its norm after every factor, starts from the first factor and the first
+scaled pair product; each of its ``n - 2`` later steps is one
+single-matrix call.
 """
 
 from __future__ import annotations
@@ -57,33 +58,43 @@ def _factors(matrices) -> list[np.ndarray]:
 
 
 def _decompose(mats):
-    """One SVD per factor, which also checks that it is invertible, their
-    norms, and the scaled pair norms ``||A_{j+1} (A_j / ||A_j||)||``.
+    """The SVD of every factor, which also checks that each is invertible,
+    their norms, the scaled pair products ``A_{j+1} (A_j / ||A_j||)`` and
+    the norms of those.
 
-    A scaled pair norm is the second step of the running product of
-    :func:`_discrepancy` on ``A_j, A_{j+1}``, so ``log ||A_j|| + log`` of it
-    is that pair's scaled log-norm bit for bit, and the ``n = 2``
-    discrepancy cancels exactly.
+    One Jacobi SVD covers the factors and one the pair products.  A scaled
+    pair product is the second step of the running product of
+    :func:`_discrepancy` on ``A_j, A_{j+1}``, so ``log ||A_j|| + log`` of
+    its norm is that pair's scaled log-norm bit for bit.
     """
-    svds = [linalg.require_invertible(m, context=f"factor {i}") for i, m in enumerate(mats)]
-    norms = np.array([s.singular_values[0] for s in svds])
-    scaled_pairs = np.array([linalg.svd(b @ (a / nrm)).singular_values[0]
-                             for a, b, nrm in zip(mats, mats[1:], norms)])
-    return svds, norms, scaled_pairs
+    stack = np.array(mats)
+    svds = linalg.require_invertible(stack, context="factor")
+    norms = svds.singular_values[:, 0]
+    products = stack[1:] @ (stack[:-1] / norms[:-1, np.newaxis, np.newaxis])
+    scaled_pairs = linalg.svd(products, compute_uv=False)[:, 0]
+    return svds, norms, products, scaled_pairs
 
 
-def _discrepancy(mats, norms, scaled_pairs) -> float:
+def _discrepancy(mats, norms, products, scaled_pairs) -> float:
     """The AP discrepancy, with ``log ||A_n ... A_1||`` from a running
-    product renormalised by its norm after every factor."""
-    total = 0.0
-    prod = None
-    for a in mats:
-        prod = a if prod is None else a @ prod
-        nrm = linalg.svd(prod).singular_values[0]
+    product renormalised by its norm after every factor.
+
+    Its first two steps are the first factor and the first scaled pair
+    product, whose norms :func:`_decompose` has taken, so ``n = 2``
+    cancels exactly; every later step is one more single-matrix SVD.
+    """
+    def log_norm(nrm) -> float:
         if nrm <= 0.0:
             raise NumericalRefusal("zero product norm in scaled accumulation")
-        prod = prod / nrm
-        total += float(np.log(nrm))
+        return float(np.log(nrm))
+
+    total = log_norm(norms[0])
+    prod, nrm = products[0], scaled_pairs[0]
+    for a in mats[2:]:
+        total += log_norm(nrm)
+        prod = a @ (prod / nrm)
+        nrm = linalg.svd(prod, compute_uv=False)[0]
+    total += log_norm(nrm)
     logs = [float(np.log(x)) for x in norms]
     middle = sum(logs[1:-1])
     pairs = sum(logs[j] + float(np.log(s)) for j, s in enumerate(scaled_pairs))
@@ -141,9 +152,9 @@ def verify(matrices, mu: float | None = None) -> APReport:
     d = mats[0].shape[0]
     if d < 2:
         raise ValidationError("AP factors must be at least 2x2: a gap needs a second singular value")
-    svds, norms, scaled_pairs = _decompose(mats)
+    svds, norms, products, scaled_pairs = _decompose(mats)
     # positive: every factor passed the invertibility check
-    seconds = np.array([s.singular_values[1] for s in svds])
+    seconds = svds.singular_values[:, 1]
     gaps = norms / seconds
     mu_cert = float(np.min(gaps))
     mu_used = mu_cert if mu is None else float(mu)
@@ -168,7 +179,7 @@ def verify(matrices, mu: float | None = None) -> APReport:
         factors=tuple(mats),
         norms=norms,
         second_values=seconds,
-        directions=np.array([s.right_factor[:, 0] for s in svds]),
+        directions=svds.right_factor[:, :, 0],
         gaps=gaps,
         mu=mu_used,
         pair_norms=pair_norms,
@@ -176,7 +187,7 @@ def verify(matrices, mu: float | None = None) -> APReport:
         cond_dominant_direction=cond_a,
         cond_mu_floor=cond_b,
         cond_no_cancellation=cond_c,
-        discrepancy=_discrepancy(mats, norms, scaled_pairs),
+        discrepancy=_discrepancy(mats, norms, products, scaled_pairs),
         bound=float(C_IMPL * n / np.sqrt(mu_used)),
     )
 
@@ -190,8 +201,7 @@ def ap_discrepancy(matrices) -> float:
     :func:`verify` it takes 1x1 factors.
     """
     mats = _factors(matrices)
-    _, norms, scaled_pairs = _decompose(mats)
-    return _discrepancy(mats, norms, scaled_pairs)
+    return _discrepancy(mats, *_decompose(mats)[1:])
 
 
 @dataclass(frozen=True)

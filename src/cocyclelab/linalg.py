@@ -27,20 +27,20 @@ product is a few vector operations, not ``B`` small BLAS calls.  The
 batch helpers accept any layout; the producers of the orbit and random
 kernels write this one.
 
-The scalar SVD belongs to the avalanche-principle checker, its one
-client: a one-sided Jacobi iteration on one real matrix, not a LAPACK
-call, because it keeps high relative accuracy on strongly graded
-matrices (Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and the
-checker reads singular value *ratios*, ``sigma_2`` and the top right
-singular direction.  It returns the singular values and the orthogonal
-right factor, the only parts the checker reads.  Membership in GL(d) is
-one rule on the extreme singular values, :func:`invertible`, which the
+The full SVD belongs to the avalanche-principle checker, its one
+client: a one-sided Jacobi iteration over a lanes-last stack of real
+matrices (one matrix is a stack of one), not a LAPACK call, because it
+keeps high relative accuracy on strongly graded matrices
+(Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and the checker
+reads singular value *ratios*, ``sigma_2`` and the top right singular
+direction.  It returns the singular values and the orthogonal right
+factor, the only parts the checker reads.  Membership in GL(d) is one
+rule on the extreme singular values, :func:`invertible`, which the
 checker, the family construction check and the random supports share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -64,73 +64,120 @@ _GRAM_SWEEPS = 30
 #: svd scales a matrix whose largest entry lies beyond 2^+-250, where a product
 #: of two squared column norms could leave the float range
 _SAFE_EXPONENT = 250
+#: the sign pattern of a column pair turned a quarter, (p, q) -> (-q, p)
+_FLIP = np.array([-1.0, 1.0])[:, np.newaxis]
 
 
 @dataclass(frozen=True)
 class SvdResult:
     """Singular values ``s`` (non-increasing) and the orthogonal right
-    factor ``V`` of a real ``M = U @ diag(s) @ V.T``: the columns of
-    ``M @ V`` are orthogonal with norms ``s``."""
+    factor ``V`` of a real ``M = U @ diag(s) @ V.T``, or of each matrix of
+    a stack: the columns of ``M @ V`` are orthogonal with norms ``s``."""
 
     singular_values: np.ndarray
     right_factor: np.ndarray
 
 
-def svd(m) -> SvdResult:
-    """One-sided Jacobi SVD ``(s, V)`` of a real square matrix; refuses
-    complex and non-finite input.
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x[0] + x[1] + ...``, added in row order, so that a column dot
+    product of lanes-last matrices has bits that no other lane moves."""
+    acc = x[0]
+    for row in x[1:]:
+        acc = acc + row
+    return acc
 
-    Deterministic: identical input yields byte-identical output.
+
+def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
+    """One-sided Jacobi SVD of a real square matrix, or of each matrix of a
+    real ``(..., d, d)`` stack; refuses complex and non-finite input.
+
+    Returns ``SvdResult`` with ``s`` of shape ``(..., d)`` and ``V`` of
+    shape ``(..., d, d)``; with ``compute_uv=False`` it returns ``s``
+    alone and skips the updates of ``V``, as ``np.linalg.svd`` does.
+
+    The stack is swept lanes-last, each lane by the same vector
+    operations, and a lane leaves the sweeps after its first sweep without
+    a rotation.  So every matrix gets the same bits as it would in a stack
+    of one, and one matrix is a stack of one.  A lane that has not
+    converged after ``_MAX_SWEEPS`` sweeps refuses the whole call.
+    Identical input yields byte-identical output.
     """
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if np.iscomplexobj(a):
         raise ValidationError("svd takes real matrices")
-    a = a.astype(np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
-    d = a.shape[0]
-    # exact scaling by the power of two of the largest entry, only outside
-    # the safe range, as LAPACK's xGESVD does (-1022 keeps the factor finite)
-    e = math.frexp(float(np.abs(a).max()))[1]
-    e = max(e, -1022) if abs(e) > _SAFE_EXPONENT else 0
-    b = a * math.ldexp(1.0, -e)
-    v = np.eye(d)
+    d = a.shape[-1]
+    # (d, d, B) lanes-last: column p of every matrix is x[:, p], rows of
+    # contiguous lanes; with V, its rows go below those of the matrix, so
+    # that one rotation of columns turns both
+    x = np.zeros((2 * d if compute_uv else d, d, a.size // (d * d)))
+    x[:d] = a.reshape(-1, d, d).transpose(1, 2, 0)
+    if compute_uv:
+        x[range(d, 2 * d), range(d)] = 1.0
+    # exact scaling by the power of two of each matrix's largest entry, only
+    # outside the safe range, as LAPACK's xGESVD does (-1022 keeps 2^-e finite)
+    e = np.frexp(np.abs(x[:d]).max(axis=(0, 1)))[1]
+    outside = np.abs(e) > _SAFE_EXPONENT
+    if outside.any():
+        e = np.where(outside, np.maximum(e, -1022), 0)
+        np.ldexp(x[:d], -e, out=x[:d])
+    else:
+        e = 0
 
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                bp = b[:, p].copy()
-                bq = b[:, q].copy()
-                app = float(np.vdot(bp, bp))
-                aqq = float(np.vdot(bq, bq))
-                g = np.vdot(bp, bq)
-                mag = abs(g)
-                if mag <= _JACOBI_TOL * np.sqrt(app * aqq) or mag == 0.0:
+    # columns p < q as one basic slice, so that work[pq] is a view
+    pairs = [np.s_[:, p:q + 1:q - p] for p, q in combinations(range(d), 2)]
+    lanes = np.arange(x.shape[-1])  # the lanes still sweeping ...
+    work = x  # ... and their columns
+    # tau overflows to +-inf where mag is subnormal, and t is then 0; no
+    # other quantity of the sweeps can leave the float range
+    with np.errstate(over="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            rotated = np.zeros(lanes.size, dtype=bool)
+            for pq in pairs:
+                cols = work[:d][pq]
+                gram = _row_sum(cols[:, :, np.newaxis] * cols[:, np.newaxis])
+                app, aqq, g = gram[0, 0], gram[1, 1], gram[0, 1]
+                mag = np.abs(g)
+                # a lane that passes this test counts as rotated, also where t is 0
+                rot = mag > _JACOBI_TOL * np.sqrt(app * aqq)
+                n_rot = np.count_nonzero(rot)
+                if n_rot == 0:
                     continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * mag)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
+                rotated |= rot
+                every = n_rot == rot.size
+                tau = (aqq - app) / (2.0 * mag if every else np.where(rot, 2.0 * mag, 1.0))
+                # tau is never -0: copysign is its sign, and t = 1 at tau = 0
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
                 c = 1.0 / np.hypot(1.0, t)
                 # the rotation [[c, s], [-s, c]] of columns (p, q), with the
-                # sign of g folded into s
+                # sign of g folded into s: (p, q) -> c (p, q) + s (-q, p)
                 s = c * t * np.sign(g)
-                b[:, p] = c * bp - s * bq
-                b[:, q] = s * bp + c * bq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-    else:
-        raise NumericalRefusal("Jacobi SVD failed to converge")
+                old = work[pq]
+                new = c * old + s * (old[:, ::-1] * _FLIP)
+                work[pq] = new if every else np.where(rot, new, old)
+            if not rotated.all():
+                # lanes without a rotation have converged: store any that
+                # were copied out, and sweep the rest
+                if work is not x:
+                    x[..., lanes[~rotated]] = work[..., ~rotated]
+                lanes = lanes[rotated]
+                if lanes.size == 0:
+                    break
+                work = work[..., rotated]
+        else:
+            raise NumericalRefusal("Jacobi SVD failed to converge")
 
-    sigma = np.ldexp(np.sqrt(np.sum(b * b, axis=0)), e)
-    order = np.argsort(-sigma, kind="stable")
-    return SvdResult(singular_values=sigma[order], right_factor=v[:, order])
+    sigma = np.ldexp(np.sqrt(_row_sum(x[:d] * x[:d])), e).T
+    if not compute_uv:
+        # negation is exact, so these are the values in stable descending order
+        return -np.sort(-sigma, axis=-1).reshape(a.shape[:-1])
+    order = np.argsort(-sigma, axis=-1, kind="stable")
+    s = np.take_along_axis(sigma, order, axis=-1)
+    right = np.take_along_axis(x[d:].transpose(2, 0, 1), order[:, np.newaxis], axis=-1)
+    return SvdResult(singular_values=s.reshape(a.shape[:-1]), right_factor=right.reshape(a.shape))
 
 
 def invertible(top, low):
@@ -142,12 +189,16 @@ def invertible(top, low):
 
 
 def require_invertible(m, context: str = "matrix") -> SvdResult:
-    """Conditioning-based GL(d) membership test; returns the SVD it tested."""
+    """Conditioning-based GL(d) membership test of a matrix, or of each
+    matrix of a stack; returns the SVD it tested.  A stack's refusal names
+    its first singular matrix by its index after ``context``."""
     res = svd(m)
     s = res.singular_values
-    if not invertible(s[0], s[-1]):
+    ok = invertible(s[..., 0], s[..., -1])
+    if not np.all(ok):
+        name = context if ok.ndim == 0 else f"{context} {np.argmin(ok)}"
         raise NumericalRefusal(
-            f"{context} is numerically singular "
+            f"{name} is numerically singular "
             f"(singular value ratio below {INVERTIBILITY_RTOL:g})"
         )
     return res
@@ -290,7 +341,9 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
     itself, not a copy.  Otherwise the result is lanes-last: the ``p = 2``
     minors are built from the entry vectors of the stack as ``a d - b c``,
     the operations of :func:`det_batch`, straight into a ``(k, k, B)``
-    array whose transposed view is returned.
+    array whose transposed view is returned.  For ``3 <= p < d`` each row
+    of the compound is one :func:`det_batch` call on the stack of its
+    minors, so ``p = 3`` minors get the scaled cofactor expansion.
     """
     b = np.asarray(batch)
     d = b.shape[-1]
@@ -307,10 +360,13 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
         c0, c1 = basis[:, 0], basis[:, 1]
         out = lanes[r0, c0] * lanes[r1, c1] - lanes[r0, c1] * lanes[r1, c0]
     else:
+        # one det_batch per row of the compound, over all its minors at once:
+        # rows x every column subset is a lanes-last (p, p, k, B) stack
         out = np.empty((len(basis), len(basis), b.shape[0]), dtype=b.dtype)
+        lanes, cols = b.transpose(1, 2, 0), basis.T[np.newaxis]
         for i, rows in enumerate(basis):
-            for j, cols in enumerate(basis):
-                out[i, j] = np.linalg.det(b[:, rows, :][:, :, cols])
+            minors = lanes[rows[:, np.newaxis, np.newaxis], cols].reshape(p, p, -1)
+            out[i] = det_batch(minors.transpose(2, 0, 1)).reshape(len(basis), -1)
     return out.transpose(2, 0, 1)
 
 

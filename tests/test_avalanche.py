@@ -234,23 +234,24 @@ class TestOverlapBracket:
 class TestOneSvdPerFactor:
     @pytest.fixture
     def svd_calls(self, monkeypatch):
-        calls = []
+        calls = []  # the number of matrices of each call
         real = linalg.svd
 
-        def counted(m):
-            calls.append(1)
-            return real(m)
+        def counted(m, compute_uv=True):
+            calls.append(1 if np.ndim(m) == 2 else len(m))
+            return real(m, compute_uv=compute_uv)
 
         monkeypatch.setattr(linalg, "svd", counted)
         return calls
 
-    def test_verify_makes_3n_minus_1_svds(self, svd_calls):
-        # one per factor, one per scaled pair norm, one per running product step
+    def test_verify_makes_two_stack_svds_and_one_per_later_product_step(self, svd_calls):
+        # one stack of the n factors, one of the n - 1 scaled pair products,
+        # then one matrix per running-product step after the second
         for n in (2, 5, 20):
             mats = seeded_sequence(n=n)
             svd_calls.clear()
             rep = ap.verify(mats)
-            assert len(svd_calls) == 3 * n - 1
+            assert svd_calls == [n, n - 1] + [1] * (n - 2)
             svd_calls.clear()
             ap.overlap_bracket(rep)
             assert svd_calls == []

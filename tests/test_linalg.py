@@ -175,6 +175,107 @@ class TestSvd:
         assert np.array_equal(r.right_factor, np.eye(3))
 
 
+def jacobi_stack(d: int) -> np.ndarray:
+    """24 ``d x d`` matrices for the stacked Jacobi: near-diagonal lanes at
+    scales 1e-3..1e3, some beyond 2^+-250, an exactly diagonal lane (one
+    sweep), a nearly rank-one lane and a dense lane (the most sweeps)."""
+    rng = np.random.default_rng(d)
+    b = np.diag(rng.uniform(0.5, 2.0, d)) + 1e-3 * rng.standard_normal((24, d, d))
+    b *= 10.0 ** rng.uniform(-3.0, 3.0, (24, 1, 1))
+    b[::5] *= 2.0 ** 300
+    b[2::7] *= 2.0 ** -400
+    b[3] = np.diag(rng.uniform(0.5, 2.0, d))
+    u, v = rng.standard_normal((2, d))
+    b[6] = np.outer(u, v) + 1e-9 * rng.standard_normal((d, d))
+    b[7] = rng.standard_normal((d, d))
+    return b
+
+
+def jacobi_sweeps(m, monkeypatch) -> int:
+    """The sweeps ``linalg.svd`` needs on ``m``: the least ``_MAX_SWEEPS``
+    that it does not refuse."""
+    for k in range(1, linalg._MAX_SWEEPS + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_MAX_SWEEPS", k)
+            try:
+                linalg.svd(m, compute_uv=False)
+                return k
+            except NumericalRefusal:
+                pass
+    raise AssertionError("does not converge")
+
+
+#: the running product of a certified d = 3 sequence (sequence 203 of
+#: ``default_rng((2, 2))``, the benchmark's ``verify-cert-100``) at its 35th
+#: step, where the Jacobi refuses: sigma_2 / sigma_1 is about 2e-19
+JACOBI_REFUSAL = np.array([
+    [4056764.9870802173, -111257.17093772074, -161566.27473557822],
+    [176079.82145739312, -4829.006081682879, -7012.62234799854],
+    [-86563.86272523816, 2374.022282021036, 3447.5255213895775],
+])
+
+
+class TestStackedSvd:
+    """``linalg.svd`` on a stack sweeps the lanes together; each lane gets
+    the bits of a stack of one."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_stack_matches_one_matrix_at_a_time(self, d, monkeypatch):
+        b = jacobi_stack(d)
+        sweeps = [jacobi_sweeps(m, monkeypatch) for m in b]
+        assert min(sweeps) == 1 and max(sweeps) > np.median(sweeps) >= 2
+        r = linalg.svd(b)
+        assert r.singular_values.shape == (24, d) and r.right_factor.shape == (24, d, d)
+        for i, m in enumerate(b):
+            one = linalg.svd(m)
+            assert one.singular_values.tobytes() == r.singular_values[i].tobytes()
+            assert one.right_factor.tobytes() == r.right_factor[i].tobytes()
+        # compute_uv=False skips V and moves no bit of s; leading axes are kept
+        assert linalg.svd(b, compute_uv=False).tobytes() == r.singular_values.tobytes()
+        r4 = linalg.svd(b.reshape(4, 6, d, d))
+        assert r4.singular_values.tobytes() == r.singular_values.tobytes()
+        assert r4.right_factor.tobytes() == r.right_factor.tobytes()
+        # lanes beyond 2^+-250 are scaled exactly
+        assert np.array_equal(linalg.svd(b[3] * 2.0 ** 600).singular_values,
+                              r.singular_values[3] * 2.0 ** 600)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_reconstruction_and_orthonormality_on_a_stack(self, d):
+        b = jacobi_stack(d) if d > 1 else np.linspace(-2.0, 3.0, 24).reshape(24, 1, 1)
+        r = linalg.svd(b)
+        assert np.all(np.diff(r.singular_values, axis=-1) <= 0)
+        assert np.all(r.singular_values >= 0)
+        want = np.linalg.svd(b, compute_uv=False)
+        assert np.all(np.abs(r.singular_values - want) <= 1e-13 * want[:, :1])
+        for m, s, v in zip(b, r.singular_values, r.right_factor):
+            # the columns of M V are orthogonal with norms s, and V is orthogonal
+            tol = d * EPS * 32
+            mv = m @ v / s[0]
+            assert np.max(np.abs(mv.T @ mv - np.diag((s / s[0]) ** 2))) <= tol
+            assert np.max(np.abs(v.T @ v - np.eye(d))) <= tol
+
+    def test_input_unchanged(self):
+        m = np.array([[2.0, 1.0], [0.5, 1.0]])
+        for a in (m, m[np.newaxis], np.stack([m, 3.0 * m])):
+            before = a.copy()
+            linalg.svd(a)
+            assert np.array_equal(a, before)
+
+    def test_refusal_without_warning(self):
+        # tau overflows where |g| is subnormal; that is not a RuntimeWarning,
+        # and the lane that does not converge refuses the whole stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (JACOBI_REFUSAL, np.stack([np.eye(3), JACOBI_REFUSAL])):
+                with pytest.raises(NumericalRefusal, match="failed to converge"):
+                    linalg.svd(m, compute_uv=False)
+
+    def test_stack_refusal_names_the_factor(self):
+        b = np.stack([np.eye(2), np.diag([1.0, 1e-14]), np.zeros((2, 2))])
+        with pytest.raises(NumericalRefusal, match="factor 1 is numerically singular"):
+            linalg.require_invertible(b, context="factor")
+
+
 class TestOperatorNorm:
     """The operator norm is ``spectral_norm_batch``, on one-matrix stacks here."""
 
@@ -466,6 +567,29 @@ class TestBatchHelpers:
             got = linalg.compound_batch(b, p)
             for i in range(5):
                 assert np.allclose(got[i], exterior_power(b[i], p), atol=1e-12)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_compound_minors_of_order_3_through_det_batch(self, complex_field, monkeypatch):
+        # p = 3 < d: every minor comes from the scaled cofactor expansion of
+        # det_batch, on a lanes-last stack, with no LAPACK determinant
+        rng = np.random.default_rng(8)
+        stacks = {}
+        for d in (4, 5, 6):
+            b = rng.standard_normal((d, d, 7))
+            if complex_field:
+                b = b + 1j * rng.standard_normal((d, d, 7))
+            stacks[d] = b.transpose(2, 0, 1)
+        want = {d: np.array([exterior_power(m, 3) for m in b]) for d, b in stacks.items()}
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("LAPACK determinant for a p = 3 minor")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        for d, b in stacks.items():
+            got = linalg.compound_batch(b, 3)
+            scale = np.max(np.abs(want[d]), axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(got - want[d]) / scale) <= 8 * EPS
+            assert got.dtype == b.dtype
 
 
 class TestScaledProduct:
