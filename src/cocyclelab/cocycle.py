@@ -2,16 +2,20 @@
 
 A family is a map ``(x, E) -> A(x, E)`` in GL(d) over a torus shift.
 Scale-``n`` products go through :func:`linalg.scaled_product`, which
-renormalizes at every step (scale by the power of two that brings the
-Frobenius norm into ``[1/2, 1)``, add its exponent to an integer sum) and
-takes the spectral norm only at the reported scales, so orbits of length
-10^5+ never overflow.
+renormalizes by exact powers of two at every step, so orbits of length
+10^5+ never overflow.  Every kind depends on ``x`` only through the phase
+``t(x) = sum x_i``, and ``evaluate_batch`` takes phasors ``zeta = e^{2 pi
+i t}``, whose powers give the harmonics.  An orbit pass takes ``e^{2 pi i
+t(x)}`` once and one rotation ``e^{2 pi i (j Omega mod 1)}``, ``Omega =
+sum omega_i``, per step, with ``j Omega mod 1`` reduced exactly
+(:meth:`ShiftBase.rotations`), so no phase error grows with ``j`` either.
 
 Per-point log singular values come from the top-growth of the exterior
 power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
 A^(n)_x||``, and consecutive differences recover each ``log sigma_j``.
 This is numerically stable where an SVD of the assembled product is not:
 the small singular values of a long product are unrecoverable directly.
+The top order ``p = d`` needs no product: ``sum_j log |det A_j|``.
 
 Energies stack into the batch: ``evaluate_batch`` takes one ``E`` or a
 1-d stack of ``K`` and returns ``K * B`` (energy, point) lanes, lane
@@ -28,6 +32,7 @@ depend on how grid work is scheduled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,16 +59,14 @@ STACK_POINTS = 1 << 15
 
 @dataclass(frozen=True)
 class ShiftBase:
-    """Torus shift ``x -> x + omega (mod 1)`` on ``T^nu``."""
+    """Torus shift ``x -> x + omega (mod 1)`` on ``T^nu``; it moves the
+    phase ``t(x) = sum x_i`` by ``Omega = sum omega_i`` per step."""
 
     omega: tuple[float, ...]
     dio_exponent: float = 2.0
 
     def __post_init__(self):
-        if isinstance(self.omega, (int, float)):
-            object.__setattr__(self, "omega", (float(self.omega),))
-        else:
-            object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
+        object.__setattr__(self, "omega", tuple(float(w) for w in np.atleast_1d(self.omega)))
         if len(self.omega) < 1:
             raise ValidationError("shift needs at least one frequency")
         if self.dio_exponent <= 1.0:
@@ -82,15 +85,23 @@ class ShiftBase:
     def nu(self) -> int:
         return len(self.omega)
 
-    def orbit_points(self, xs: np.ndarray, step: int) -> np.ndarray:
-        """``xs + step*omega`` mod 1 for a ``(B, nu)`` stack of points.
+    def rotations(self, n: int) -> np.ndarray:
+        """``e^{2 pi i (j Omega mod 1)}`` for ``j = 1..n``.  ``Omega`` is an
+        exact integer ratio (``float.as_integer_ratio``, power-of-two
+        denominators), so ``j Omega mod 1`` is reduced exactly into ``[-1/2,
+        1/2)`` and rounded once."""
+        ratios = [w.as_integer_ratio() for w in self.omega]
+        den = max(q for _, q in ratios)
+        num = sum(p * (den // q) for p, q in ratios)
+        steps = (np.arange(1, n + 1, dtype=object) * num + den // 2) % den - den // 2
+        return np.exp(2j * np.pi * (steps / den).astype(np.float64))
 
-        ``y - floor(y)`` is the same single rounding of the exact fraction
-        as ``np.mod(y, 1.0)``, bit for bit for every finite ``y``, and
-        several times cheaper."""
-        y = xs + step * np.asarray(self.omega)
-        y -= np.floor(y)
-        return y
+    def orbit_phasors(self, xs: np.ndarray, n: int):
+        """Yields the phasors of a ``(B, nu)`` point stack after ``j = 1..n``
+        steps of the exact orbit: :func:`phasors` times :meth:`rotations`."""
+        z = phasors(xs)
+        for w in self.rotations(n):
+            yield z * w
 
 
 def golden_base(dio_exponent: float = 2.0) -> ShiftBase:
@@ -112,46 +123,36 @@ def torus_grid(nu: int, m: int) -> np.ndarray:
 def as_points(x, nu: int) -> np.ndarray:
     """Coerce a point or batch of points into a ``(B, nu)`` array."""
     a = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if a.ndim == 1:
-        if nu == 1:
-            a = a[:, np.newaxis]
-        else:
-            if a.shape[0] != nu:
-                raise ValidationError(f"point has {a.shape[0]} coords, base has nu={nu}")
-            a = a[np.newaxis, :]
-    if a.shape[-1] != nu:
+    a = a[:, np.newaxis] if a.ndim == 1 and nu == 1 else np.atleast_2d(a)
+    if a.ndim != 2 or a.shape[-1] != nu:
         raise ValidationError(f"points have {a.shape[-1]} coords, base has nu={nu}")
     return a
 
 
-def _phase(pts: np.ndarray) -> np.ndarray:
-    # scalar analytic phase t(x) = sum of coordinates; a single harmonic in
-    # t averages to zero exactly on any uniform grid
-    return np.sum(pts, axis=-1)
+def phasors(pts: np.ndarray) -> np.ndarray:
+    """``e^{2 pi i t(x)}`` per point of a ``(B, nu)`` stack."""
+    return np.exp(2j * np.pi * np.sum(pts, axis=-1))
 
 
-def _cos_sin_series(t: np.ndarray, cos_coeffs, sin_coeffs) -> np.ndarray:
+def _fourier(zeta: np.ndarray, cos_coeffs, sin_coeffs) -> np.ndarray:
     """``sum_k cos_coeffs[..., k] cos(2 pi k t) + sin_coeffs[..., k-1]
-    sin(2 pi k t)``, shape ``cos_coeffs.shape[:-1] + t.shape``.
-
-    The constant term is added as it is.  Each other harmonic with a
-    nonzero coefficient is computed once and shared by every entry of the
-    leading coefficient shape.
-    """
-    lead = np.shape(cos_coeffs)[:-1]
-    expand = (...,) + (np.newaxis,) * t.ndim
-    out = np.zeros(lead + t.shape)
-    for k in range(np.shape(cos_coeffs)[-1]):
-        c = cos_coeffs[..., k]
-        if k == 0:
-            out += c[expand]
-        elif np.any(c):
-            out += c[expand] * np.cos(2.0 * np.pi * k * t)
-    for k in range(1, np.shape(sin_coeffs)[-1] + 1):
-        c = sin_coeffs[..., k - 1]
-        if np.any(c):
-            out += c[expand] * np.sin(2.0 * np.pi * k * t)
-    return out
+    sin(2 pi k t)`` at 1-d phasors ``zeta = e^{2 pi i t}``, shape
+    ``cos_coeffs.shape[:-1] + zeta.shape``.  Each harmonic is ``Re`` or
+    ``Im`` of ``zeta^k``, shared by every entry; an entry adds one
+    elementwise product per nonzero coefficient, as its own series would."""
+    cos_rows = np.reshape(cos_coeffs, (-1, np.shape(cos_coeffs)[-1]))
+    sin_rows = np.reshape(sin_coeffs, (len(cos_rows), -1))
+    out = np.empty((len(cos_rows), zeta.size))
+    out[:] = cos_rows[:, :1]
+    term, power = np.empty(zeta.size), None
+    for k in range(1, max(cos_rows.shape[1], sin_rows.shape[1] + 1)):
+        power = zeta if power is None else power * zeta
+        # cosine column k and sine column k - 1, where present
+        for coeffs, part in ((cos_rows[:, k:k + 1], power.real), (sin_rows[:, k - 1:k], power.imag)):
+            for row, c in zip(out, coeffs.ravel()):
+                if c:
+                    row += np.multiply(part, c, out=term)
+    return out.reshape(np.shape(cos_coeffs)[:-1] + zeta.shape)
 
 
 def _energies(E) -> np.ndarray:
@@ -165,7 +166,8 @@ def _energies(E) -> np.ndarray:
 def _tile_lanes(lanes: np.ndarray, E) -> np.ndarray:
     """An energy-free lanes-last ``(d, d, B)`` value repeated for each
     energy of ``E``, as the ``(K * B, d, d)`` stack of a kind."""
-    return np.tile(lanes, _energies(E).size).transpose(2, 0, 1)
+    k = _energies(E).size
+    return (lanes if k == 1 else np.tile(lanes, k)).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -184,9 +186,7 @@ class CocycleFamily:
     beta0: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "param_values", np.asarray(self.param_values, dtype=np.float64)
-        )
+        object.__setattr__(self, "param_values", np.asarray(self.param_values, dtype=np.float64))
         if self.dim < 1:
             raise ValidationError("dimension must be at least 1")
         if not 0.0 < self.beta0 <= 1.0:
@@ -199,12 +199,12 @@ class CocycleFamily:
 
     # -- kind-specific surface ------------------------------------------------
 
-    def evaluate_batch(self, pts: np.ndarray, E) -> np.ndarray:
-        """``A(x, E)`` for a ``(B, nu)`` point stack and one energy or a
-        1-d stack of ``K``: shape ``(K * B, d, d)``, lane ``k * B + b``
-        for energy ``k`` at point ``b`` (``K = 1`` for one energy).  The
-        stack is lanes-last in memory, the transposed view of a
-        C-contiguous ``(d, d, K * B)`` array."""
+    def evaluate_batch(self, zeta: np.ndarray, E) -> np.ndarray:
+        """``A(x, E)`` at ``B`` points given by their :func:`phasors` ``zeta``
+        and one energy or a 1-d stack of ``K``: shape ``(K * B, d, d)``,
+        lane ``k * B + b`` for energy ``k`` at point ``b``.  The stack is
+        lanes-last, the transposed view of a C-contiguous ``(d, d, K * B)``
+        array; entries are elementwise arithmetic on ``zeta``."""
         raise NotImplementedError
 
     def e_holder_constant(self) -> float:
@@ -222,7 +222,7 @@ class CocycleFamily:
         pts = torus_grid(self.base.nu, CHECK_GRID)
         for E in self.param_values:
             with np.errstate(over="ignore", invalid="ignore"):
-                mats = self.evaluate_batch(pts, float(E))
+                mats = self.evaluate_batch(phasors(pts), float(E))
             bad = ~np.all(np.isfinite(mats), axis=(1, 2))
             problem = "has non-finite entries"
             if not np.any(bad):
@@ -231,24 +231,17 @@ class CocycleFamily:
                 problem = "is numerically singular"
             if np.any(bad):
                 i = int(np.argmax(bad))
-                raise ValidationError(
-                    f"family {problem} at x={tuple(pts[i].tolist())}, E={E}"
-                )
+                raise ValidationError(f"family {problem} at x={tuple(pts[i].tolist())}, E={E}")
 
-    def orbit_lognorms(
-        self,
-        E,
-        xs: np.ndarray,
-        n: int,
-        p: int = 1,
-        checkpoints: tuple[int, ...] | None = None,
-    ) -> np.ndarray:
+    def orbit_lognorms(self, E, xs: np.ndarray, n: int, p: int = 1,
+                       checkpoints: tuple[int, ...] | None = None) -> np.ndarray:
         """``log || Lambda^p A^(n)_x(E) ||`` for every (energy, point) lane.
 
         ``E`` is one energy or a 1-d array of ``K``; lane ``k * B + b`` is
         energy ``k`` at point ``b`` of ``xs``.  Returns shape
         ``(len(checkpoints), K * B)``; ``checkpoints`` defaults to ``(n,)``
-        and must be increasing with final entry ``n``.
+        and must be increasing with final entry ``n``.  Order ``p = d`` is
+        :func:`linalg.log_det_sum` of the factors, with no product.
         """
         xs = as_points(xs, self.base.nu)
         energies = _energies(E)
@@ -257,13 +250,15 @@ class CocycleFamily:
         out = []
         for start in range(0, energies.size, per_pass):
             chunk = energies[start:start + per_pass]
-            factors = (
-                linalg.compound_batch(
-                    self.evaluate_batch(self.base.orbit_points(xs, j), chunk), p)
-                for j in range(1, n + 1)
-            )
+            # map, unlike a generator expression, keeps no step's arrays alive
+            factors = map(functools.partial(self.evaluate_batch, E=chunk),
+                          self.base.orbit_phasors(xs, n))
             try:
-                out.append(linalg.scaled_product(factors, n, checkpoints))
+                if p == self.dim:
+                    out.append(linalg.log_det_sum(factors, n, checkpoints))
+                else:
+                    compounds = map(functools.partial(linalg.compound_batch, p=p), factors)
+                    out.append(linalg.scaled_product(compounds, n, checkpoints))
             except NumericalRefusal as exc:
                 raise NumericalRefusal(f"{exc} (E={chunk[exc.matrix // nb]})") from None
         return np.concatenate(out, axis=1)
@@ -290,14 +285,15 @@ class CocycleFamily:
             lognorms = lognorms.reshape(len(scales), -1, xs.shape[0])
             for i, k in np.ndindex(*lognorms.shape[:2]):
                 partial[i, k, p] = pairwise_mean(lognorms[i, k])
+            del lognorms  # not held while the next order's pass runs
         cols = slice(None) if j is None else j - 1
         ladder = {n: (np.diff(partial[i]) / n)[:, cols] for i, n in enumerate(scales)}
         return ladder if np.ndim(E) else {n: v[0] for n, v in ladder.items()}
 
     def one_step_log_extremes(self, E: float, m: int) -> tuple[float, float]:
         """Grid maxima of ``log||A||`` and ``log||A^-1||`` at one step."""
-        pts = torus_grid(self.base.nu, m)
-        top, low = linalg.extreme_singular_values_batch(self.evaluate_batch(pts, E))
+        zeta = phasors(torus_grid(self.base.nu, m))
+        top, low = linalg.extreme_singular_values_batch(self.evaluate_batch(zeta, E))
         return float(np.max(np.log(top))), float(np.max(-np.log(low)))
 
 
@@ -317,8 +313,8 @@ class ConstantFamily(CocycleFamily):
         object.__setattr__(self, "matrix", m)
         super().__post_init__()
 
-    def evaluate_batch(self, pts, E):
-        return _tile_lanes(np.repeat(self.matrix[..., np.newaxis], pts.shape[0], axis=-1), E)
+    def evaluate_batch(self, zeta, E):
+        return _tile_lanes(np.repeat(self.matrix[..., np.newaxis], zeta.shape[0], axis=-1), E)
 
     def e_holder_constant(self) -> float:
         return 0.0
@@ -349,10 +345,10 @@ class DiagonalExpFamily(CocycleFamily):
         object.__setattr__(self, "e_amp", ea)
         super().__post_init__()
 
-    def evaluate_batch(self, pts, E):
+    def evaluate_batch(self, zeta, E):
         # exponents[j, k, b] for diagonal entry j, energy k, point b
         exponents = (
-            self.x_amp[:, np.newaxis, np.newaxis] * np.cos(2.0 * np.pi * _phase(pts))
+            self.x_amp[:, np.newaxis, np.newaxis] * zeta.real
             + self.e_amp[:, np.newaxis, np.newaxis] * _energies(E)[:, np.newaxis]
         )
         diagonal = np.exp(exponents).reshape(self.dim, -1)
@@ -393,8 +389,8 @@ class TrigPolyFamily(CocycleFamily):
         object.__setattr__(self, "sin_coeffs", sc)
         super().__post_init__()
 
-    def evaluate_batch(self, pts, E):
-        return _tile_lanes(_cos_sin_series(_phase(pts), self.cos_coeffs, self.sin_coeffs), E)
+    def evaluate_batch(self, zeta, E):
+        return _tile_lanes(_fourier(zeta, self.cos_coeffs, self.sin_coeffs), E)
 
     def e_holder_constant(self) -> float:
         return 0.0
@@ -421,12 +417,8 @@ class SchrodingerFamily(CocycleFamily):
         )
         super().__post_init__()
 
-    def potential(self, pts: np.ndarray) -> np.ndarray:
-        t = _phase(pts)
-        return self.coupling * _cos_sin_series(t, self.sampling_cos, self.sampling_sin)
-
-    def evaluate_batch(self, pts, E):
-        v = self.potential(pts)
+    def evaluate_batch(self, zeta, E):
+        v = self.coupling * _fourier(zeta, self.sampling_cos, self.sampling_sin)
         energies = _energies(E)
         out = np.empty((2, 2, energies.size, v.size), dtype=np.float64)
         np.subtract(v, energies[:, np.newaxis], out=out[0, 0])

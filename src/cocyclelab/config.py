@@ -42,20 +42,6 @@ def _parse_float(raw: str, key: str, line: int | None) -> float:
     return v
 
 
-def _parse_float_list(raw: str, key: str, line: int | None) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(tok, key, line) for tok in raw.replace(",", " ").split())
-
-
-def _parse_int_list(raw: str, key: str, line: int | None) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_int(tok, key, line) for tok in raw.replace(",", " ").split())
-
-
 # key -> (kind, default, allowed): kind is int, float, str, floats (a list)
 # or ints (a list); allowed is None, a tuple of choices, or a range predicate
 _SCHEMA: dict[str, tuple[str, object, object]] = {
@@ -305,10 +291,9 @@ def parse_config(text: str) -> ExperimentConfig:
             val: object = _parse_int(raw_val, key, lineno)
         elif kind == "float":
             val = _parse_float(raw_val, key, lineno)
-        elif kind == "floats":
-            val = _parse_float_list(raw_val, key, lineno)
-        elif kind == "ints":
-            val = _parse_int_list(raw_val, key, lineno)
+        elif kind in ("floats", "ints"):  # comma- or space-separated, possibly empty
+            parse = _parse_float if kind == "floats" else _parse_int
+            val = tuple(parse(tok, key, lineno) for tok in raw_val.replace(",", " ").split())
         else:
             val = " ".join(raw_val.split())
         if isinstance(allowed, tuple) and val not in allowed:

@@ -163,7 +163,7 @@ def reports(fam: CocycleFamily, E: float, scales, deltas, m: int, p: int = 1, k:
     scales = tuple(sorted(set(int(s) for s in scales)))
     cps = tuple(sorted(set(scales + tuple(ladder))))
     xs = torus_grid(fam.base.nu, m)
-    both = np.concatenate([xs, fam.base.orbit_points(xs, k)])
+    both = np.concatenate([xs, xs + k * np.asarray(fam.base.omega)])  # phasors need no mod 1
     here, shifted = np.split(fam.orbit_lognorms(E, both, cps[-1], checkpoints=cps), 2, axis=1)
     top = cps.index(scales[-1])
     profile = (here[[cps.index(n) for n in scales]] if p == 1 else

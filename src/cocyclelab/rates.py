@@ -190,34 +190,20 @@ def dichotomy(
                 break
             k += 1
         cls = "one_over_n" if cascade_ok else "inconclusive"
-        return DichotomyVerdict(
-            classification=cls,
-            c1=c1,
-            c1_est=c1_est,
-            trigger_scale=trigger,
-            evidence=tuple(evidence),
-            noise_floor=noise_floor,
-        )
-
-    tail = [(n, s, thr) for n, s, thr in evidence if n >= l0]
-    second_ok = all(s <= max(thr, noise_floor) for _, s, thr in tail)
-    weighted = [(n, n * devs[n]) for n in scales if n >= l0]
-    if weighted:
-        w_first = weighted[0][1]
-        w_last = weighted[-1][1]
-        dev_last = devs[weighted[-1][0]]
-        shrinking = (w_last <= 0.5 * w_first + 1e-14) or (dev_last <= noise_floor)
     else:
-        shrinking = True
-    cls = "exponential" if (second_ok and shrinking) else "inconclusive"
-    return DichotomyVerdict(
-        classification=cls,
-        c1=c1,
-        c1_est=c1_est,
-        trigger_scale=None,
-        evidence=tuple(evidence),
-        noise_floor=noise_floor,
-    )
+        tail = [(n, s, thr) for n, s, thr in evidence if n >= l0]
+        second_ok = all(s <= max(thr, noise_floor) for _, s, thr in tail)
+        weighted = [(n, n * devs[n]) for n in scales if n >= l0]
+        if weighted:
+            w_first = weighted[0][1]
+            w_last = weighted[-1][1]
+            dev_last = devs[weighted[-1][0]]
+            shrinking = (w_last <= 0.5 * w_first + 1e-14) or (dev_last <= noise_floor)
+        else:
+            shrinking = True
+        cls = "exponential" if (second_ok and shrinking) else "inconclusive"
+    return DichotomyVerdict(classification=cls, c1=c1, c1_est=c1_est, trigger_scale=trigger,
+                            evidence=tuple(evidence), noise_floor=noise_floor)
 
 
 # -- gap monitoring and parameter regularity ------------------------------------
@@ -276,10 +262,9 @@ def crude_continuity_check(
     xs = torus_grid(fam.base.nu, m)
     prod_a = None
     prod_b = None
-    for j in range(1, n + 1):
-        pts = fam.base.orbit_points(xs, j)
-        fa = fam.evaluate_batch(pts, E)
-        fb = fam.evaluate_batch(pts, E_prime)
+    for zeta in fam.base.orbit_phasors(xs, n):
+        fa = fam.evaluate_batch(zeta, E)
+        fb = fam.evaluate_batch(zeta, E_prime)
         prod_a = fa if prod_a is None else np.matmul(fa, prod_a)
         prod_b = fb if prod_b is None else np.matmul(fb, prod_b)
     lhs = float(np.max(spectral_norm_batch(prod_a - prod_b)))
@@ -376,13 +361,11 @@ def holder_estimate(
             excluded += 1
             continue
         rows.append((dist, dlam))
-    beta_chk = None
+    common = dict(j=j, window=(lo, hi), n=n, kappa_min=kappa_min, pairs_used=len(rows),
+                  pairs_excluded=excluded, pair_rows=tuple(rows))
     if len(rows) < 2:
-        return HolderEstimate(
-            j=j, window=(lo, hi), n=n, gamma_est=None, residual=None,
-            kappa_min=kappa_min, pairs_used=len(rows), pairs_excluded=excluded,
-            zero_variation=True, beta0_check=beta_chk, pair_rows=tuple(rows),
-        )
+        return HolderEstimate(gamma_est=None, residual=None, zero_variation=True,
+                              beta0_check=None, **common)
     x = np.log(np.array([r[0] for r in rows]))
     y = np.log(np.array([r[1] for r in rows]))
     a_mat = np.stack([x, np.ones_like(x)], axis=1)
@@ -400,9 +383,5 @@ def holder_estimate(
             if best is None or res < best[0]:
                 best = (res, float(sig))
         _, sigma = best
-    return HolderEstimate(
-        j=j, window=(lo, hi), n=n, gamma_est=float(coef[0]), residual=residual,
-        kappa_min=kappa_min, pairs_used=len(rows), pairs_excluded=excluded,
-        zero_variation=False, beta0_check=beta_chk,
-        stretched_sigma=sigma, pair_rows=tuple(rows),
-    )
+    return HolderEstimate(gamma_est=float(coef[0]), residual=residual, zero_variation=False,
+                          beta0_check=beta_chk, stretched_sigma=sigma, **common)

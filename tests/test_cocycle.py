@@ -30,8 +30,8 @@ def finite_scale_exponents_qr(fam, E: float, n: int, m: int) -> np.ndarray:
     xs = torus_grid(fam.base.nu, m)
     q = np.broadcast_to(np.eye(fam.dim), (xs.shape[0], fam.dim, fam.dim)).copy()
     sums = np.zeros((xs.shape[0], fam.dim), dtype=np.float64)
-    for j in range(1, n + 1):
-        q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(fam.base.orbit_points(xs, j), E), q))
+    for j, zeta in enumerate(fam.base.orbit_phasors(xs, n), 1):
+        q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(zeta, E), q))
         diag = np.diagonal(r, axis1=1, axis2=2)
         q = q * np.where(diag < 0.0, -1.0, 1.0)[:, np.newaxis, :]
         assert np.all(diag != 0.0), f"rank collapse in QR accumulation at step {j}"
@@ -48,13 +48,13 @@ def mp_norm_2x2(m):
 
 
 def mp_schrodinger_product(fam: SchrodingerFamily, x: float, E: float, n: int):
-    """Assembled product in mpmath, on the same float orbit points the
-    engine visits."""
-    omega = fam.base.omega[0]
+    """Assembled product in mpmath along the exact orbit ``x + j omega``
+    (mod 1) of the float start point, which the engine walks."""
+    omega = mp.mpf(fam.base.omega[0])
     full = None
     for j in range(1, n + 1):
-        xj = float(np.mod(x + j * omega, 1.0))
-        v = mp.mpf(fam.coupling) * 2 * mp.cos(2 * mp.pi * mp.mpf(xj))
+        xj = mp.frac(mp.mpf(x) + j * omega)
+        v = mp.mpf(fam.coupling) * 2 * mp.cos(2 * mp.pi * xj)
         m = mp.matrix([[v - E, -1], [1, 0]])
         full = m if full is None else m * full
     return full
@@ -71,22 +71,6 @@ class TestShiftBase:
         with pytest.raises(ValidationError):
             ShiftBase(omega=(cocycle.GOLDEN_MEAN,), dio_exponent=1.0)
 
-    def test_orbit_points_mod_one(self, golden):
-        xs = np.array([[0.9]])
-        pts = golden.orbit_points(xs, 3)
-        assert 0.0 <= pts[0, 0] < 1.0
-        assert np.isclose(pts[0, 0], np.mod(0.9 + 3 * golden.omega[0], 1.0))
-
-    @pytest.mark.parametrize("omega", [(cocycle.GOLDEN_MEAN,), cocycle.DEFAULT_OMEGA_2D])
-    def test_orbit_points_bit_equal_to_np_mod(self, omega):
-        base = ShiftBase(omega=omega)
-        xs = np.random.default_rng(19).uniform(-3.0, 1.0, (8, base.nu))
-        xs[:4] = np.array([-0.0, -2.0, -1e-20, 0.5])[:, np.newaxis]
-        steps = np.arange(100_000)
-        got = np.stack([base.orbit_points(xs, int(k)) for k in steps])
-        want = np.mod(xs + steps[:, np.newaxis, np.newaxis] * np.asarray(omega), 1.0)
-        assert (got.view(np.uint64) == want.view(np.uint64)).all()
-
     def test_two_torus_default(self):
         base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
         assert base.nu == 2
@@ -96,7 +80,7 @@ class TestShiftBase:
 
 def evaluate(fam, x, E: float) -> np.ndarray:
     """The cocycle matrix at one base point."""
-    return fam.evaluate_batch(cocycle.as_points(x, fam.base.nu), E)[0]
+    return fam.evaluate_batch(cocycle.phasors(cocycle.as_points(x, fam.base.nu)), E)[0]
 
 
 class TestEvaluate:
@@ -139,11 +123,10 @@ class TestEvaluate:
                           [[0.0, 0.0, 0.0], [1.5, 0.2, 0.0]]])
         sin_c = np.array([[[0.0, 0.1], [0.4, 0.0]], [[0.0, 0.0], [0.0, 0.7]]])
         fam = TrigPolyFamily(base=golden, dim=2, cos_coeffs=cos_c, sin_coeffs=sin_c)
-        pts = cocycle.torus_grid(1, 64)
-        got = fam.evaluate_batch(pts, 0.0)
-        t = pts[:, 0]
+        zeta = cocycle.phasors(cocycle.torus_grid(1, 64))
+        got = fam.evaluate_batch(zeta, 0.0)
         for i, j in np.ndindex(2, 2):
-            want = cocycle._cos_sin_series(t, cos_c[i, j], sin_c[i, j])
+            want = cocycle._fourier(zeta, cos_c[i, j], sin_c[i, j])
             assert np.array_equal(got[:, i, j], want)
 
     @pytest.mark.parametrize("kind", ["constant", "diagonal-exp", "trig-poly", "schrodinger"])
@@ -163,14 +146,14 @@ class TestEvaluate:
                 sin_coeffs=rng.standard_normal((3, 3, 2)) * 0.1),
             "schrodinger": lambda: SchrodingerFamily(base=base, dim=2, coupling=3.0),
         }[kind]()
-        pts = torus_grid(2, 8)
+        zeta = cocycle.phasors(torus_grid(2, 8))
         energies = np.array([-1.5, 0.0, 0.25, 2.0])
-        got = fam.evaluate_batch(pts, energies)
+        got = fam.evaluate_batch(zeta, energies)
         d = fam.dim
-        assert got.shape == (energies.size * pts.shape[0], d, d)
+        assert got.shape == (energies.size * zeta.size, d, d)
         assert got.transpose(1, 2, 0).flags.c_contiguous
-        per_energy = [fam.evaluate_batch(pts, E) for E in energies]
-        assert all(m.shape == (pts.shape[0], d, d) for m in per_energy)
+        per_energy = [fam.evaluate_batch(zeta, E) for E in energies]
+        assert all(m.shape == (zeta.size, d, d) for m in per_energy)
         assert np.array_equal(got, np.concatenate(per_energy))
         if kind in ("constant", "trig-poly"):
             assert all(np.array_equal(m, per_energy[0]) for m in per_energy)
@@ -184,7 +167,7 @@ def orbit_product(fam, x, E: float, n: int) -> float:
     """Log-norm of the scale-``n`` product over the orbit of one point,
     through the shared accumulator."""
     xs = cocycle.as_points(x, fam.base.nu)
-    factors = (fam.evaluate_batch(fam.base.orbit_points(xs, j), E) for j in range(1, n + 1))
+    factors = (fam.evaluate_batch(zeta, E) for zeta in fam.base.orbit_phasors(xs, n))
     logs = linalg.scaled_product(factors, n)
     assert logs.shape == (1, 1)
     return float(logs[0, 0])
@@ -284,9 +267,7 @@ class TestFiniteScaleExponents:
         n, m = 20, 12
         both = schrodinger3.orbit_lognorms(0.0, xs, n + m)[0]
         first = schrodinger3.orbit_lognorms(0.0, xs, m)[0]
-        shifted = schrodinger3.orbit_lognorms(
-            0.0, schrodinger3.base.orbit_points(xs, m), n
-        )[0]
+        shifted = schrodinger3.orbit_lognorms(0.0, xs + m * schrodinger3.base.omega[0], n)[0]
         assert np.all(both <= shifted + first + 1e-10)
 
     def test_monotone_decrease_and_superadditivity(self, schrodinger_ladder):
@@ -393,7 +374,7 @@ class TestNoPerMatrixLapack:
                              sin_coeffs=np.ones((3, 3, 1)) * 0.3)
         xs = torus_grid(2, 8)
         n = 12
-        factors = [fam.evaluate_batch(base.orbit_points(xs, j), 0.0) for j in range(1, n + 1)]
+        factors = [fam.evaluate_batch(zeta, 0.0) for zeta in base.orbit_phasors(xs, n)]
         prod = factors[0]
         for f in factors[1:]:
             prod = f @ prod
@@ -409,6 +390,103 @@ class TestNoPerMatrixLapack:
                         (3, logdet)):
             got = fam.orbit_lognorms(0.0, xs, n, p=p)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * n
+
+
+    @pytest.mark.parametrize("kind", ["trig-poly", "schrodinger"])
+    def test_orbit_pass_takes_no_transcendental_per_step_and_no_matmul(self, monkeypatch,
+                                                                      kind):
+        if kind == "trig-poly":
+            fam = TrigPolyFamily(base=ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D), dim=3,
+                                 cos_coeffs=np.eye(3)[..., np.newaxis] * [2.0, 0.5],
+                                 sin_coeffs=np.ones((3, 3, 1)) * 0.3)
+        else:
+            fam = SchrodingerFamily(base=cocycle.golden_base(), dim=2, coupling=3.0)
+        xs = torus_grid(fam.base.nu, 8)
+        calls = {}
+        for name in ("cos", "sin", "exp", "matmul"):
+            def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        per_pass = []
+        for n in (1, 12):
+            calls.clear()
+            fam.orbit_lognorms(0.0, xs, n, p=1)
+            per_pass.append(dict(calls))
+        # the start phasors and the step rotations, once per pass each
+        assert per_pass[0] == per_pass[1] == {"exp": 2}
+
+
+class TestExactOrbitPhase:
+    """The per-point entries along the orbit against mpmath on the exact
+    orbit ``t(x) + j Omega``, at steps up to 10^6.  At powers of two ``j
+    omega`` is exact in floating point, so most steps here are not."""
+
+    STEPS = (1, 100, 12345, 99999, 777777, 10**6)
+
+    def entries_along_orbit(self, fam, xs):
+        # the phasors of orbit_phasors (see the last test), at the chosen steps only
+        z, w = cocycle.phasors(xs), fam.base.rotations(max(self.STEPS))
+        return {j: fam.evaluate_batch(z * w[j - 1], 0.0) for j in self.STEPS}
+
+    def mp_phase(self, base, x, j):
+        return sum(mp.mpf(float(c)) for c in x) + j * sum(mp.mpf(w) for w in base.omega)
+
+    def test_trig3_entries(self):
+        # d = 3 on the two-torus, with the coefficients of the benchmark's trig3 family
+        c0 = np.array([[4.0, 0.3, 0.1], [0.2, 2.5, 0.3], [0.0, 0.1, 1.5]])
+        c1 = np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.2, 0.3, 0.3]])
+        s1 = np.array([[0.0, 0.2, 0.1], [0.1, 0.0, 0.2], [0.3, 0.0, 0.1]])
+        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+        fam = TrigPolyFamily(base=base, dim=3, cos_coeffs=np.stack([c0, c1], axis=-1),
+                             sin_coeffs=s1[..., np.newaxis])
+        xs = torus_grid(2, 64)[::97]
+        assert xs.shape == (43, 2)
+        mp.mp.dps = 30
+        for j, got in self.entries_along_orbit(fam, xs).items():
+            for x, m in zip(xs, got):
+                t = 2 * mp.pi * self.mp_phase(base, x, j)
+                c, s = mp.cos(t), mp.sin(t)
+                for (i, k), v in np.ndenumerate(m):
+                    want = c0[i, k] + c1[i, k] * c + s1[i, k] * s
+                    assert abs(v - float(want)) <= 1e-14, (j, tuple(x), i, k)
+
+    def test_schrodinger_entries(self, schrodinger3):
+        xs = np.random.default_rng(29).uniform(0.0, 1.0, (16, 1))
+        mp.mp.dps = 30
+        for j, got in self.entries_along_orbit(schrodinger3, xs).items():
+            for x, m in zip(xs, got):
+                v = 6 * mp.cos(2 * mp.pi * self.mp_phase(schrodinger3.base, x, j))
+                assert abs(m[0, 0] - float(v)) <= 1e-14, (j, x[0])
+                assert (m[0, 1], m[1, 0], m[1, 1]) == (-1.0, 1.0, 0.0)
+
+    def test_orbit_phasors_are_start_phasors_times_rotations(self):
+        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+        xs = torus_grid(2, 4)
+        got = np.stack(list(base.orbit_phasors(xs, 5)))
+        assert np.array_equal(got, cocycle.phasors(xs) * base.rotations(5)[:, np.newaxis])
+
+
+class TestTopOrderFromDeterminants:
+    def test_unit_determinant_top_order_is_exact_zero(self, schrodinger3):
+        logs = schrodinger3.orbit_lognorms(np.array([-1.0, 0.5]), torus_grid(1, 16), 64,
+                                           p=2, checkpoints=(1, 16, 64))
+        assert np.array_equal(logs, np.zeros((3, 32)))
+
+    def test_top_order_makes_no_product(self, schrodinger3, monkeypatch):
+        def product(*args, **kwargs):
+            raise AssertionError("p = d ran a renormalised product")
+
+        monkeypatch.setattr(linalg, "scaled_product", product)
+        schrodinger3.orbit_lognorms(0.0, torus_grid(1, 8), 16, p=2)
+
+    def test_refusal_names_step_matrix_and_energy(self, golden):
+        # exp(1 + E) * exp(1 + E) leaves the float range at E = 400 only
+        fam = split_exp(golden, e_amp=(1.0, 1.0))
+        with pytest.raises(NumericalRefusal,
+                           match=r"determinant at step 1, matrix 4 \(E=400\.0\)$"):
+            fam.orbit_lognorms(np.array([0.0, 400.0]), torus_grid(1, 4), 3, p=2)
 
 
 class TestTwoTorus:

@@ -184,7 +184,7 @@ class TestOnePass:
         assert prof == ldt.deviation_profile(
             schrodinger3.orbit_lognorms(0.0, xs, 64, checkpoints=scales), scales, deltas)
         here = schrodinger3.orbit_lognorms(0.0, xs, 64)[0]
-        shifted = schrodinger3.orbit_lognorms(0.0, schrodinger3.base.orbit_points(xs, k), 64)[0]
+        shifted = schrodinger3.orbit_lognorms(0.0, xs + k * schrodinger3.base.omega[0], 64)[0]
         assert inv == ldt.almost_invariance(
             here, shifted, 64, k, *schrodinger3.one_step_log_extremes(0.0, m))
         assert mono == ldt.monotonicity_audit(

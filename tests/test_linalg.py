@@ -467,6 +467,20 @@ class TestBatchHelpers:
             want = [np.linalg.svd(x, compute_uv=False)[0] for x in b]
             assert np.allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_spectral_norm_lapack_route_matches_gram_jacobi(self, k, monkeypatch):
+        # from k = 6 on the stack goes to LAPACK; the Gram Jacobi still agrees
+        b = np.random.default_rng(k).standard_normal((64, k, k)) * np.logspace(-3, 3, k)
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        got = linalg.spectral_norm_batch(b)
+        assert calls == [1]  # one call over the whole stack
+        assert np.array_equal(got, [real(m, compute_uv=False)[0] for m in b])
+        monkeypatch.setattr(linalg, "_LAPACK_FROM", 99)
+        jacobi = linalg.spectral_norm_batch(b)
+        assert calls == [1] and np.max(np.abs(got - jacobi) / jacobi) <= 1e-13
+
     def test_spectral_norm_2x2_exact_on_rotations(self):
         # sigma_1 = sigma_2 = 1: the case where a closed form through
         # sqrt(fro^4 - 4 det^2) loses half the digits
@@ -691,3 +705,39 @@ class TestScaledProduct:
             calls.clear()
             linalg.scaled_product(iter(stacks), 40, checkpoints=cps)
             assert len(calls) == len(cps)
+
+
+class TestLogDetSum:
+    def test_matches_lapack_log_determinants(self):
+        stacks = factor_stacks(3, lanes=9, n=12)
+        cps = (1, 5, 12)
+        got = linalg.log_det_sum(iter(stacks), 12, cps)
+        assert got.shape == (3, 9)
+        logs = np.cumsum(np.log(np.abs(np.linalg.det(stacks))), axis=0)
+        for row, c in zip(got, cps):
+            assert np.max(np.abs(row - logs[c - 1])) <= 1e-13 * c
+
+    def test_unit_determinant_sums_to_exact_zero(self):
+        v = np.random.default_rng(3).uniform(-6.0, 6.0, (50, 7))
+        stacks = np.zeros((50, 7, 2, 2))
+        stacks[..., 0, 0], stacks[..., 0, 1], stacks[..., 1, 0] = v, -1.0, 1.0
+        assert np.array_equal(linalg.log_det_sum(iter(stacks), 50, (10, 50)), np.zeros((2, 7)))
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_degenerate_determinant_refused_at_its_step(self, bad):
+        stacks = np.broadcast_to(np.eye(2), (4, 3, 2, 2)).copy()
+        stacks[2, 1] = np.diag([1.0, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalRefusal, match="step 3, matrix 1") as info:
+                linalg.log_det_sum(iter(stacks), 4)
+        assert info.value.matrix == 1
+
+    def test_validation(self):
+        stacks = np.broadcast_to(np.eye(2), (3, 1, 2, 2))
+        with pytest.raises(ValidationError, match="checkpoints"):
+            linalg.log_det_sum(stacks, 3, checkpoints=(2, 1, 3))
+        with pytest.raises(ValidationError, match="at least 1"):
+            linalg.log_det_sum(stacks, 0)
+        with pytest.raises(ValidationError, match="factor stacks"):
+            linalg.log_det_sum(stacks[:2], 3)
