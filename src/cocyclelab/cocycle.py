@@ -4,10 +4,11 @@ A family is a map ``(x, E) -> A(x, E)`` in GL(d) over a torus shift.
 Scale-``n`` products go through :func:`linalg.scaled_product`, which
 renormalizes by exact powers of two at every step, so orbits of length
 10^5+ never overflow.  Every kind depends on ``x`` only through the phase
-``t(x) = sum x_i``, and ``evaluate_batch`` takes phasors ``zeta = e^{2 pi
-i t}``, whose powers give the harmonics.  An orbit pass takes ``e^{2 pi i
-t(x)}`` once and one rotation ``e^{2 pi i (j Omega mod 1)}``, ``Omega =
-sum omega_i``, per step, with ``j Omega mod 1`` reduced exactly
+``t(x) = sum x_i``, so a base point is its phasor ``zeta = e^{2 pi i t}``
+throughout: ``evaluate_batch`` and ``orbit_lognorms`` take 1-d phasors,
+whose powers give the harmonics.  An orbit pass multiplies the start
+phasors by one rotation ``e^{2 pi i (j Omega mod 1)}``, ``Omega = sum
+omega_i``, per step, with ``j Omega mod 1`` reduced exactly
 (:meth:`ShiftBase.rotations`), so no phase error grows with ``j`` either.
 
 Per-point log singular values come from the top-growth of the exterior
@@ -25,9 +26,10 @@ energy-free part of a factor (the potential of the Schrödinger kind) is
 computed once per point.  Every kind writes its stack lanes-last (see
 :mod:`linalg`).
 
-Finite-scale exponents are uniform-grid averages of the per-point
-profiles; reductions use a fixed-order pairwise tree so results do not
-depend on how grid work is scheduled.
+Finite-scale exponents are averages of the per-point profiles over the
+``m^nu`` grid of ``T^nu``, which is ``m`` phases (:func:`grid_phasors`);
+reductions use a fixed-order pairwise tree so results do not depend on
+how grid work is scheduled.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ DEFAULT_OMEGA_2D = (np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0)
 #: documented quadrature tolerance of grid averages at the default grids
 QUADRATURE_TOL = 1e-6
 
-#: points per axis of the torus grid on which construction checks invertibility
+#: phases of the grid (:func:`grid_phasors`) on which construction checks invertibility
 CHECK_GRID = 64
 
 #: lanes per orbit pass; larger stacks run in chunks of whole energies, and
@@ -74,32 +76,42 @@ class ShiftBase:
         for i, w in enumerate(self.omega):
             if not 0.0 < w < 1.0:
                 raise ValidationError(f"omega[{i}]={w} outside (0,1)")
+        # every kind sees only the phase, which a rational Omega keeps on a finite cycle
+        num, den = self._total_rotation
+        named = [(f"omega[{i}]={w}", w) for i, w in enumerate(self.omega)]
+        for name, w in named + [(f"total rotation Omega={sum(self.omega)!r} mod 1", num / den)]:
             witness = rational_witness(w)
             if witness is not None:
                 p, q = witness
-                raise ValidationError(
-                    f"omega[{i}]={w} is rational to working precision ({p}/{q})"
-                )
+                raise ValidationError(f"{name} is rational to working precision ({p}/{q})")
 
     @property
     def nu(self) -> int:
         return len(self.omega)
 
-    def rotations(self, n: int) -> np.ndarray:
-        """``e^{2 pi i (j Omega mod 1)}`` for ``j = 1..n``.  ``Omega`` is an
-        exact integer ratio (``float.as_integer_ratio``, power-of-two
-        denominators), so ``j Omega mod 1`` is reduced exactly into ``[-1/2,
-        1/2)`` and rounded once."""
+    @property
+    def _total_rotation(self) -> tuple[int, int]:
+        """``Omega mod 1`` as an exact ratio ``(num, den)``: each ``omega_i``
+        is an integer over a power of two (``float.as_integer_ratio``)."""
         ratios = [w.as_integer_ratio() for w in self.omega]
         den = max(q for _, q in ratios)
-        num = sum(p * (den // q) for p, q in ratios)
-        steps = (np.arange(1, n + 1, dtype=object) * num + den // 2) % den - den // 2
+        return sum(p * (den // q) for p, q in ratios) % den, den
+
+    def rotations(self, n: int) -> np.ndarray:
+        """:meth:`rotation` at every step ``j = 1..n``."""
+        return self.rotation(range(1, n + 1))
+
+    def rotation(self, steps) -> np.ndarray:
+        """``w_j = e^{2 pi i (j Omega mod 1)}`` at each integer step ``j`` of
+        ``steps``, with ``j Omega mod 1`` reduced exactly into ``[-1/2,
+        1/2)`` and rounded once, at a cost that does not grow with ``j``."""
+        num, den = self._total_rotation
+        steps = (np.array(steps, dtype=object) * num + den // 2) % den - den // 2
         return np.exp(2j * np.pi * (steps / den).astype(np.float64))
 
-    def orbit_phasors(self, xs: np.ndarray, n: int):
-        """Yields the phasors of a ``(B, nu)`` point stack after ``j = 1..n``
-        steps of the exact orbit: :func:`phasors` times :meth:`rotations`."""
-        z = phasors(xs)
+    def orbit_phasors(self, z: np.ndarray, n: int):
+        """Yields the phasors of 1-d start phasors ``z`` after ``j = 1..n``
+        steps of the exact orbit: ``z`` times :meth:`rotations`."""
         for w in self.rotations(n):
             yield z * w
 
@@ -108,30 +120,16 @@ def golden_base(dio_exponent: float = 2.0) -> ShiftBase:
     return ShiftBase(omega=(GOLDEN_MEAN,), dio_exponent=dio_exponent)
 
 
-def torus_grid(nu: int, m: int) -> np.ndarray:
-    """Uniform grid ``{k/m}^nu`` as a ``(m^nu, nu)`` array in a fixed
-    (C-order) enumeration."""
+def grid_phasors(m: int) -> np.ndarray:
+    """Phasors ``e^{2 pi i k/m}``, ``k < m``: the uniform ``m^nu`` grid of
+    ``T^nu`` seen through the phase, for every ``nu``.  Point ``(k_1, ...,
+    k_nu) / m`` has phase ``sum k_i / m``, and ``sum k_i mod m`` takes each
+    residue ``m^(nu-1)`` times (for fixed ``k_2..k_nu``, ``k_1`` runs over
+    them once), so grid means, deviation fractions and suprema over the
+    ``m^nu`` points are those over these ``m`` phases."""
     if m < 1:
         raise ValidationError("grid size must be positive")
-    axis = np.arange(m, dtype=np.float64) / m
-    if nu == 1:
-        return axis[:, np.newaxis]
-    grids = np.meshgrid(*([axis] * nu), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-
-def as_points(x, nu: int) -> np.ndarray:
-    """Coerce a point or batch of points into a ``(B, nu)`` array."""
-    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    a = a[:, np.newaxis] if a.ndim == 1 and nu == 1 else np.atleast_2d(a)
-    if a.ndim != 2 or a.shape[-1] != nu:
-        raise ValidationError(f"points have {a.shape[-1]} coords, base has nu={nu}")
-    return a
-
-
-def phasors(pts: np.ndarray) -> np.ndarray:
-    """``e^{2 pi i t(x)}`` per point of a ``(B, nu)`` stack."""
-    return np.exp(2j * np.pi * np.sum(pts, axis=-1))
+    return np.exp(2j * np.pi * (np.arange(m, dtype=np.float64) / m))
 
 
 def _fourier(zeta: np.ndarray, cos_coeffs, sin_coeffs) -> np.ndarray:
@@ -200,7 +198,7 @@ class CocycleFamily:
     # -- kind-specific surface ------------------------------------------------
 
     def evaluate_batch(self, zeta: np.ndarray, E) -> np.ndarray:
-        """``A(x, E)`` at ``B`` points given by their :func:`phasors` ``zeta``
+        """``A(x, E)`` at ``B`` points given by their phasors ``zeta``
         and one energy or a 1-d stack of ``K``: shape ``(K * B, d, d)``,
         lane ``k * B + b`` for energy ``k`` at point ``b``.  The stack is
         lanes-last, the transposed view of a C-contiguous ``(d, d, K * B)``
@@ -219,10 +217,10 @@ class CocycleFamily:
     # -- generic machinery ----------------------------------------------------
 
     def _validate_invertibility(self):
-        pts = torus_grid(self.base.nu, CHECK_GRID)
+        zeta = grid_phasors(CHECK_GRID)
         for E in self.param_values:
             with np.errstate(over="ignore", invalid="ignore"):
-                mats = self.evaluate_batch(phasors(pts), float(E))
+                mats = self.evaluate_batch(zeta, float(E))
             bad = ~np.all(np.isfinite(mats), axis=(1, 2))
             problem = "has non-finite entries"
             if not np.any(bad):
@@ -231,28 +229,31 @@ class CocycleFamily:
                 problem = "is numerically singular"
             if np.any(bad):
                 i = int(np.argmax(bad))
-                raise ValidationError(f"family {problem} at x={tuple(pts[i].tolist())}, E={E}")
+                raise ValidationError(f"family {problem} at t={i / CHECK_GRID}, E={E}")
 
-    def orbit_lognorms(self, E, xs: np.ndarray, n: int, p: int = 1,
+    def orbit_lognorms(self, E, zeta: np.ndarray, n: int, p: int = 1,
                        checkpoints: tuple[int, ...] | None = None) -> np.ndarray:
         """``log || Lambda^p A^(n)_x(E) ||`` for every (energy, point) lane.
 
-        ``E`` is one energy or a 1-d array of ``K``; lane ``k * B + b`` is
-        energy ``k`` at point ``b`` of ``xs``.  Returns shape
-        ``(len(checkpoints), K * B)``; ``checkpoints`` defaults to ``(n,)``
-        and must be increasing with final entry ``n``.  Order ``p = d`` is
-        :func:`linalg.log_det_sum` of the factors, with no product.
+        ``zeta`` holds the phasors ``e^{2 pi i t(x)}`` of ``B`` start points
+        and ``E`` one energy or a 1-d array of ``K``; lane ``k * B + b`` is
+        energy ``k`` at point ``b``.  Returns shape ``(len(checkpoints), K *
+        B)``; ``checkpoints`` defaults to ``(n,)`` and must be increasing
+        with final entry ``n``.  Order ``p = d`` is :func:`linalg.log_det_sum`
+        of the factors, with no product.
         """
-        xs = as_points(xs, self.base.nu)
+        zeta = np.asarray(zeta)
+        if zeta.ndim != 1 or not np.iscomplexobj(zeta):
+            raise ValidationError("start points must be a 1-d array of phasors")
         energies = _energies(E)
-        nb = xs.shape[0]
+        nb = zeta.size
         per_pass = max(1, STACK_POINTS // nb)
         out = []
         for start in range(0, energies.size, per_pass):
             chunk = energies[start:start + per_pass]
             # map, unlike a generator expression, keeps no step's arrays alive
             factors = map(functools.partial(self.evaluate_batch, E=chunk),
-                          self.base.orbit_phasors(xs, n))
+                          self.base.orbit_phasors(zeta, n))
             try:
                 if p == self.dim:
                     out.append(linalg.log_det_sum(factors, n, checkpoints))
@@ -278,11 +279,11 @@ class CocycleFamily:
             raise ValidationError("scales must be positive")
         if j is not None and not 1 <= j <= self.dim:
             raise ValidationError(f"exponent index j={j} out of range 1..{self.dim}")
-        xs = torus_grid(self.base.nu, m)
+        zeta = grid_phasors(m)
         partial = np.zeros((len(scales), np.size(E), self.dim + 1), dtype=np.float64)
         for p in range(1, self.dim + 1) if j is None else range(max(j - 1, 1), j + 1):
-            lognorms = self.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales)
-            lognorms = lognorms.reshape(len(scales), -1, xs.shape[0])
+            lognorms = self.orbit_lognorms(E, zeta, scales[-1], p=p, checkpoints=scales)
+            lognorms = lognorms.reshape(len(scales), -1, m)
             for i, k in np.ndindex(*lognorms.shape[:2]):
                 partial[i, k, p] = pairwise_mean(lognorms[i, k])
             del lognorms  # not held while the next order's pass runs
@@ -292,8 +293,7 @@ class CocycleFamily:
 
     def one_step_log_extremes(self, E: float, m: int) -> tuple[float, float]:
         """Grid maxima of ``log||A||`` and ``log||A^-1||`` at one step."""
-        zeta = phasors(torus_grid(self.base.nu, m))
-        top, low = linalg.extreme_singular_values_batch(self.evaluate_batch(zeta, E))
+        top, low = linalg.extreme_singular_values_batch(self.evaluate_batch(grid_phasors(m), E))
         return float(np.max(np.log(top))), float(np.max(-np.log(low)))
 
 

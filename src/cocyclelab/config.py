@@ -5,10 +5,10 @@ canonicalize, so a config hash is stable across key order, whitespace,
 and comments.  Unknown keys are rejected with their line number; every
 run echoes the fully resolved config (defaults included) into its output
 headers, and the hash is taken over that resolved form.  Resolution is
-concrete: an omitted ``numerics.grid`` becomes 1024 points for ``nu = 1``
-and 64 per axis otherwise.  Tolerances and output precision are not keys:
-grid averages are held to ``cocycle.QUADRATURE_TOL``, and every number is
-written with 17 significant digits.
+concrete: an omitted ``numerics.grid`` becomes 1024 phases for ``nu = 1``
+and 64 otherwise (``m`` phases are the ``m^nu`` grid of ``T^nu``).
+Tolerances and output precision are not keys: grid averages are held to
+``cocycle.QUADRATURE_TOL``, and every number has 17 significant digits.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import cocycle, random_products
 from .errors import ConfigError
 from .util import dyadic_ladder
 
-_GRID_AUTO = -1  # sentinel: 1024 for nu=1, 64 per axis otherwise
+_GRID_AUTO = -1  # sentinel: 1024 phases for nu=1, 64 otherwise
 
 
 def _parse_int(raw: str, key: str, line: int | None) -> int:

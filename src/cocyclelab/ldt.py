@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import QUADRATURE_TOL, CocycleFamily, torus_grid
+from .cocycle import QUADRATURE_TOL, CocycleFamily, grid_phasors
 from .errors import ValidationError
 from .util import pairwise_mean
 
@@ -157,17 +157,17 @@ def reports(fam: CocycleFamily, E: float, scales, deltas, m: int, p: int = 1, k:
     """``(deviation_profile, almost_invariance, monotonicity_audit)`` on the
     ``m``-grid: the order-``p`` profile on ``scales x deltas``, invariance
     under ``k`` shifts at the top scale and the audit along ``ladder``, from
-    one order-1 pass on the grid and its ``k``-shift (a second if ``p != 1``)."""
+    one order-1 pass on the grid and its exact ``k``-shift (a second if ``p != 1``)."""
     if k < 1:
         raise ValidationError("k must be at least 1")
     scales = tuple(sorted(set(int(s) for s in scales)))
     cps = tuple(sorted(set(scales + tuple(ladder))))
-    xs = torus_grid(fam.base.nu, m)
-    both = np.concatenate([xs, xs + k * np.asarray(fam.base.omega)])  # phasors need no mod 1
+    zeta = grid_phasors(m)
+    both = np.concatenate([zeta, zeta * fam.base.rotation([k])])
     here, shifted = np.split(fam.orbit_lognorms(E, both, cps[-1], checkpoints=cps), 2, axis=1)
     top = cps.index(scales[-1])
     profile = (here[[cps.index(n) for n in scales]] if p == 1 else
-               fam.orbit_lognorms(E, xs, scales[-1], p=p, checkpoints=scales))
+               fam.orbit_lognorms(E, zeta, scales[-1], p=p, checkpoints=scales))
     return (
         deviation_profile(profile, scales, deltas),
         almost_invariance(here[top], shifted[top], scales[-1], k,

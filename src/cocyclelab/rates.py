@@ -16,7 +16,7 @@ from math import exp
 
 import numpy as np
 
-from .cocycle import QUADRATURE_TOL, CocycleFamily, torus_grid
+from .cocycle import QUADRATURE_TOL, CocycleFamily, grid_phasors
 from .errors import NumericalRefusal, ValidationError
 from .linalg import spectral_norm_batch
 from .util import dyadic_ladder
@@ -259,10 +259,9 @@ def crude_continuity_check(
         raise NumericalRefusal(
             "unscaled product difference would overflow at this scale"
         )
-    xs = torus_grid(fam.base.nu, m)
     prod_a = None
     prod_b = None
-    for zeta in fam.base.orbit_phasors(xs, n):
+    for zeta in fam.base.orbit_phasors(grid_phasors(m), n):
         fa = fam.evaluate_batch(zeta, E)
         fb = fam.evaluate_batch(zeta, E_prime)
         prod_a = fa if prod_a is None else np.matmul(fa, prod_a)

@@ -19,6 +19,7 @@ from tests.test_avalanche import admissible_sequence, rot
 from tests.test_cocycle import mp_norm_2x2, mp_schrodinger_product
 from tests.test_linalg import exterior_power
 from tests.test_rates import planted_series
+from tests.torus_points import phasors
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
@@ -180,7 +181,7 @@ def test_08_herman_lower_bound(schrodinger3, schrodinger_ladder):
     worst_audit = 0.0
     for k in range(8):
         x = k / 8 + 0.013
-        eng = float(schrodinger3.orbit_lognorms(0.0, np.array([[x]]), 4096)[0, 0])
+        eng = float(schrodinger3.orbit_lognorms(0.0, phasors(x), 4096)[0, 0])
         oracle = float(mp.log(mp_norm_2x2(mp_schrodinger_product(schrodinger3, x, 0.0, 4096))))
         worst_audit = max(worst_audit, abs(eng - oracle))
     elapsed = time.monotonic() - t0

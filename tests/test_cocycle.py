@@ -12,10 +12,11 @@ from cocyclelab.cocycle import (
     ShiftBase,
     TrigPolyFamily,
     check_ladder,
-    torus_grid,
+    grid_phasors,
 )
 from cocyclelab.errors import NumericalRefusal, ValidationError
 from cocyclelab.util import pairwise_mean
+from tests.torus_points import phasors, torus_grid
 
 LN2 = np.log(2.0)
 
@@ -27,10 +28,9 @@ def finite_scale_exponents_qr(fam, E: float, n: int, m: int) -> np.ndarray:
     families it differs from the compound estimator by an O(1/n)
     frame-alignment correction.
     """
-    xs = torus_grid(fam.base.nu, m)
-    q = np.broadcast_to(np.eye(fam.dim), (xs.shape[0], fam.dim, fam.dim)).copy()
-    sums = np.zeros((xs.shape[0], fam.dim), dtype=np.float64)
-    for j, zeta in enumerate(fam.base.orbit_phasors(xs, n), 1):
+    q = np.broadcast_to(np.eye(fam.dim), (m, fam.dim, fam.dim)).copy()
+    sums = np.zeros((m, fam.dim), dtype=np.float64)
+    for j, zeta in enumerate(fam.base.orbit_phasors(grid_phasors(m), n), 1):
         q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(zeta, E), q))
         diag = np.diagonal(r, axis1=1, axis2=2)
         q = q * np.where(diag < 0.0, -1.0, 1.0)[:, np.newaxis, :]
@@ -74,13 +74,25 @@ class TestShiftBase:
     def test_two_torus_default(self):
         base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
         assert base.nu == 2
-        grid = torus_grid(2, 8)
-        assert grid.shape == (64, 2)
+
+    def test_rejects_rational_total_rotation(self):
+        # each frequency is irrational, but Omega = 1.0 freezes every phase
+        omega = (np.sqrt(2.0) - 1.0, 2.0 - np.sqrt(2.0))
+        assert sum(omega) == 1.0
+        with pytest.raises(ValidationError, match=r"total rotation Omega=1\.0 mod 1 is rational"):
+            ShiftBase(omega=omega)
+        with pytest.raises(ValidationError, match=r"Omega=.* \(1/2\)"):
+            ShiftBase(omega=(np.sqrt(2.0) - 1.0, 1.5 - np.sqrt(2.0)))
+
+    def test_grid_phasors_are_the_circle_grid_bit_for_bit(self):
+        for m in (1, 7, 64, 1024):
+            assert np.array_equal(grid_phasors(m), np.exp(2j * np.pi * np.sum(
+                torus_grid(1, m), axis=-1)))
 
 
 def evaluate(fam, x, E: float) -> np.ndarray:
     """The cocycle matrix at one base point."""
-    return fam.evaluate_batch(cocycle.phasors(cocycle.as_points(x, fam.base.nu)), E)[0]
+    return fam.evaluate_batch(phasors(x), E)[0]
 
 
 class TestEvaluate:
@@ -123,7 +135,7 @@ class TestEvaluate:
                           [[0.0, 0.0, 0.0], [1.5, 0.2, 0.0]]])
         sin_c = np.array([[[0.0, 0.1], [0.4, 0.0]], [[0.0, 0.0], [0.0, 0.7]]])
         fam = TrigPolyFamily(base=golden, dim=2, cos_coeffs=cos_c, sin_coeffs=sin_c)
-        zeta = cocycle.phasors(cocycle.torus_grid(1, 64))
+        zeta = grid_phasors(64)
         got = fam.evaluate_batch(zeta, 0.0)
         for i, j in np.ndindex(2, 2):
             want = cocycle._fourier(zeta, cos_c[i, j], sin_c[i, j])
@@ -146,7 +158,7 @@ class TestEvaluate:
                 sin_coeffs=rng.standard_normal((3, 3, 2)) * 0.1),
             "schrodinger": lambda: SchrodingerFamily(base=base, dim=2, coupling=3.0),
         }[kind]()
-        zeta = cocycle.phasors(torus_grid(2, 8))
+        zeta = phasors(torus_grid(2, 8))
         energies = np.array([-1.5, 0.0, 0.25, 2.0])
         got = fam.evaluate_batch(zeta, energies)
         d = fam.dim
@@ -159,15 +171,14 @@ class TestEvaluate:
             assert all(np.array_equal(m, per_energy[0]) for m in per_energy)
 
     def test_construction_rejects_singular_family(self, golden):
-        with pytest.raises(ValidationError, match=r"numerically singular at x=\(0\.0,\), E=0\.0"):
+        with pytest.raises(ValidationError, match=r"numerically singular at t=0\.0, E=0\.0"):
             ConstantFamily(base=golden, dim=2, matrix=np.diag([1.0, 0.0]))
 
 
 def orbit_product(fam, x, E: float, n: int) -> float:
     """Log-norm of the scale-``n`` product over the orbit of one point,
     through the shared accumulator."""
-    xs = cocycle.as_points(x, fam.base.nu)
-    factors = (fam.evaluate_batch(zeta, E) for zeta in fam.base.orbit_phasors(xs, n))
+    factors = (fam.evaluate_batch(zeta, E) for zeta in fam.base.orbit_phasors(phasors(x), n))
     logs = linalg.scaled_product(factors, n)
     assert logs.shape == (1, 1)
     return float(logs[0, 0])
@@ -175,7 +186,8 @@ def orbit_product(fam, x, E: float, n: int) -> float:
 
 def log_singular_profile(fam, x, E: float, n: int) -> np.ndarray:
     """Per-point ``(1/n) log sigma_j(A^(n)_x)`` from compound top growth."""
-    partial = [0.0] + [fam.orbit_lognorms(E, x, n, p=p)[0, 0] for p in range(1, fam.dim + 1)]
+    z = phasors(x)
+    partial = [0.0] + [fam.orbit_lognorms(E, z, n, p=p)[0, 0] for p in range(1, fam.dim + 1)]
     return np.diff(partial) / n
 
 
@@ -188,7 +200,7 @@ class TestProductOrbit:
     def test_single_factor_is_shifted_evaluate(self, golden):
         fam = SchrodingerFamily(base=golden, dim=2, coupling=2.0)
         x, E = 0.2, 0.3
-        log_scale = fam.orbit_lognorms(E, x, 1)[0, 0]
+        log_scale = fam.orbit_lognorms(E, phasors(x), 1)[0, 0]
         direct = evaluate(fam, np.mod(x + golden.omega[0], 1.0), E)
         assert abs(log_scale - np.log(np.linalg.norm(direct, 2))) <= 1e-14
 
@@ -197,7 +209,7 @@ class TestProductOrbit:
         rng = np.random.default_rng(5)
         E = float(rng.uniform(-1, 1))
         x = float(rng.uniform(0, 1))
-        log_scale = schrodinger3.orbit_lognorms(E, x, 3)[0, 0]
+        log_scale = schrodinger3.orbit_lognorms(E, phasors(x), 3)[0, 0]
         oracle = float(mp.log(mp_norm_2x2(mp_schrodinger_product(schrodinger3, x, E, 3))))
         assert abs(log_scale - oracle) <= 1e-12 * abs(oracle)
 
@@ -206,7 +218,7 @@ class TestProductOrbit:
         b = orbit_product(schrodinger3, 0.123, 0.0, 50)
         assert a == b
         # the orbit kernel at B = 1 is the same accumulation
-        assert schrodinger3.orbit_lognorms(0.0, 0.123, 50)[0, 0] == a
+        assert schrodinger3.orbit_lognorms(0.0, phasors(0.123), 50)[0, 0] == a
 
 
 class TestLogSingularProfile:
@@ -263,11 +275,11 @@ class TestFiniteScaleExponents:
         assert abs(lam[0] + lam[1]) <= 1e-13
 
     def test_cocycle_relation_pointwise(self, schrodinger3):
-        xs = np.array([[0.11], [0.47], [0.83]])
+        z = phasors([0.11, 0.47, 0.83])
         n, m = 20, 12
-        both = schrodinger3.orbit_lognorms(0.0, xs, n + m)[0]
-        first = schrodinger3.orbit_lognorms(0.0, xs, m)[0]
-        shifted = schrodinger3.orbit_lognorms(0.0, xs + m * schrodinger3.base.omega[0], n)[0]
+        both = schrodinger3.orbit_lognorms(0.0, z, n + m)[0]
+        first = schrodinger3.orbit_lognorms(0.0, z, m)[0]
+        shifted = schrodinger3.orbit_lognorms(0.0, z * schrodinger3.base.rotations(m)[-1], n)[0]
         assert np.all(both <= shifted + first + 1e-10)
 
     def test_monotone_decrease_and_superadditivity(self, schrodinger_ladder):
@@ -283,10 +295,9 @@ class TestFiniteScaleExponents:
 
     def test_partial_sum_consistency(self, schrodinger3):
         n, m = 32, 64
-        xs = torus_grid(1, m)
         lam = schrodinger3.finite_scale_exponents(0.0, n, m)
         for p in (1, 2):
-            avg = pairwise_mean(schrodinger3.orbit_lognorms(0.0, xs, n, p=p)[0]) / n
+            avg = pairwise_mean(schrodinger3.orbit_lognorms(0.0, grid_phasors(m), n, p=p)[0]) / n
             assert abs(avg - np.sum(lam[:p])) <= 1e-10
 
     def test_unit_determinant_zero_sum(self, schrodinger_ladder):
@@ -372,9 +383,9 @@ class TestNoPerMatrixLapack:
         fam = TrigPolyFamily(base=base, dim=3,
                              cos_coeffs=np.eye(3)[..., np.newaxis] * [2.0, 0.5],
                              sin_coeffs=np.ones((3, 3, 1)) * 0.3)
-        xs = torus_grid(2, 8)
+        z = grid_phasors(8)
         n = 12
-        factors = [fam.evaluate_batch(zeta, 0.0) for zeta in base.orbit_phasors(xs, n)]
+        factors = [fam.evaluate_batch(zeta, 0.0) for zeta in base.orbit_phasors(z, n)]
         prod = factors[0]
         for f in factors[1:]:
             prod = f @ prod
@@ -388,7 +399,7 @@ class TestNoPerMatrixLapack:
         monkeypatch.setattr(np.linalg, "svd", lapack)
         for p, want in ((1, np.log(sigma[:, 0])), (2, np.log(sigma[:, 0] * sigma[:, 1])),
                         (3, logdet)):
-            got = fam.orbit_lognorms(0.0, xs, n, p=p)[0]
+            got = fam.orbit_lognorms(0.0, z, n, p=p)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * n
 
 
@@ -401,7 +412,7 @@ class TestNoPerMatrixLapack:
                                  sin_coeffs=np.ones((3, 3, 1)) * 0.3)
         else:
             fam = SchrodingerFamily(base=cocycle.golden_base(), dim=2, coupling=3.0)
-        xs = torus_grid(fam.base.nu, 8)
+        z = grid_phasors(8)
         calls = {}
         for name in ("cos", "sin", "exp", "matmul"):
             def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
@@ -412,10 +423,10 @@ class TestNoPerMatrixLapack:
         per_pass = []
         for n in (1, 12):
             calls.clear()
-            fam.orbit_lognorms(0.0, xs, n, p=1)
+            fam.orbit_lognorms(0.0, z, n, p=1)
             per_pass.append(dict(calls))
-        # the start phasors and the step rotations, once per pass each
-        assert per_pass[0] == per_pass[1] == {"exp": 2}
+        # the step rotations, once per pass; the start phasors come in
+        assert per_pass[0] == per_pass[1] == {"exp": 1}
 
 
 class TestExactOrbitPhase:
@@ -427,7 +438,7 @@ class TestExactOrbitPhase:
 
     def entries_along_orbit(self, fam, xs):
         # the phasors of orbit_phasors (see the last test), at the chosen steps only
-        z, w = cocycle.phasors(xs), fam.base.rotations(max(self.STEPS))
+        z, w = phasors(xs), fam.base.rotations(max(self.STEPS))
         return {j: fam.evaluate_batch(z * w[j - 1], 0.0) for j in self.STEPS}
 
     def mp_phase(self, base, x, j):
@@ -461,16 +472,26 @@ class TestExactOrbitPhase:
                 assert abs(m[0, 0] - float(v)) <= 1e-14, (j, x[0])
                 assert (m[0, 1], m[1, 0], m[1, 1]) == (-1.0, 1.0, 0.0)
 
+    def test_one_rotation_far_out(self):
+        # w_j of one step j is exact and its cost does not grow with j
+        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+        mp.mp.dps = 50
+        for j in (99999, 10**12, 10**18):
+            t = j * sum(mp.mpf(w) for w in base.omega)
+            want = complex(mp.exp(2j * mp.pi * (t - mp.floor(t))))
+            assert abs(base.rotation([j])[0] - want) <= 1e-15, j
+        assert base.rotation([99999]) == base.rotations(99999)[-1]
+
     def test_orbit_phasors_are_start_phasors_times_rotations(self):
         base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
-        xs = torus_grid(2, 4)
-        got = np.stack(list(base.orbit_phasors(xs, 5)))
-        assert np.array_equal(got, cocycle.phasors(xs) * base.rotations(5)[:, np.newaxis])
+        z = phasors(torus_grid(2, 4))
+        got = np.stack(list(base.orbit_phasors(z, 5)))
+        assert np.array_equal(got, z * base.rotations(5)[:, np.newaxis])
 
 
 class TestTopOrderFromDeterminants:
     def test_unit_determinant_top_order_is_exact_zero(self, schrodinger3):
-        logs = schrodinger3.orbit_lognorms(np.array([-1.0, 0.5]), torus_grid(1, 16), 64,
+        logs = schrodinger3.orbit_lognorms(np.array([-1.0, 0.5]), grid_phasors(16), 64,
                                            p=2, checkpoints=(1, 16, 64))
         assert np.array_equal(logs, np.zeros((3, 32)))
 
@@ -479,14 +500,14 @@ class TestTopOrderFromDeterminants:
             raise AssertionError("p = d ran a renormalised product")
 
         monkeypatch.setattr(linalg, "scaled_product", product)
-        schrodinger3.orbit_lognorms(0.0, torus_grid(1, 8), 16, p=2)
+        schrodinger3.orbit_lognorms(0.0, grid_phasors(8), 16, p=2)
 
     def test_refusal_names_step_matrix_and_energy(self, golden):
         # exp(1 + E) * exp(1 + E) leaves the float range at E = 400 only
         fam = split_exp(golden, e_amp=(1.0, 1.0))
         with pytest.raises(NumericalRefusal,
                            match=r"determinant at step 1, matrix 4 \(E=400\.0\)$"):
-            fam.orbit_lognorms(np.array([0.0, 400.0]), torus_grid(1, 4), 3, p=2)
+            fam.orbit_lognorms(np.array([0.0, 400.0]), grid_phasors(4), 3, p=2)
 
 
 class TestTwoTorus:
@@ -499,6 +520,45 @@ class TestTwoTorus:
         assert lam.shape == (2,)
         assert abs(lam[0] + lam[1]) <= 1e-12
         assert lam[0] >= 0.0
+
+
+class TestPhaseGrid:
+    """The ``m`` grid phases stand for the ``m^nu`` points of the grid of
+    ``T^nu``: each phase ``k/m`` is the phase of ``m^(nu-1)`` of them."""
+
+    @pytest.mark.parametrize("omega", [
+        cocycle.DEFAULT_OMEGA_2D,
+        (np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0, np.sqrt(5.0) - 2.0),
+    ], ids=["nu2", "nu3"])
+    def test_ladder_is_the_point_grid_mean(self, omega, monkeypatch):
+        rng = np.random.default_rng(23)
+        fam = TrigPolyFamily(
+            base=ShiftBase(omega=omega), dim=3,
+            cos_coeffs=rng.standard_normal((3, 3, 3)) * 0.2 + 2.0 * np.eye(3)[:, :, None],
+            sin_coeffs=rng.standard_normal((3, 3, 2)) * 0.2)
+        m, scales, energies = 8, (4, 16), np.array([0.0, 0.5])
+        lanes = []
+        real = TrigPolyFamily.evaluate_batch
+
+        def counted(self, zeta, E):
+            out = real(self, zeta, E)
+            lanes.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(TrigPolyFamily, "evaluate_batch", counted)
+        ladder = fam.exponent_ladder(energies, scales, m)
+        # m * K lanes on every step of the three passes, not m^nu * K
+        assert lanes == [m * energies.size] * 3 * scales[-1]
+        monkeypatch.undo()
+        z = phasors(torus_grid(fam.base.nu, m))
+        assert z.size == m ** fam.base.nu
+        partial = [np.zeros((len(scales), energies.size))]
+        for p in range(1, 4):
+            logs = fam.orbit_lognorms(energies, z, scales[-1], p=p, checkpoints=scales)
+            partial.append(logs.reshape(len(scales), energies.size, -1).mean(axis=-1))
+        want = np.diff(np.stack(partial, axis=-1)) / np.array(scales)[:, np.newaxis, np.newaxis]
+        for i, n in enumerate(scales):
+            assert np.max(np.abs(ladder[n] - want[i])) <= 1e-13
 
 
 @pytest.fixture
@@ -537,12 +597,12 @@ class TestStackedEnergies:
                 assert (stacked[n][k] == single[n]).all()
 
     def test_chunks_move_no_bits(self, schrodinger3, monkeypatch):
-        xs = torus_grid(1, 16)
+        z = grid_phasors(16)
         energies = np.linspace(-1.0, 1.0, 5)
-        whole = schrodinger3.orbit_lognorms(energies, xs, 32, checkpoints=(8, 32))
+        whole = schrodinger3.orbit_lognorms(energies, z, 32, checkpoints=(8, 32))
         assert whole.shape == (2, 5 * 16)
         monkeypatch.setattr(cocycle, "STACK_POINTS", 40)  # two energies per pass
-        assert (schrodinger3.orbit_lognorms(energies, xs, 32, checkpoints=(8, 32)) == whole).all()
+        assert (schrodinger3.orbit_lognorms(energies, z, 32, checkpoints=(8, 32)) == whole).all()
 
     def test_refusal_names_its_energy(self, golden):
         fam = split_exp(golden, e_amp=(1.0, 1.0))
@@ -553,7 +613,12 @@ class TestStackedEnergies:
     def test_energy_shape_validated(self, schrodinger3):
         for bad in (np.zeros((2, 2)), np.zeros(0)):
             with pytest.raises(ValidationError, match="1-d"):
-                schrodinger3.orbit_lognorms(bad, torus_grid(1, 4), 2)
+                schrodinger3.orbit_lognorms(bad, grid_phasors(4), 2)
+
+    def test_start_points_are_phasors(self, schrodinger3):
+        for bad in (torus_grid(1, 4), grid_phasors(4)[:, np.newaxis]):
+            with pytest.raises(ValidationError, match="1-d array of phasors"):
+                schrodinger3.orbit_lognorms(0.0, bad, 2)
 
     @pytest.mark.parametrize("budget", [4, 24])
     def test_holder_makes_two_ladder_calls(self, golden, orbit_calls, budget):

@@ -327,7 +327,7 @@ class TestCli:
         cfg = _write(tmp_path, "cocycle.kind = constant\ncocycle.entries = 1,0,0,0\n")
         res = CliRunner().invoke(main, ["exponents", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
-        assert res.stderr.startswith("error: family is numerically singular at x=(0.0,), E=0.0")
+        assert res.stderr.startswith("error: family is numerically singular at t=0.0, E=0.0")
         assert not list((tmp_path / "o").glob("exponents*"))
 
     def test_overflowing_family_exit_1(self, tmp_path):
@@ -338,7 +338,7 @@ class TestCli:
             res = CliRunner().invoke(
                 main, ["exponents", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
-        assert res.stderr.startswith("error: family has non-finite entries at x=(0.0,), E=0.0")
+        assert res.stderr.startswith("error: family has non-finite entries at t=0.0, E=0.0")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_family_beyond_square_range_refused_by_the_product(self, tmp_path):

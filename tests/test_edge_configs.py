@@ -34,6 +34,9 @@ FAMILIES = {
                      + WINDOW, 0, {}),
     "schrodinger-nu2": ("cocycle.coupling = 3\nshift.nu = 2\nshift.omega = sqrt2-sqrt3\n"
                         + WINDOW, 0, {}),
+    # sqrt2 - 1 and 2 - sqrt2 are irrational, but Omega is exactly 1: a frozen orbit
+    "schrodinger-nu2-omega-sum-1": (
+        "shift.nu = 2\nshift.omega = 0.41421356237309515, 0.5857864376269049\n", 1, {}),
 }
 
 #: matrix files for ap-verify: blocks separated by blank lines

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import ldt
-from cocyclelab.cocycle import ConstantFamily, DiagonalExpFamily, torus_grid
+from cocyclelab.cocycle import ConstantFamily, DiagonalExpFamily, grid_phasors
 from cocyclelab.errors import ValidationError
 from cocyclelab.util import pairwise_mean
 
@@ -42,7 +42,7 @@ class TestDeviationMeasure:
         assert measures(const2, 16, 1, (1e-6, 0.1, 3.0), 64) == [0.0] * 3
 
     def test_delta_beyond_total_oscillation(self, schrodinger3):
-        vals = schrodinger3.orbit_lognorms(0.0, torus_grid(1, 128), 16)[0] / 16
+        vals = schrodinger3.orbit_lognorms(0.0, grid_phasors(128), 16)[0] / 16
         big = float(np.max(vals) - np.min(vals)) + 0.01
         assert measures(schrodinger3, 16, 1, (big,), 128) == [0.0]
 
@@ -76,10 +76,10 @@ class TestDeviationMeasure:
 class TestDeviationProfile:
     def test_rows_match_pointwise_op(self, schrodinger3):
         prof = ldt.reports(schrodinger3, 0.0, (16, 32), (0.05, 0.1), 128)[0]
-        xs = torus_grid(1, 128)
+        zeta = grid_phasors(128)
         for n, delta, measure in prof.rows:
             # reference: a separate orbit pass at this scale, centered here
-            vals = schrodinger3.orbit_lognorms(0.0, xs, n)[0] / n
+            vals = schrodinger3.orbit_lognorms(0.0, zeta, n)[0] / n
             direct = np.count_nonzero(np.abs(vals - pairwise_mean(vals)) > delta) / vals.size
             assert measure == direct
 
@@ -177,18 +177,22 @@ class TestMonotonicityAudit:
 
 class TestOnePass:
     def test_reports_equal_one_pass_per_report(self, schrodinger3):
-        # the shared pass moves no bit: each report equals its own pass
-        scales, ladder, deltas, m, k = (16, 24, 64), (16, 32, 64), (0.05, 0.1), 128, 3
-        prof, inv, mono = ldt.reports(schrodinger3, 0.0, scales, deltas, m, k=k, ladder=ladder)
-        xs = torus_grid(1, m)
-        assert prof == ldt.deviation_profile(
-            schrodinger3.orbit_lognorms(0.0, xs, 64, checkpoints=scales), scales, deltas)
-        here = schrodinger3.orbit_lognorms(0.0, xs, 64)[0]
-        shifted = schrodinger3.orbit_lognorms(0.0, xs + k * schrodinger3.base.omega[0], 64)[0]
-        assert inv == ldt.almost_invariance(
-            here, shifted, 64, k, *schrodinger3.one_step_log_extremes(0.0, m))
-        assert mono == ldt.monotonicity_audit(
-            schrodinger3.orbit_lognorms(0.0, xs, 64, checkpoints=ladder), ladder)
+        # the shared pass moves no bit: each report equals its own pass, and
+        # the k-shift is the exact rotation w_k of the start phasors
+        scales, ladder, deltas, m = (16, 24, 64), (16, 32, 64), (0.05, 0.1), 128
+        z = grid_phasors(m)
+        here = schrodinger3.orbit_lognorms(0.0, z, 64)[0]
+        for k in (3, 99999):
+            prof, inv, mono = ldt.reports(schrodinger3, 0.0, scales, deltas, m, k=k,
+                                          ladder=ladder)
+            assert prof == ldt.deviation_profile(
+                schrodinger3.orbit_lognorms(0.0, z, 64, checkpoints=scales), scales, deltas)
+            w_k = schrodinger3.base.rotations(k)[-1]
+            shifted = schrodinger3.orbit_lognorms(0.0, z * w_k, 64)[0]
+            assert inv == ldt.almost_invariance(
+                here, shifted, 64, k, *schrodinger3.one_step_log_extremes(0.0, m))
+            assert mono == ldt.monotonicity_audit(
+                schrodinger3.orbit_lognorms(0.0, z, 64, checkpoints=ladder), ladder)
 
     def test_monotonicity_values_are_the_ladder(self, schrodinger3):
         ladder = (16, 32, 64, 128)

@@ -10,7 +10,7 @@ import pytest
 from cocyclelab import linalg
 from cocyclelab import random_products as rp
 from cocyclelab.cocycle import (DEFAULT_OMEGA_2D, ConstantFamily, SchrodingerFamily, ShiftBase,
-                                TrigPolyFamily, golden_base, torus_grid)
+                                TrigPolyFamily, golden_base, grid_phasors)
 from cocyclelab.errors import NumericalRefusal, ValidationError
 
 EPS = np.finfo(np.float64).eps
@@ -450,8 +450,8 @@ class TestScalarSvdConfinement:
         fam3 = TrigPolyFamily(base=base, dim=3,
                               cos_coeffs=np.eye(3)[..., np.newaxis] * [2.0, 0.5],
                               sin_coeffs=np.ones((3, 3, 1)) * 0.3)
-        assert np.all(np.isfinite(fam.orbit_lognorms(0.0, torus_grid(1, 8), 16)))
-        assert np.all(np.isfinite(fam3.orbit_lognorms(0.0, torus_grid(2, 4), 16, p=2)))
+        assert np.all(np.isfinite(fam.orbit_lognorms(0.0, grid_phasors(8), 16)))
+        assert np.all(np.isfinite(fam3.orbit_lognorms(0.0, grid_phasors(4), 16, p=2)))
         for dim in (2, 3):
             dist = rp.MatrixDistribution(dim=dim, seed=1, support=(
                 (2.0 * np.eye(dim), 0.5), (np.triu(np.ones((dim, dim))), 0.5)))
