@@ -17,8 +17,12 @@ matrix's characteristic cubic) loses about half the digits when ``sigma_1
 :func:`scaled_product` is the one renormalised running product of the
 package: the orbit kernel and the random-product kernel both feed it
 their factor stacks (Benettin et al., Meccanica 15, 1980).  It rescales
-by exact powers of two after every step, keeping the exponents in an
-integer sum, and takes spectral norms only at the requested checkpoints.
+by exact powers of two in blocks of up to eight steps and at every
+checkpoint, keeping the exponents in an integer sum, and takes spectral
+norms only at the checkpoints.  A power of two commutes with every
+rounding while entries stay in range, so the blocks give the bits of
+rescaling after every step; a block that leaves the range is replayed
+one step at a time.
 
 Batch stacks are lanes-last in memory: a ``(B, k, k)`` stack is the
 transposed view of a C-contiguous ``(k, k, B)`` array, so each matrix
@@ -69,6 +73,14 @@ _LAPACK_FROM = 6
 _SAFE_EXPONENT = 250
 #: the sign pattern of a column pair turned a quarter, (p, q) -> (-q, p)
 _FLIP = np.array([-1.0, 1.0])[:, np.newaxis]
+#: scaled_product renormalises every _BLOCK_STEPS steps at most, and holds no
+#: more than _BLOCK_BYTES of factor stacks for the replay of a block: with
+#: 1 MiB, a Schroedinger pass on 8192 lanes held 1.25 MiB, ran slower (91
+#: against 86 ms) and raised peak memory by 1.1 MiB
+_BLOCK_STEPS = 8
+_BLOCK_BYTES = 1 << 19
+#: the least normal float: a block must end with a squared norm at least this
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -391,22 +403,66 @@ def _step_refusal(problem: str, j: int, ok: np.ndarray) -> NumericalRefusal:
     return exc
 
 
+def _times(prod, lanes: np.ndarray) -> np.ndarray:
+    """One step of the running product: ``F P`` for a lanes-last factor
+    ``F`` and product ``P``, each entry ``sum_j f_ij p_jk`` added in order
+    of ``j``; the first step (``prod`` None) is a copy of ``F``."""
+    return lanes.copy() if prod is None else np.einsum("ijb,jkb->ikb", lanes, prod)
+
+
+def _rescale(prod: np.ndarray, step: int | None):
+    """Scales a lanes-last product in place by ``2^-e``, ``e`` per lane the
+    exponent that brings its Frobenius norm into ``[1/2, 1)``, and returns
+    ``e``.  Given the ``step`` that made the product, it refuses a squared
+    Frobenius norm that is zero or not finite.  At a block end (``step``
+    None) it returns None where one is not finite or below the least normal
+    float, whose root can round to another exponent than per-step scaling."""
+    fro2 = np.einsum("ijb,ijb->b", prod, prod)
+    ok = np.isfinite(fro2) & (fro2 > 0.0 if step is not None else fro2 >= _TINY)
+    if not np.all(ok):
+        if step is None:
+            return None
+        raise _step_refusal("degenerate factor in scaled product", step, ok)
+    e = np.frexp(np.sqrt(fro2))[1]
+    np.ldexp(prod, -e, out=prod)
+    return e
+
+
 def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
     """Log-norms of the renormalised running product ``F_n ... F_1`` of
     ``n`` factor stacks.
 
     ``factors`` yields ``n`` real ``(B, k, k)`` stacks, ``F_1`` first.
-    After every multiplication the product is scaled by the power of two
-    ``2^-e`` that brings its Frobenius norm into ``[1/2, 1)``, and ``e``
-    is added to an integer exponent sum; the scaling is exact, so no
-    rounding and no logarithm is spent per step.  The spectral norm is
-    taken only at the checkpoints, where ``log ||F_c ... F_1||`` is
-    ``e_sum * log 2 + log ||scaled product||``.  A step whose squared
-    Frobenius norm is zero or not finite is refused, naming the step and
-    the first such matrix of the stack (also kept as the refusal's
-    ``matrix`` attribute): that covers a zero or non-finite factor, and
-    factor norms above about ``1e154`` or below about ``1e-162``, where
-    that square leaves the float range.
+    The product is scaled by the power of two ``2^-e`` that brings its
+    Frobenius norm into ``[1/2, 1)``, and ``e`` is added to an integer
+    exponent sum; the scaling is exact, so no rounding and no logarithm is
+    spent on it.  The spectral norm is taken only at the checkpoints, where
+    ``log ||F_c ... F_1||`` is ``e_sum * log 2 + log ||scaled product||``.
+
+    The scaling happens at the end of each block of ``R`` steps and at
+    every checkpoint, not after every step.  ``R`` is the largest count up
+    to ``_BLOCK_STEPS`` whose factor stacks fit in ``_BLOCK_BYTES`` (for
+    2x2 factors, 8 up to 2048 lanes, 4 at 4000, 2 at 8192 and 1 above),
+    since a block holds its stacks until it ends.  While entries stay
+    normal floats, a power of two commutes with each rounding of the
+    multiply, the squared norm and its root, so a block ends with the bits
+    of scaling after every step; only an entry that is subnormal in one of
+    the two, far below the product's norm, can round differently.  A block
+    whose squared Frobenius norm at its end is not finite (an overflow or a
+    NaN persists) or below the least normal float (a zero persists, and the
+    root of a subnormal one can round to another exponent) is replayed from
+    its start one step at a time, through the same step code: factors of
+    norm ``1e60`` keep their bits, and a step whose own squared Frobenius
+    norm is zero or not finite is refused, naming the step and the first
+    such matrix of the stack (also kept as the refusal's ``matrix``
+    attribute).  That covers a zero or non-finite factor at every ``R``.
+
+    Refusal of a factor of norm above about ``1e154`` or below about
+    ``1e-162`` depends on ``R``, and so on ``B``.  At ``R = 1`` it is
+    refused at its step.  Inside a longer block whose later steps undo it
+    (such a factor, then its inverse) it passes, since only the block's end
+    is checked; refusing it at every ``R`` would take the squared norm of
+    every step, the cost that blocks save.
 
     The running product is a C-contiguous ``(k, k, B)`` array, and a
     factor that arrives lanes-last (the transposed view of such an array)
@@ -416,25 +472,33 @@ def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
     ``np.matmul`` makes one BLAS call per small matrix instead, and BLAS
     uses fused multiply-adds, so the last bits of a product can differ
     from ``np.matmul``'s; they never depend on ``B``, on the layout of
-    the factors or on how the lanes are chunked.
+    the factors or on how the lanes are chunked, apart from the subnormal
+    entries and the factor norms beyond about ``1e+-154`` above, where ``R``
+    (which follows ``B``) decides.
 
     Returns the log-norm per matrix at each checkpoint (default ``(n,)``;
     increasing, ending at ``n``), shape ``(len(checkpoints), B)``.  The
-    factor stacks are never changed in place.
+    factor stacks are never changed in place; a producer must not change a
+    yielded stack either, as it is held until the end of its block.
     """
     cps = _checkpoints(n, checkpoints)
-    rows = []
-    expo = prod = None
+    rows, block, steps = [], [], None
+    expo, start, prod = np.int64(0), None, None
     for j, f in zip(range(1, n + 1), factors):
         lanes = np.ascontiguousarray(np.asarray(f).transpose(1, 2, 0), dtype=np.float64)
-        prod = lanes.copy() if prod is None else np.einsum("ijb,jkb->ikb", lanes, prod)
-        fro2 = np.einsum("ijb,ijb->b", prod, prod)
-        ok = np.isfinite(fro2) & (fro2 > 0.0)
-        if not np.all(ok):
-            raise _step_refusal("degenerate factor in scaled product", j, ok)
-        e = np.frexp(np.sqrt(fro2))[1]
-        np.ldexp(prod, -e, out=prod)
-        expo = e.astype(np.int64) if expo is None else expo + e
+        steps = steps or min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // max(lanes.nbytes, 1)))
+        block.append(lanes)
+        prod = _times(prod, lanes)
+        if len(block) < steps and j not in cps:
+            continue
+        e = _rescale(prod, j if len(block) == 1 else None)
+        if e is None:
+            # the block left the range: replay it one step at a time from its start
+            prod, e = start, 0
+            for step, lanes in enumerate(block, j - len(block) + 1):
+                prod = _times(prod, lanes)
+                e = e + _rescale(prod, step)
+        expo, start, block = expo + e, prod, []
         if j in cps:
             rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod.transpose(2, 0, 1))))
     if len(rows) != len(cps):

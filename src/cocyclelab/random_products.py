@@ -4,9 +4,11 @@ large-deviation probabilities and the rate verdict of :func:`rate_report`.
 Randomness is counter-based and splittable: every trial owns a Philox
 stream keyed ``(seed, stream_id)``, so results are independent of worker
 count and schedule, and identical ``(seed, stream_id, n)`` always
-reproduces the same draw.  Ladders reuse the same streams across scales
-(the length-``n`` product is a prefix of the length-``2n`` one), which
-sharpens doubling differences by common random numbers, and one
+reproduces the same draw.  The streams of a pass come from one Philox
+re-keyed per stream (:meth:`MatrixDistribution.draw_table`), with the
+bits of a new generator per stream.  Ladders reuse the same streams
+across scales (the length-``n`` product is a prefix of the length-``2n``
+one), which sharpens doubling differences by common random numbers, and one
 checkpointed pass serves every scale of a report.  Products go through
 :func:`linalg.scaled_product`, the same renormalised accumulator as the
 orbit kernel.
@@ -33,6 +35,11 @@ from . import linalg
 from .errors import NumericalRefusal, ValidationError
 from .rates import DichotomyVerdict, RateSeries, dichotomy
 from .util import pairwise_mean
+
+#: Philox keys are ``(seed, stream_id)`` mod 2^64
+_KEY_MASK = 2**64 - 1
+#: uniforms held at once by :meth:`MatrixDistribution.draw_table`
+_CHUNK_UNIFORMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,20 +94,40 @@ class MatrixDistribution:
         elif self.dim != 2:
             raise ValidationError("uniform_rotation sampler requires dim 2")
 
-    def generator(self, stream_id: int) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed & (2**64 - 1), stream_id & (2**64 - 1)])
-        )
+    def draw_table(self, streams, n: int) -> np.ndarray:
+        """The first ``n`` draws of each stream of ``streams``, column ``t``
+        for ``streams[t]``: an ``(n, T)`` array of support indices in the
+        smallest unsigned type that holds them, or of rotation angles.
 
-    def draws(self, stream_id: int, n: int) -> np.ndarray:
-        """The first ``n`` draws of stream ``stream_id``: support indices in
-        the smallest unsigned type that holds them, or rotation angles."""
-        u = self.generator(stream_id).random(n)
-        if self.support is None:
-            return 2.0 * np.pi * u
-        k = len(self.support)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), k - 1)
-        return idx.astype(np.min_scalar_type(k - 1))
+        Stream ``sid`` is Philox keyed ``(seed, sid)``, both words mod
+        ``2^64``, from counter 0.  Philox is counter-based (Salmon et al.,
+        SC'11), so one bit generator set to that key, counter 0 and an empty
+        buffer gives the bits of a new ``Philox(key=...)``, at about a tenth
+        of its cost (no new generator, no discarded OS-entropy seed).  Up to
+        ``_CHUNK_UNIFORMS`` uniforms at a time go through one buffer; ``u``
+        picks the index ``#{i < K - 1: cum_i <= u}`` (the inverse CDF, with
+        a ``u`` past the rounded total on the last matrix) or the angle
+        ``2 pi u``."""
+        streams = [int(sid) & _KEY_MASK for sid in streams]
+        bitgen = np.random.Philox(key=np.array([self.seed & _KEY_MASK, 0], dtype=np.uint64))
+        gen, state = np.random.Generator(bitgen), bitgen.state
+        key = state["state"]["key"]
+        dtype = np.float64 if self.support is None else np.min_scalar_type(len(self._cum) - 1)
+        out = np.empty((n, len(streams)), dtype=dtype)
+        width = max(1, _CHUNK_UNIFORMS // max(n, 1))
+        buf = np.empty((min(width, len(streams)), n))
+        for start in range(0, len(streams), width):
+            ids = streams[start:start + width]
+            chunk, cols = buf[:len(ids)], out[:, start:start + len(ids)]
+            for row, sid in zip(chunk, ids):
+                key[1] = sid
+                bitgen.state = state
+                gen.random(out=row)
+            if self.support is None:
+                np.multiply(chunk.T, 2.0 * np.pi, out=cols)
+            else:
+                cols[...] = np.searchsorted(self._cum[:-1], chunk, side="right").T
+        return out
 
     def factors(self, draws: np.ndarray) -> np.ndarray:
         """The factors of a 1-d array of draws as a lanes-last ``(m, d, d)``
@@ -114,7 +141,7 @@ class MatrixDistribution:
 
     def sample_sequence(self, stream_id: int, n: int) -> np.ndarray:
         """The first ``n`` factors of stream ``stream_id``, shape (n, d, d)."""
-        return self.factors(self.draws(stream_id, n))
+        return self.factors(self.draw_table((stream_id,), n)[:, 0])
 
 
 # -- shipped example distributions ----------------------------------------------
@@ -181,8 +208,9 @@ def _batched_lognorms(
     """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T).
     Stream ``t`` fills column ``t`` of an ``(n, T)`` draw array, and each
     step's row becomes one lanes-last factor stack only when the product
-    reaches it, so no more than one step of factors is ever held."""
-    draws = np.stack([dist.draws(int(sid), n) for sid in streams], axis=1)
+    reaches it; :func:`linalg.scaled_product` holds the stacks of one
+    block at most, no more than ``linalg._BLOCK_BYTES``."""
+    draws = dist.draw_table(streams, n)
     return linalg.scaled_product((dist.factors(row) for row in draws), n, checkpoints)
 
 

@@ -678,6 +678,56 @@ class TestScaledProduct:
             axis=1)
         assert np.array_equal(per_lane, whole)
         assert np.array_equal(chunks, whole)
+        # a stack of _BLOCK_BYTES is renormalised every step, and chunks of a
+        # half, a quarter and an eighth of it every 2, 4 and 8 steps
+        lanes = linalg._BLOCK_BYTES // (8 * k * k)
+        wide = factor_stacks(k, lanes=lanes, n=20)
+        cps = (1, 4, 9, 17, 20)
+        whole = linalg.scaled_product(iter(wide), 20, cps)
+        assert np.array_equal(whole, sequential_scaled_product(wide, cps))
+        for width in (lanes // 2, lanes // 4, lanes // 8):
+            chunks = np.concatenate(
+                [linalg.scaled_product(iter(wide[:, b:b + width]), 20, cps)
+                 for b in range(0, lanes, width)], axis=1)
+            assert np.array_equal(chunks, whole)
+
+    def test_block_out_of_range_is_replayed_step_by_step(self):
+        # factors of norm ~2^201: one step stays in range, eight overflow
+        stacks = factor_stacks(2, lanes=5, n=20) * 2.0**200
+        cps = (3, 8, 13, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.scaled_product(iter(stacks), 20, cps)
+        assert np.array_equal(got, sequential_scaled_product(stacks, cps))
+        assert np.all(got[-1] > 20 * 200 * np.log(2.0))
+
+    def test_block_ending_subnormal_is_replayed_step_by_step(self):
+        # eight steps of 2^-66 (1 - 2^-25) end with a subnormal squared norm,
+        # whose root rounds to another exponent than the scaled one
+        stacks = np.full((16, 3, 1, 1), 2.0**-66 * (1.0 - 2.0**-25))
+        cps = (8, 16)
+        got = linalg.scaled_product(iter(stacks), 16, cps)
+        assert np.array_equal(got, sequential_scaled_product(stacks, cps))
+
+    def test_factor_beyond_1e154_refused_at_one_step_blocks_only(self):
+        # its own squared norm overflows: a block that ends in range passes
+        # it, a stack that renormalises every step refuses it at its step
+        big, undo = np.diag([1e160, 1e-160]), np.diag([1e-160, 1e160])
+        for lanes, steps in ((1, linalg._BLOCK_STEPS), (linalg._BLOCK_BYTES // 32, 1)):
+            stacks = np.broadcast_to(np.stack([big, undo])[:, np.newaxis], (2, lanes, 2, 2))
+            if steps > 1:
+                assert np.array_equal(linalg.scaled_product(iter(stacks), 2), np.zeros((1, 1)))
+                continue
+            with pytest.raises(NumericalRefusal, match="step 1, matrix 0"):
+                linalg.scaled_product(iter(stacks), 2)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_degenerate_factor_inside_a_block_refused_at_its_step(self, bad):
+        stacks = factor_stacks(2, lanes=4, n=20)
+        stacks[10, 2] = bad
+        with pytest.raises(NumericalRefusal, match="step 11, matrix 2") as info:
+            linalg.scaled_product(iter(stacks), 20)
+        assert info.value.matrix == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_multiply_is_sequential_multiply_add(self, k):

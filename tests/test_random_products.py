@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -81,18 +83,33 @@ class TestStreamContract:
         assert abs(lognorm(fur, 100, 7) - PIN_SAMPLE_N100_S7) <= 1e-9
 
 
+def philox_uniforms(seed: int, stream_id: int, n: int) -> np.ndarray:
+    """The first ``n`` uniforms of stream ``stream_id``: a new Philox whose
+    two key words are ``seed`` and ``stream_id`` mod 2^64."""
+    key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
+
+
+def reference_draws(dist, stream_id: int, n: int) -> np.ndarray:
+    """The draws of one stream from its own Philox: the inverse-CDF index
+    ``min(searchsorted(cum, u), K - 1)`` over the support, or ``2 pi u``."""
+    u = philox_uniforms(dist.seed, stream_id, n)
+    if dist.support is None:
+        return 2.0 * np.pi * u
+    cum = np.cumsum([p for _, p in dist.support])
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    return idx.astype(np.min_scalar_type(len(cum) - 1))
+
+
 def sampled_factors(dist, stream_id: int, n: int) -> np.ndarray:
     """Reference sampler: the factors of one stream built straight from its
-    uniforms, as an ``(n, d, d)`` array (inverse-CDF pick over the support,
-    or a rotation by ``2 pi u``)."""
-    u = dist.generator(stream_id).random(n)
+    reference draws, as an ``(n, d, d)`` array (the picked support matrix,
+    or a rotation by the angle)."""
+    draws = reference_draws(dist, stream_id, n)
     if dist.support is None:
-        a = 2.0 * np.pi * u
-        return np.stack([np.stack([np.cos(a), -np.sin(a)], -1),
-                         np.stack([np.sin(a), np.cos(a)], -1)], -2)
-    mats = np.stack([m for m, _ in dist.support])
-    idx = np.searchsorted(np.cumsum([p for _, p in dist.support]), u, side="right")
-    return mats[np.minimum(idx, len(mats) - 1)]
+        return np.stack([np.stack([np.cos(draws), -np.sin(draws)], -1),
+                         np.stack([np.sin(draws), np.cos(draws)], -1)], -2)
+    return np.stack([m for m, _ in dist.support])[draws]
 
 
 def _support_dist(k: int, d: int, seed: int) -> rp.MatrixDistribution:
@@ -134,17 +151,47 @@ class TestDrawKernel:
         assert got.shape == (500, dist.dim, dist.dim)
         assert np.array_equal(got, sampled_factors(dist, 6, 500))
 
+    @pytest.mark.parametrize("name", ["stretch-or-rotate", "support-300", "uniform-rotation"])
+    @pytest.mark.parametrize("seed", [None, 2**64 - 1])
+    def test_draw_table_is_one_philox_per_stream(self, name, seed):
+        # uint8 and uint16 indices and angles, against a
+        # new Philox per stream: one step, a chunk and one stream more,
+        # unsorted ids, an id past 2^32, and the largest seed
+        dist = KERNEL_DISTS[name]
+        if seed is not None:
+            dist = dataclasses.replace(dist, seed=seed)
+        for n, streams in ((1, [4, 0, 9]), (700, [4, 0, 9, 2**32 + 5]),
+                           (1000, range(rp._CHUNK_UNIFORMS // 1000 + 1))):
+            got = dist.draw_table(streams, n)
+            want = np.stack([reference_draws(dist, s, n) for s in streams], axis=1)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_seeds_past_2_63_keep_every_bit(self):
+        # both key words are uint64: seeds that differ in their low bits, and
+        # the largest seed, key distinct streams
+        tops = [rp.stretch_or_rotate(seed=s).draw_table(range(64), 64)
+                for s in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+        assert all(not np.array_equal(a, b) for a, b in itertools.combinations(tops, 2))
+
+    def test_kernel_builds_one_philox(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k))
+        rp._batched_lognorms(rp.stretch_or_rotate(seed=3), 40, range(300), (8, 40))
+        assert len(built) == 1
+
     def test_support_index_dtype(self):
         for dist in (rp.stretch_or_rotate(), rp.single_matrix(np.eye(3)),
                      rp.two_rotations(0.7, 1.3), rp.rotated_stretch_pair()):
-            assert dist.draws(0, 4).dtype == np.uint8
-        wide = KERNEL_DISTS["support-300"].draws(0, 5000)
+            assert dist.draw_table((0,), 4).dtype == np.uint8
+        wide = KERNEL_DISTS["support-300"].draw_table((0,), 5000)
         assert wide.dtype == np.uint16
         assert wide.max() > 255
 
     def test_factor_stack_is_lanes_last(self):
         for dist in KERNEL_DISTS.values():
-            stack = dist.factors(dist.draws(1, 9))
+            stack = dist.factors(dist.draw_table((1,), 9)[:, 0])
             assert stack.shape == (9, dist.dim, dist.dim)
             assert stack.transpose(1, 2, 0).flags.c_contiguous
 
