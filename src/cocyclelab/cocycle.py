@@ -2,14 +2,15 @@
 
 A family is a map ``(x, E) -> A(x, E)`` in GL(d) over a torus shift.
 Scale-``n`` products go through :func:`linalg.scaled_product`, which
-renormalizes by exact powers of two at every step, so orbits of length
-10^5+ never overflow.  Every kind depends on ``x`` only through the phase
-``t(x) = sum x_i``, so a base point is its phasor ``zeta = e^{2 pi i t}``
-throughout: ``evaluate_batch`` and ``orbit_lognorms`` take 1-d phasors,
-whose powers give the harmonics.  An orbit pass multiplies the start
-phasors by one rotation ``e^{2 pi i (j Omega mod 1)}``, ``Omega = sum
-omega_i``, per step, with ``j Omega mod 1`` reduced exactly
-(:meth:`ShiftBase.rotations`), so no phase error grows with ``j`` either.
+rescales by exact powers of two at the end of each block of up to 8 steps
+and at every checkpoint, so orbits of length 10^5+ never overflow.  Every
+kind depends on ``x`` only through the phase ``t(x) = sum x_i``, so a base
+point is its phasor ``zeta = e^{2 pi i t}`` throughout: ``evaluate_batch``
+and ``orbit_lognorms`` take 1-d phasors, whose powers give the harmonics.
+An orbit pass multiplies the start phasors by one rotation ``e^{2 pi i (j
+Omega mod 1)}``, ``Omega = sum omega_i``, per step, with ``j Omega mod 1``
+reduced exactly (:meth:`ShiftBase.rotations`), so no phase error grows
+with ``j`` either.
 
 Per-point log singular values come from the top-growth of the exterior
 power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
@@ -161,27 +162,25 @@ def _energies(E) -> np.ndarray:
     return energies
 
 
-def _tile_lanes(lanes: np.ndarray, E) -> np.ndarray:
-    """An energy-free lanes-last ``(d, d, B)`` value repeated for each
-    energy of ``E``, as the ``(K * B, d, d)`` stack of a kind."""
-    k = _energies(E).size
-    return (lanes if k == 1 else np.tile(lanes, k)).transpose(2, 0, 1)
-
-
 @dataclass(frozen=True)
 class CocycleFamily:
     """Analytic GL(d) cocycle family over a torus shift.
 
-    Concrete kinds override :meth:`evaluate_batch`; everything else
-    (products, exponents, profiles) is generic.  ``param_values`` is the
-    declared parameter grid, used for construction-time invertibility
-    checks and CLI sweeps; operations accept any ``E`` in its range.
+    A kind defines :meth:`evaluate_batch` and :meth:`e_holder_constant`;
+    everything else (products, exponents, profiles) is generic.
+    ``param_values`` is the declared parameter grid, used for
+    construction-time checks and CLI sweeps; operations accept any ``E``
+    in its range.  ``unit_determinant`` is measured at construction:
+    ``||det A| - 1| <= 1e-12`` at every ``CHECK_GRID`` phase for every
+    declared energy.  That is exact only when ``det A`` is a trigonometric
+    polynomial in ``t`` of degree below ``CHECK_GRID / 2 = 32``.
     """
 
     base: ShiftBase
     dim: int
     param_values: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     beta0: float = 1.0
+    unit_determinant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "param_values", np.asarray(self.param_values, dtype=np.float64))
@@ -210,14 +209,11 @@ class CocycleFamily:
         declared parameter range (0 for parameter-free kinds)."""
         raise NotImplementedError
 
-    @property
-    def unit_determinant(self) -> bool:
-        return False
-
     # -- generic machinery ----------------------------------------------------
 
     def _validate_invertibility(self):
         zeta = grid_phasors(CHECK_GRID)
+        unit = True
         for E in self.param_values:
             with np.errstate(over="ignore", invalid="ignore"):
                 mats = self.evaluate_batch(zeta, float(E))
@@ -230,6 +226,9 @@ class CocycleFamily:
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise ValidationError(f"family {problem} at t={i / CHECK_GRID}, E={E}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                unit &= bool(np.all(np.abs(np.abs(linalg.det_batch(mats)) - 1.0) <= 1e-12))
+        object.__setattr__(self, "unit_determinant", unit)
 
     def orbit_lognorms(self, E, zeta: np.ndarray, n: int, p: int = 1,
                        checkpoints: tuple[int, ...] | None = None) -> np.ndarray:
@@ -301,30 +300,6 @@ class CocycleFamily:
 
 
 @dataclass(frozen=True)
-class ConstantFamily(CocycleFamily):
-    """x- and E-independent cocycle: a single GL(d) matrix."""
-
-    matrix: np.ndarray = field(default_factory=lambda: np.eye(2))
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(f"matrix shape {m.shape} does not match dim={self.dim}")
-        object.__setattr__(self, "matrix", m)
-        super().__post_init__()
-
-    def evaluate_batch(self, zeta, E):
-        return _tile_lanes(np.repeat(self.matrix[..., np.newaxis], zeta.shape[0], axis=-1), E)
-
-    def e_holder_constant(self) -> float:
-        return 0.0
-
-    @property
-    def unit_determinant(self) -> bool:
-        return bool(abs(abs(np.linalg.det(self.matrix)) - 1.0) < 1e-12)
-
-
-@dataclass(frozen=True)
 class DiagonalExpFamily(CocycleFamily):
     """``diag_j exp(x_amp[j] * cos(2 pi t(x)) + e_amp[j] * E)``.
 
@@ -364,16 +339,12 @@ class DiagonalExpFamily(CocycleFamily):
         peak = float(np.max(np.abs(self.x_amp))) + float(np.max(np.abs(self.e_amp))) * emax
         return float(np.max(np.abs(self.e_amp))) * np.exp(peak)
 
-    @property
-    def unit_determinant(self) -> bool:
-        return bool(abs(np.sum(self.x_amp)) < 1e-14 and abs(np.sum(self.e_amp)) < 1e-14)
-
 
 @dataclass(frozen=True)
 class TrigPolyFamily(CocycleFamily):
     """Entrywise trigonometric polynomials in the scalar phase ``t(x)``:
     ``A[i,j](x) = sum_k cos_coeffs[i,j,k] cos(2 pi k t) + sin terms``.
-    Parameter-independent."""
+    Parameter-independent; degree 0 is a constant matrix."""
 
     cos_coeffs: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 1)))
     sin_coeffs: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 0)))
@@ -390,7 +361,9 @@ class TrigPolyFamily(CocycleFamily):
         super().__post_init__()
 
     def evaluate_batch(self, zeta, E):
-        return _tile_lanes(_fourier(zeta, self.cos_coeffs, self.sin_coeffs), E)
+        lanes = _fourier(zeta, self.cos_coeffs, self.sin_coeffs)
+        k = _energies(E).size
+        return (lanes if k == 1 else np.tile(lanes, k)).transpose(2, 0, 1)
 
     def e_holder_constant(self) -> float:
         return 0.0
@@ -429,10 +402,6 @@ class SchrodingerFamily(CocycleFamily):
 
     def e_holder_constant(self) -> float:
         return 1.0
-
-    @property
-    def unit_determinant(self) -> bool:
-        return True
 
 
 # -- exponent ladders ----------------------------------------------------------

@@ -175,18 +175,6 @@ class ExperimentConfig:
         dim = int(self.values["cocycle.dim"])
         params = self.param_grid()
         beta0 = float(self.values["cocycle.beta0"])
-        if kind == "constant":
-            entries = self.values["cocycle.entries"] or tuple(
-                float(v) for v in np.eye(dim).reshape(-1)
-            )
-            if len(entries) != dim * dim:
-                raise ConfigError(
-                    f"cocycle.entries needs {dim*dim} values, got {len(entries)}"
-                )
-            m = np.array(entries, dtype=np.float64).reshape(dim, dim)
-            return cocycle.ConstantFamily(
-                base=base, dim=dim, param_values=params, beta0=beta0, matrix=m
-            )
         if kind == "diagonal-exp":
             x_amp = self.values["cocycle.x_amp"] or (0.0,) * dim
             e_amp = self.values["cocycle.e_amp"] or (0.0,) * dim
@@ -196,15 +184,20 @@ class ExperimentConfig:
                 base=base, dim=dim, param_values=params, beta0=beta0,
                 x_amp=np.array(x_amp), e_amp=np.array(e_amp),
             )
-        if kind == "trig-poly":
-            deg = int(self.values["cocycle.trig_degree"])
+        if kind in ("constant", "trig-poly"):
+            # a constant matrix is the degree-0 trigonometric polynomial
+            if kind == "constant":
+                deg, cos_key, sin_flat = 0, "cocycle.entries", ()
+                cos_flat = self.values[cos_key] or tuple(np.eye(dim).reshape(-1))
+            else:
+                deg, cos_key = int(self.values["cocycle.trig_degree"]), "cocycle.trig_cos"
+                cos_flat = self.values[cos_key]
+                sin_flat = self.values["cocycle.trig_sin"] or (0.0,) * (dim * dim * deg)
             want_cos = dim * dim * (deg + 1)
             want_sin = dim * dim * deg
-            cos_flat = self.values["cocycle.trig_cos"]
-            sin_flat = self.values["cocycle.trig_sin"] or (0.0,) * want_sin
             if len(cos_flat) != want_cos:
                 raise ConfigError(
-                    f"cocycle.trig_cos needs {want_cos} values, got {len(cos_flat)}"
+                    f"{cos_key} needs {want_cos} values, got {len(cos_flat)}"
                 )
             if len(sin_flat) != want_sin:
                 raise ConfigError(

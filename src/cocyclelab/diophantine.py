@@ -83,10 +83,6 @@ def diophantine_minima(omega: float, dio_exponent: float, n_max: int) -> list[tu
         raise ValidationError("the Diophantine exponent must exceed 1")
     n = np.arange(2, n_max + 1, dtype=np.float64)
     vals = torus_distance(n * omega) * n * np.log(n) ** dio_exponent
-    records: list[tuple[int, float]] = []
-    best = np.inf
-    for i, v in enumerate(vals):
-        if v < best:
-            best = float(v)
-            records.append((int(n[i]), best))
-    return records
+    # a record beats every earlier value: the running minimum before it
+    before = np.minimum.accumulate(np.concatenate(([np.inf], vals[:-1])))
+    return [(int(n[i]), float(vals[i])) for i in np.flatnonzero(vals < before)]

@@ -161,6 +161,8 @@ def reports(fam: CocycleFamily, E: float, scales, deltas, m: int, p: int = 1, k:
     if k < 1:
         raise ValidationError("k must be at least 1")
     scales = tuple(sorted(set(int(s) for s in scales)))
+    if not scales:
+        raise ValidationError("scales must be non-empty")
     cps = tuple(sorted(set(scales + tuple(ladder))))
     zeta = grid_phasors(m)
     both = np.concatenate([zeta, zeta * fam.base.rotation([k])])

@@ -264,6 +264,8 @@ def rate_report(
     if trials < 2:
         raise ValidationError(f"need at least 2 trials for a stderr, got {trials}")
     scales = tuple(sorted(set(int(s) for s in scales)))
+    if not scales:
+        raise ValidationError("scales must be non-empty")
     ld_scales = tuple(int(n) for n in ld_scales) if deltas else ()
     cps = tuple(sorted(set(scales) | set(ld_scales)))
     logs = dict(zip(cps, _batched_lognorms(dist, cps[-1], range(trials), checkpoints=cps)))

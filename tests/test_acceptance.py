@@ -14,7 +14,8 @@ from click.testing import CliRunner
 from cocyclelab import avalanche, ldt, linalg, rates
 from cocyclelab import random_products as rp
 from cocyclelab.cli import main as cli_main
-from cocyclelab.cocycle import ConstantFamily, DiagonalExpFamily, SchrodingerFamily
+from cocyclelab.cocycle import DiagonalExpFamily, SchrodingerFamily
+from tests.families import constant_family
 from tests.test_avalanche import admissible_sequence, rot
 from tests.test_cocycle import mp_norm_2x2, mp_schrodinger_product
 from tests.test_linalg import exterior_power
@@ -34,7 +35,7 @@ def verdict(num: int, name: str, ok: bool, detail: str):
 
 def test_01_constant_cocycle_spectrum(golden):
     t0 = time.monotonic()
-    fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
+    fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
     worst = 0.0
     for n in (1, 16, 1024):
         for m in (1, 7):

@@ -6,7 +6,6 @@ from click.testing import CliRunner
 from cocyclelab import cocycle, ldt, linalg, rates
 from cocyclelab.cli import main as cli_main
 from cocyclelab.cocycle import (
-    ConstantFamily,
     DiagonalExpFamily,
     SchrodingerFamily,
     ShiftBase,
@@ -16,6 +15,7 @@ from cocyclelab.cocycle import (
 )
 from cocyclelab.errors import NumericalRefusal, ValidationError
 from cocyclelab.util import pairwise_mean
+from tests.families import constant_family
 from tests.torus_points import phasors, torus_grid
 
 LN2 = np.log(2.0)
@@ -98,7 +98,7 @@ def evaluate(fam, x, E: float) -> np.ndarray:
 class TestEvaluate:
     def test_constant_everywhere(self, golden):
         m = np.diag([2.0, 0.5])
-        fam = ConstantFamily(base=golden, dim=2, matrix=m)
+        fam = constant_family(golden, m)
         for x in (0.0, 0.3, 0.99):
             for E in (0.0,):
                 assert np.allclose(evaluate(fam, x, E), m)
@@ -148,7 +148,7 @@ class TestEvaluate:
         base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
         rng = np.random.default_rng(19)
         fam = {
-            "constant": lambda: ConstantFamily(base=base, dim=3, matrix=np.diag([2.0, 1.0, 0.5])),
+            "constant": lambda: constant_family(base, np.diag([2.0, 1.0, 0.5])),
             "diagonal-exp": lambda: DiagonalExpFamily(
                 base=base, dim=3, x_amp=np.array([1.0, 0.5, -1.5]),
                 e_amp=np.array([0.3, -0.6, 0.3])),
@@ -172,7 +172,7 @@ class TestEvaluate:
 
     def test_construction_rejects_singular_family(self, golden):
         with pytest.raises(ValidationError, match=r"numerically singular at t=0\.0, E=0\.0"):
-            ConstantFamily(base=golden, dim=2, matrix=np.diag([1.0, 0.0]))
+            constant_family(golden, np.diag([1.0, 0.0]))
 
 
 def orbit_product(fam, x, E: float, n: int) -> float:
@@ -193,7 +193,7 @@ def log_singular_profile(fam, x, E: float, n: int) -> np.ndarray:
 
 class TestProductOrbit:
     def test_constant_diagonal_powers(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]))
         log_scale = orbit_product(fam, 0.1, 0.0, 10)
         assert abs(log_scale - 10 * LN2) <= 1e-12
 
@@ -223,7 +223,7 @@ class TestProductOrbit:
 
 class TestLogSingularProfile:
     def test_constant_diagonal(self, golden):
-        fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
         for n in (1, 7, 32):
             prof = log_singular_profile(fam, 0.3, 0.0, n)
             assert np.allclose(prof, [LN2, 0.0, -LN2], atol=1e-13)
@@ -252,7 +252,7 @@ class TestLogSingularProfile:
 
 class TestFiniteScaleExponents:
     def test_constant_exact_any_grid(self, golden):
-        fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
         for n in (1, 16):
             for m in (1, 8, 33):
                 lam = fam.finite_scale_exponents(0.0, n, m)
@@ -308,7 +308,7 @@ class TestFiniteScaleExponents:
 
 class TestQrCrossCheck:
     def test_exact_on_axis_aligned_families(self, golden):
-        fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
         got = finite_scale_exponents_qr(fam, 0.0, 256, 8)
         assert np.allclose(got, [LN2, 0.0, -LN2], atol=1e-6)
         # diagonal family with a genuine gap: drift dominates oscillation,
@@ -344,7 +344,7 @@ class TestQrCrossCheck:
 
 class TestLadderCheck:
     def test_stacked_ladder_rows_and_check(self, golden, tmp_path):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]))
         ladder = fam.exponent_ladder(np.array([0.0, 1.0]), (1, 2, 4), 4)
         assert sorted(ladder) == [1, 2, 4] and ladder[4].shape == (2, 2)
         check_ladder(ladder, [0.0, 1.0], True, 1e-9)
@@ -372,7 +372,7 @@ class TestLadderCheck:
             check_ladder({2: np.array([[0.5, 0.1]])}, [0.0], True, 1e-9)
 
     def test_qr_method_table(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([3.0, 1.0 / 3.0]))
+        fam = constant_family(golden, np.diag([3.0, 1.0 / 3.0]))
         lam = finite_scale_exponents_qr(fam, 0.0, 8, 4)
         assert abs(lam[0] - np.log(3.0)) <= 1e-9
 
@@ -692,3 +692,77 @@ class TestOrbitPasses:
             one = fam.exponent_ladder(energies, (4, 16), 32, j)
             assert all((one[n] == full[n][:, j - 1]).all() for n in (4, 16))
             assert fam.exponent_ladder(0.3, (16,), 32, j)[16] == full[16][1, j - 1]
+
+
+# the benchmark's d = 3 family on T^2: strictly diagonally dominant, det != 1
+TRIG3_COS = np.array([[[4.0, 0.5], [0.3, 0.2], [0.1, 0.0]],
+                      [[0.2, 0.0], [2.5, 0.4], [0.3, 0.1]],
+                      [[0.0, 0.2], [0.1, 0.3], [1.5, 0.3]]])
+TRIG3_SIN = np.array([0.0, 0.2, 0.1, 0.1, 0.0, 0.2, 0.3, 0.0, 0.1]).reshape(3, 3, 1)
+# [[cos 2 pi t, -sin 2 pi t], [sin 2 pi t, cos 2 pi t]]
+ROTATION_COS = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+ROTATION_SIN = np.array([[[0.0], [-1.0]], [[1.0], [0.0]]])
+
+
+class TestMeasuredDeterminant:
+    """``unit_determinant`` is measured on the construction check grid,
+    whatever the kind."""
+
+    def test_rotation_is_unit_and_passes_the_zero_sum_check(self, golden, tmp_path):
+        fam = TrigPolyFamily(base=golden, dim=2, cos_coeffs=ROTATION_COS,
+                             sin_coeffs=ROTATION_SIN)
+        assert fam.unit_determinant is True
+        cfg = tmp_path / "rot.cfg"
+        cfg.write_text("cocycle.kind = trig-poly\ncocycle.trig_degree = 1\n"
+                       "cocycle.trig_cos = " + ",".join(map(str, ROTATION_COS.ravel())) + "\n"
+                       "cocycle.trig_sin = " + ",".join(map(str, ROTATION_SIN.ravel())) + "\n"
+                       "numerics.n_max = 64\nnumerics.grid = 32\n")
+        res = CliRunner().invoke(cli_main, ["exponents", "--config", str(cfg),
+                                            "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+
+    def test_unit_kinds_stay_unit(self, golden):
+        assert SchrodingerFamily(base=golden, dim=2, coupling=3.0).unit_determinant is True
+        fam = DiagonalExpFamily(base=golden, dim=2, x_amp=np.array([1.5, -1.5]),
+                                e_amp=np.array([1.0, -1.0]),
+                                param_values=np.array([-1.0, 0.5, 2.0]))
+        assert fam.unit_determinant is True
+
+    def test_non_unit_families_stay_non_unit(self, golden):
+        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+        trig3 = TrigPolyFamily(base=base, dim=3, cos_coeffs=TRIG3_COS, sin_coeffs=TRIG3_SIN)
+        assert trig3.unit_determinant is False
+        assert constant_family(golden, np.diag([2.0, 1.0])).unit_determinant is False
+
+    def test_determinant_beyond_the_float_range_is_not_unit(self, golden):
+        # 1e200 * 1e190 overflows in the determinant: no RuntimeWarning, and
+        # the family is not declared unit
+        fam = constant_family(golden, np.diag([1e200, 1e190]))
+        assert fam.unit_determinant is False
+
+
+class TestConstantIsDegreeZero:
+    """``cocycle.kind = constant`` is the degree-0 ``trig-poly`` family."""
+
+    @pytest.mark.parametrize("E", [0.0, np.array([-1.0, 0.0, 2.5])])
+    def test_evaluate_repeats_the_matrix_bit_for_bit(self, golden, E):
+        m = np.array([[2.0, 0.3, -1.0], [0.1, 0.7, 0.0], [0.0, 0.2, 1.5]])
+        zeta = grid_phasors(16)
+        got = constant_family(golden, m).evaluate_batch(zeta, E)
+        want = np.repeat(m[np.newaxis], np.size(E) * zeta.size, axis=0)
+        assert np.array_equal(got, want)
+
+    def test_constant_and_degree_zero_configs_write_the_same_rows(self, tmp_path):
+        common = "cocycle.dim = 2\nnumerics.n_max = 32\nnumerics.grid = 8\n"
+        rows = []
+        for name, kind in (("c", "cocycle.kind = constant\ncocycle.entries = 2,1,0.5,3\n"),
+                           ("t", "cocycle.kind = trig-poly\ncocycle.trig_degree = 0\n"
+                                 "cocycle.trig_cos = 2,1,0.5,3\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(kind + common)
+            res = CliRunner().invoke(cli_main, ["exponents", "--config", str(cfg),
+                                                "--out", str(tmp_path / name)])
+            assert res.exit_code == 0, res.output
+            lines = (tmp_path / name / "exponents.csv").read_text().splitlines()
+            rows.append([l for l in lines if not l.startswith("#")])
+        assert len(rows[0]) == 1 + 6 * 2 and rows[0] == rows[1]

@@ -88,7 +88,11 @@ class TestBuilders:
         cfg = cfgmod.parse_config(
             "cocycle.kind = constant\ncocycle.dim = 2\ncocycle.entries = 2,0,0,0.5\n"
         )
-        assert type(cfg.family()) is cocycle.ConstantFamily
+        fam = cfg.family()
+        # a constant matrix is the degree-0 trigonometric polynomial
+        assert type(fam) is cocycle.TrigPolyFamily
+        assert np.array_equal(fam.cos_coeffs, np.diag([2.0, 0.5])[..., np.newaxis])
+        assert fam.sin_coeffs.shape == (2, 2, 0)
         cfg = cfgmod.parse_config(
             "cocycle.kind = diagonal-exp\ncocycle.e_amp = 1,-1\n"
             "param.E_min = 0.1\nparam.E_max = 0.5\nparam.E_count = 2\n"

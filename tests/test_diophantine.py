@@ -76,6 +76,22 @@ def test_records_are_decreasing_prefix_minima():
     assert recs[0][0] == 2
 
 
+def test_every_record_row_matches_a_plain_scan():
+    # pi - 3 sets three records below 10^4 (n = 2, 7, 113); each row is
+    # compared, not only the last
+    omega, a = np.pi - 3.0, 2.0
+    n = np.arange(2, 10**4 + 1, dtype=np.float64)
+    vals = dio.torus_distance(n * omega) * n * np.log(n) ** a
+    want, best = [], np.inf
+    for k, v in zip(n, vals):
+        if v < best:
+            best = float(v)
+            want.append((int(k), best))
+    got = dio.diophantine_minima(omega, a, 10**4)
+    assert [k for k, _ in want] == [2, 7, 113]
+    assert got == want
+
+
 def test_validation():
     with pytest.raises(ValidationError):
         dio.diophantine_minima(GOLDEN_MEAN, 2.0, 1)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cocyclelab import ldt
-from cocyclelab.cocycle import ConstantFamily, DiagonalExpFamily, grid_phasors
+from cocyclelab import random_products as rp
+from cocyclelab.cocycle import DiagonalExpFamily, grid_phasors
 from cocyclelab.errors import ValidationError
 from cocyclelab.util import pairwise_mean
+from tests.families import constant_family
 
 # frozen after the first run (grid fractions are exact multiples of 1/M)
 SCHRODINGER_AI_K1 = (0.0031934131719215664, 0.0035516532406876305)
@@ -13,7 +15,7 @@ SCHRODINGER_AI_K8 = (0.0056675102739365268, 0.028413225925501044)
 
 @pytest.fixture(scope="module")
 def const2(golden):
-    return ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+    return constant_family(golden, np.diag([2.0, 0.5]))
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +210,12 @@ class TestOnePass:
                                       ladder=(16, 32))
         assert prof.rows == [(32, 1e-9, 0.0)]
         assert (inv, mono) == ldt.reports(schrodinger3, 0.0, (32,), (), 64, ladder=(16, 32))[1:]
+
+
+@pytest.mark.parametrize("report", [
+    lambda fam: ldt.reports(fam, 0.0, (), (0.1,), 16),
+    lambda fam: rp.rate_report(rp.stretch_or_rotate(), (), 4),
+], ids=["ldt.reports", "rate_report"])
+def test_empty_scales_refused(const2, report):
+    with pytest.raises(ValidationError, match="scales must be non-empty"):
+        report(const2)

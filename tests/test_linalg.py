@@ -9,9 +9,10 @@ import pytest
 
 from cocyclelab import linalg
 from cocyclelab import random_products as rp
-from cocyclelab.cocycle import (DEFAULT_OMEGA_2D, ConstantFamily, SchrodingerFamily, ShiftBase,
+from cocyclelab.cocycle import (DEFAULT_OMEGA_2D, SchrodingerFamily, ShiftBase,
                                 TrigPolyFamily, golden_base, grid_phasors)
 from cocyclelab.errors import NumericalRefusal, ValidationError
+from tests.families import constant_family
 
 EPS = np.finfo(np.float64).eps
 
@@ -413,7 +414,7 @@ class TestInvertibility:
         real = linalg.invertible
         monkeypatch.setattr(linalg, "invertible",
                             lambda top, low: calls.append(1) or real(top, low))
-        ConstantFamily(base=golden_base(), dim=2, matrix=np.diag([2.0, 0.5]))
+        constant_family(golden_base(), np.diag([2.0, 0.5]))
         assert calls
         calls.clear()
         rp.single_matrix(np.diag([2.0, 0.5]))

@@ -5,13 +5,13 @@ import pytest
 
 from cocyclelab import rates
 from cocyclelab.cocycle import (
-    ConstantFamily,
     DiagonalExpFamily,
     SchrodingerFamily,
     ShiftBase,
     DEFAULT_OMEGA_2D,
 )
 from cocyclelab.errors import NumericalRefusal, ValidationError
+from tests.families import constant_family
 
 SCALES = tuple(2**k for k in range(2, 12))
 
@@ -41,7 +41,7 @@ class TestRateSeries:
             rates.RateSeries(j=1, scales=(4, 16), values=(0.0, 0.0))
 
     def test_engine_series_constant(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]))
         s = rates.rate_series(fam, 0.0, 1, 64, 8)
         assert np.allclose(s.values, np.log(2.0), atol=1e-13)
         assert abs(s.proxy_limit - np.log(2.0)) <= 1e-13
@@ -49,15 +49,14 @@ class TestRateSeries:
         assert all(a >= b for a, b in zip(s.values, s2.values))
 
     def test_n_max_validation(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]))
         with pytest.raises(ValidationError):
             rates.rate_series(fam, 0.0, 1, 48, 8)
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_exponent_index_out_of_range(self, golden, j):
         # j = 0 would index lambda_d from the end, j = 3 past it
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]),
-                             param_values=np.array([0.0, 1.0]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]), param_values=np.array([0.0, 1.0]))
         with pytest.raises(ValidationError, match="exponent index"):
             rates.rate_series(fam, 0.0, j, 64, 8)
         with pytest.raises(ValidationError, match="exponent index"):
@@ -82,7 +81,7 @@ class TestCOverN:
         assert all(abs(w - 1.0) <= 1e-9 for n, w in table if n <= SCALES[-1] // 4)
 
     def test_constant_family_zero(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]))
         s = rates.rate_series(fam, 0.0, 1, 128, 8)
         c_est, _ = rates.check_c_over_n(s)
         assert c_est <= 1e-10
@@ -162,14 +161,14 @@ class TestDichotomy:
 
 class TestGapMonitor:
     def test_constant_gaps(self, golden):
-        fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
         recs = rates.gap_monitor(fam, [0.0, 0.5, 1.0], 16, 8, kappa=0.5)
         for r in recs:
             assert np.allclose(r.gaps, np.log(2.0), atol=1e-12)
             assert r.passes
 
     def test_kappa_above_gap_fails(self, golden):
-        fam = ConstantFamily(base=golden, dim=3, matrix=np.diag([2.0, 1.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
         recs = rates.gap_monitor(fam, [0.0], 16, 8, kappa=1.0)
         assert not recs[0].passes
 
@@ -185,7 +184,7 @@ class TestCrudeContinuity:
             rates.crude_continuity_check(schrodinger3, 0.1, 0.1, 8, 32)
 
     def test_parameter_free_family_zero(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]))
         rep = rates.crude_continuity_check(fam, 0.0, 0.5, 8, 16)
         assert rep.lhs == 0.0
         assert rep.passes
@@ -215,8 +214,7 @@ class TestHolderEstimate:
             assert est.residual <= 1e-6
 
     def test_parameter_free_family_zero_variation(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]),
-                             param_values=np.array([0.0, 1.0]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]), param_values=np.array([0.0, 1.0]))
         est = rates.holder_estimate(
             fam, 1, (0.0, 1.0), n=16, m=16, pair_budget=12, kappa=0.1, seed=1
         )
@@ -225,8 +223,7 @@ class TestHolderEstimate:
         assert est.pairs_excluded >= 10
 
     def test_gap_refusal(self, golden):
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.diag([2.0, 0.5]),
-                             param_values=np.array([0.0, 1.0]))
+        fam = constant_family(golden, np.diag([2.0, 0.5]), param_values=np.array([0.0, 1.0]))
         with pytest.raises(NumericalRefusal, match="gap"):
             rates.holder_estimate(
                 fam, 1, (0.0, 1.0), n=16, m=16, pair_budget=12, kappa=5.0, seed=1
@@ -234,8 +231,7 @@ class TestHolderEstimate:
 
     def test_gap_refusal_prints_zero_gap_unsigned(self, golden):
         # equal exponents give a gap of +0; "-0" would read as a sign
-        fam = ConstantFamily(base=golden, dim=2, matrix=np.eye(2),
-                             param_values=np.array([0.0, 1.0]))
+        fam = constant_family(golden, np.eye(2), param_values=np.array([0.0, 1.0]))
         with pytest.raises(NumericalRefusal) as exc:
             rates.holder_estimate(fam, 1, (0.0, 1.0), n=16, m=16)
         assert str(exc.value) == "gap check failed on the window: min gap 0 <= kappa 0.05"
