@@ -23,7 +23,8 @@ gives both the reported pair norms and the pair terms of the
 discrepancy.  The running product of the full sequence, renormalised by
 its norm after every factor, starts from the first factor and the first
 scaled pair product; each of its ``n - 2`` later steps is one
-single-matrix call.
+single-matrix call, which :func:`linalg.svd` sweeps in Python floats with
+the bits of a stack of one.
 """
 
 from __future__ import annotations

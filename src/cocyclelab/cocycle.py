@@ -56,8 +56,10 @@ QUADRATURE_TOL = 1e-6
 CHECK_GRID = 64
 
 #: lanes per orbit pass; larger stacks run in chunks of whole energies, and
-#: since lanes are independent the chunking moves no bits
-STACK_POINTS = 1 << 15
+#: since lanes are independent the chunking moves no bits.  Two 2x2 stacks of
+#: 8192 lanes fit in linalg._BLOCK_BYTES, so scaled_product rescales every
+#: second step or less often; 12288-lane passes (2^15) rescaled at every step
+STACK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)

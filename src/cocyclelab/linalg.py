@@ -32,21 +32,25 @@ batch helpers accept any layout; the producers of the orbit and random
 kernels write this one.
 
 The full SVD belongs to the avalanche-principle checker, its one
-client: a one-sided Jacobi iteration over a lanes-last stack of real
-matrices (one matrix is a stack of one), not a LAPACK call, because it
-keeps high relative accuracy on strongly graded matrices
+client: a cyclic one-sided Jacobi iteration, not a LAPACK call, because
+it keeps high relative accuracy on strongly graded matrices
 (Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and the checker
 reads singular value *ratios*, ``sigma_2`` and the top right singular
-direction.  It returns the singular values and the orthogonal right
-factor, the only parts the checker reads.  Membership in GL(d) is one
-rule on the extreme singular values, :func:`invertible`, which the
-checker, the family construction check and the random supports share.
+direction.  A stack of real matrices is swept lanes-last; one matrix is
+swept over Python floats by the same operations in the same order, so it
+gets the bits it would get in a stack of one without paying numpy's
+per-call cost on arrays of one lane.  It returns the singular values
+and the orthogonal right factor, the only parts the checker reads.
+Membership in GL(d) is one rule on the extreme singular values,
+:func:`invertible`, which the checker, the family construction check and
+the random supports share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import copysign, sqrt
 
 import numpy as np
 
@@ -102,46 +106,10 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
-    """One-sided Jacobi SVD of a real square matrix, or of each matrix of a
-    real ``(..., d, d)`` stack; refuses complex and non-finite input.
-
-    Returns ``SvdResult`` with ``s`` of shape ``(..., d)`` and ``V`` of
-    shape ``(..., d, d)``; with ``compute_uv=False`` it returns ``s``
-    alone and skips the updates of ``V``, as ``np.linalg.svd`` does.
-
-    The stack is swept lanes-last, each lane by the same vector
-    operations, and a lane leaves the sweeps after its first sweep without
-    a rotation.  So every matrix gets the same bits as it would in a stack
-    of one, and one matrix is a stack of one.  A lane that has not
-    converged after ``_MAX_SWEEPS`` sweeps refuses the whole call.
-    Identical input yields byte-identical output.
-    """
-    a = np.asarray(m)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        raise ValidationError("svd takes real matrices")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix has non-finite entries")
-    d = a.shape[-1]
-    # (d, d, B) lanes-last: column p of every matrix is x[:, p], rows of
-    # contiguous lanes; with V, its rows go below those of the matrix, so
-    # that one rotation of columns turns both
-    x = np.zeros((2 * d if compute_uv else d, d, a.size // (d * d)))
-    x[:d] = a.reshape(-1, d, d).transpose(1, 2, 0)
-    if compute_uv:
-        x[range(d, 2 * d), range(d)] = 1.0
-    # exact scaling by the power of two of each matrix's largest entry, only
-    # outside the safe range, as LAPACK's xGESVD does (-1022 keeps 2^-e finite)
-    e = np.frexp(np.abs(x[:d]).max(axis=(0, 1)))[1]
-    outside = np.abs(e) > _SAFE_EXPONENT
-    if outside.any():
-        e = np.where(outside, np.maximum(e, -1022), 0)
-        np.ldexp(x[:d], -e, out=x[:d])
-    else:
-        e = 0
-
+def _sweep_lanes(x: np.ndarray) -> None:
+    """The sweeps of :func:`svd` over the lanes of ``x``, shape ``(rows, d,
+    B)``, in place; a lane leaves after its first sweep without a rotation."""
+    d = x.shape[1]
     # columns p < q as one basic slice, so that work[pq] is a view
     pairs = [np.s_[:, p:q + 1:q - p] for p, q in combinations(range(d), 2)]
     lanes = np.arange(x.shape[-1])  # the lanes still sweeping ...
@@ -184,6 +152,85 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
                 work = work[..., rotated]
         else:
             raise NumericalRefusal("Jacobi SVD failed to converge")
+
+
+def _sweep_one(x: np.ndarray) -> None:
+    """The sweeps of :func:`svd` on the one lane of ``x``, shape ``(rows, d,
+    1)``, in place and in Python floats: each quantity is the lanes' formula
+    in the lanes' order, so the bits are those of a stack of one, without
+    numpy's per-call cost on arrays of one lane.  The hypot is ``np.hypot``,
+    the lanes' own; ``math.hypot`` differs from it in the last place."""
+    d = x.shape[1]
+    cols = x[..., 0].T.tolist()  # column p of the matrix, then of V
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p, q in combinations(range(d), 2):
+            cp, cq = cols[p], cols[q]
+            app, aqq, g = cp[0] * cp[0], cq[0] * cq[0], cp[0] * cq[0]
+            for r in range(1, d):  # in row order
+                app, aqq, g = app + cp[r] * cp[r], aqq + cq[r] * cq[r], g + cp[r] * cq[r]
+            mag = abs(g)
+            # a rotation needs mag > 0, so tau overflows to +-inf as the
+            # lanes' does and never divides by zero
+            if not mag > _JACOBI_TOL * sqrt(app * aqq):
+                continue
+            rotated = True
+            tau = (aqq - app) / (2.0 * mag)
+            t = copysign(1.0, tau) / (abs(tau) + float(np.hypot(1.0, tau)))
+            c = 1.0 / float(np.hypot(1.0, t))
+            s = c * t * copysign(1.0, g)
+            # (p, q) -> c (p, q) + s (-q, p), where s (-v) is -(s v) exactly
+            cols[p] = [c * u - s * v for u, v in zip(cp, cq)]
+            cols[q] = [c * v + s * u for u, v in zip(cp, cq)]
+        if not rotated:
+            x[..., 0] = np.array(cols).T
+            return
+    raise NumericalRefusal("Jacobi SVD failed to converge")
+
+
+def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
+    """One-sided Jacobi SVD of a real square matrix, or of each matrix of a
+    real ``(..., d, d)`` stack; refuses complex and non-finite input.
+
+    Returns ``SvdResult`` with ``s`` of shape ``(..., d)`` and ``V`` of
+    shape ``(..., d, d)``; with ``compute_uv=False`` it returns ``s``
+    alone and skips the updates of ``V``, as ``np.linalg.svd`` does.
+
+    A stack is swept lanes-last, each lane by the same vector operations,
+    and a lane leaves the sweeps after its first sweep without a rotation,
+    so every matrix gets the bits it would get in a stack of one.  One
+    matrix (a 2-d input) runs the same sweeps over Python floats, with the
+    same operations in the same order, so it too gets the bits of a stack
+    of one, without numpy's per-call cost.  A matrix that has not
+    converged after ``_MAX_SWEEPS`` sweeps refuses the whole call.
+    Identical input yields byte-identical output.
+    """
+    a = np.asarray(m)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if np.iscomplexobj(a):
+        raise ValidationError("svd takes real matrices")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
+    d = a.shape[-1]
+    # (d, d, B) lanes-last: column p of every matrix is x[:, p], rows of
+    # contiguous lanes; with V, its rows go below those of the matrix, so
+    # that one rotation of columns turns both
+    x = np.zeros((2 * d if compute_uv else d, d, a.size // (d * d)))
+    x[:d] = a.reshape(-1, d, d).transpose(1, 2, 0)
+    if compute_uv:
+        x[range(d, 2 * d), range(d)] = 1.0
+    # exact scaling by the power of two of each matrix's largest entry, only
+    # outside the safe range, as LAPACK's xGESVD does (-1022 keeps 2^-e finite)
+    e = np.frexp(np.abs(x[:d]).max(axis=(0, 1)))[1]
+    outside = np.abs(e) > _SAFE_EXPONENT
+    if outside.any():
+        e = np.where(outside, np.maximum(e, -1022), 0)
+        np.ldexp(x[:d], -e, out=x[:d])
+    else:
+        e = 0
+
+    (_sweep_one if a.ndim == 2 else _sweep_lanes)(x)
 
     sigma = np.ldexp(np.sqrt(_row_sum(x[:d] * x[:d])), e).T
     if not compute_uv:

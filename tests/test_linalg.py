@@ -218,7 +218,8 @@ JACOBI_REFUSAL = np.array([
 
 class TestStackedSvd:
     """``linalg.svd`` on a stack sweeps the lanes together; each lane gets
-    the bits of a stack of one."""
+    the bits of a stack of one, and so does one matrix, swept in Python
+    floats."""
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_stack_matches_one_matrix_at_a_time(self, d, monkeypatch):
@@ -239,6 +240,30 @@ class TestStackedSvd:
         # lanes beyond 2^+-250 are scaled exactly
         assert np.array_equal(linalg.svd(b[3] * 2.0 ** 600).singular_values,
                               r.singular_values[3] * 2.0 ** 600)
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_matrix_route_has_the_bits_of_a_stack_of_one(self, d, compute_uv):
+        # one matrix runs its sweeps in Python floats, a stack lanes-last
+        rng = np.random.default_rng(100 + d)
+        for i in range(48):
+            m = rng.standard_normal((d, d))
+            if i % 4 == 1:  # graded columns
+                m *= 10.0 ** rng.uniform(-12.0, 12.0, d)
+            elif i % 4 == 2:  # near rank one
+                m = np.outer(*rng.standard_normal((2, d))) + 10.0 ** rng.uniform(-18, -6) * m
+            if i % 3 == 0:  # beyond 2^+-250, scaled exactly
+                m *= 2.0 ** rng.choice([-900, -400, 300, 700])
+            one = linalg.svd(m, compute_uv)
+            stacked = linalg.svd(m[np.newaxis], compute_uv)
+            if compute_uv:
+                assert one.singular_values.tobytes() == stacked.singular_values[0].tobytes()
+                assert one.right_factor.tobytes() == stacked.right_factor[0].tobytes()
+            else:
+                assert one.tobytes() == stacked[0].tobytes()
+        for m in (JACOBI_REFUSAL, JACOBI_REFUSAL[np.newaxis]):
+            with pytest.raises(NumericalRefusal, match="failed to converge"):
+                linalg.svd(m, compute_uv)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_reconstruction_and_orthonormality_on_a_stack(self, d):

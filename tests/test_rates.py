@@ -2,8 +2,10 @@ from math import exp
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from cocyclelab import rates
+from cocyclelab.cli import main
 from cocyclelab.cocycle import (
     DiagonalExpFamily,
     SchrodingerFamily,
@@ -272,3 +274,49 @@ class TestHolderEstimate:
         )
         assert est.stretched_sigma is not None
         assert 0.0 < est.stretched_sigma < 1.0
+
+
+def _csv_rows(path) -> list[dict[str, str]]:
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+class TestExactLimitOnTheSpectrum:
+    """The almost Mathieu operator ``v = 2 lambda cos 2 pi t`` with ``lambda
+    > 1`` has ``L(E) = ln lambda`` at every ``E`` of its spectrum
+    (Bourgain-Jitomirskaya, J. Stat. Phys. 108, 2002).  ``E = 0`` is in the
+    spectrum for every irrational frequency: the spectrum is symmetric, so
+    the integrated density of states there is 1/2, which is not a gap label
+    ``k omega mod 1``.  So the Schroedinger config at coupling 3 and ``E =
+    0`` has the exact limit ln 3, and ``rates`` and ``dichotomy`` are checked
+    against it rather than against the Richardson proxy."""
+
+    def test_rates_and_dichotomy_against_ln3(self, tmp_path):
+        cfg = tmp_path / "schrodinger_e0.cfg"
+        cfg.write_text(
+            "cocycle.kind = schrodinger\ncocycle.coupling = 3.0\n"
+            "param.E_min = 0.0\nparam.E_count = 1\n"
+            "numerics.grid = 4096\nnumerics.n_max = 16384\n"
+        )
+        out = tmp_path / "o"
+        for sub in ("rates", "dichotomy"):
+            res = CliRunner().invoke(main, [sub, "--config", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, (sub, res.output)
+        ln3 = float(np.log(3.0))
+        series = {int(r["n"]): float(r["lambda"]) for r in _csv_rows(out / "rates_series.csv")}
+        assert list(series) == [2**k for k in range(2, 15)]
+        # the C/n law: n (lambda_n - ln 3) neither decays nor grows
+        c = {n: n * (lam - ln3) for n, lam in series.items()}
+        assert all(0.36 <= v <= 0.38 for v in c.values()), c
+        # R(n) = 2n |lambda_2n - lambda_n| is C again
+        r = [float(row["R"]) for row in _csv_rows(out / "rates_r.csv")]
+        assert all(0.36 <= v <= 0.38 for v in r), r
+        summary = _csv_rows(out / "rates_summary.csv")[0]
+        proxy_defect = float(summary["proxy_limit"]) - ln3
+        assert abs(proxy_defect) <= 1e-6
+        verdict = _csv_rows(out / "dichotomy_verdict.csv")[0]
+        assert verdict["classification"] == "one_over_n"
+        print(f"E = 0, coupling 3, grid 4096: C = {min(c.values()):.4f}..{max(c.values()):.4f} "
+              f"for n = 4..16384, C_est against the proxy {float(summary['C_est']):.4f}, "
+              f"proxy - ln 3 = {proxy_defect:.2e}, dichotomy {verdict['classification']} "
+              f"from n = {verdict['trigger_scale']}")
