@@ -324,13 +324,10 @@ def holder_cmd(cfg: ExperimentConfig, run: _Run):
     run.emit(
         "summary",
         ["j", "E_lo", "E_hi", "n", "gamma_est", "residual", "kappa_min",
-         "pairs_used", "pairs_excluded", "zero_variation",
-         "beta0_check_pass", "stretched_sigma"],
+         "pairs_used", "pairs_excluded", "zero_variation", "stretched_sigma"],
         [(est.j, est.window[0], est.window[1], est.n, est.gamma_est,
           est.residual, est.kappa_min, est.pairs_used, est.pairs_excluded,
-          est.zero_variation,
-          None if est.beta0_check is None else est.beta0_check.passes,
-          est.stretched_sigma)],
+          est.zero_variation, est.stretched_sigma)],
     )
     run.emit("pairs", ["distance", "dlambda"], list(est.pair_rows))
 

@@ -168,8 +168,8 @@ def _energies(E) -> np.ndarray:
 class CocycleFamily:
     """Analytic GL(d) cocycle family over a torus shift.
 
-    A kind defines :meth:`evaluate_batch` and :meth:`e_holder_constant`;
-    everything else (products, exponents, profiles) is generic.
+    A kind defines only :meth:`evaluate_batch`; everything else
+    (products, exponents, profiles) is generic.
     ``param_values`` is the declared parameter grid, used for
     construction-time checks and CLI sweeps; operations accept any ``E``
     in its range.  ``unit_determinant`` is measured at construction:
@@ -181,15 +181,12 @@ class CocycleFamily:
     base: ShiftBase
     dim: int
     param_values: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    beta0: float = 1.0
     unit_determinant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "param_values", np.asarray(self.param_values, dtype=np.float64))
         if self.dim < 1:
             raise ValidationError("dimension must be at least 1")
-        if not 0.0 < self.beta0 <= 1.0:
-            raise ValidationError("beta0 must lie in (0, 1]")
         if self.param_values.ndim != 1 or self.param_values.size < 1:
             raise ValidationError("param_values must be a non-empty 1-d grid")
         if np.any(np.diff(self.param_values) < 0):
@@ -204,11 +201,6 @@ class CocycleFamily:
         lane ``k * B + b`` for energy ``k`` at point ``b``.  The stack is
         lanes-last, the transposed view of a C-contiguous ``(d, d, K * B)``
         array; entries are elementwise arithmetic on ``zeta``."""
-        raise NotImplementedError
-
-    def e_holder_constant(self) -> float:
-        """Constant K with ||A(x,E)-A(x,E')|| <= K * |E-E'|^beta0 over the
-        declared parameter range (0 for parameter-free kinds)."""
         raise NotImplementedError
 
     # -- generic machinery ----------------------------------------------------
@@ -334,13 +326,6 @@ class DiagonalExpFamily(CocycleFamily):
         out[idx, idx] = diagonal
         return out.transpose(2, 0, 1)
 
-    def e_holder_constant(self) -> float:
-        if not np.any(self.e_amp):
-            return 0.0
-        emax = float(np.max(np.abs(self.param_values)))
-        peak = float(np.max(np.abs(self.x_amp))) + float(np.max(np.abs(self.e_amp))) * emax
-        return float(np.max(np.abs(self.e_amp))) * np.exp(peak)
-
 
 @dataclass(frozen=True)
 class TrigPolyFamily(CocycleFamily):
@@ -366,9 +351,6 @@ class TrigPolyFamily(CocycleFamily):
         lanes = _fourier(zeta, self.cos_coeffs, self.sin_coeffs)
         k = _energies(E).size
         return (lanes if k == 1 else np.tile(lanes, k)).transpose(2, 0, 1)
-
-    def e_holder_constant(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -401,9 +383,6 @@ class SchrodingerFamily(CocycleFamily):
         out[1, 0] = 1.0
         out[1, 1] = 0.0
         return out.reshape(2, 2, -1).transpose(2, 0, 1)
-
-    def e_holder_constant(self) -> float:
-        return 1.0
 
 
 # -- exponent ladders ----------------------------------------------------------

@@ -56,7 +56,6 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "cocycle.trig_degree": ("int", 1, lambda v: v >= 0),
     "cocycle.trig_cos": ("floats", (), None),
     "cocycle.trig_sin": ("floats", (), None),
-    "cocycle.beta0": ("float", 1.0, lambda v: 0.0 < v <= 1.0),
     "shift.nu": ("int", 1, lambda v: v >= 1),
     "shift.omega": ("str", "golden", None),
     "shift.dio_exponent": ("float", 2.0, lambda v: v > 1.0),
@@ -174,14 +173,13 @@ class ExperimentConfig:
         kind = self.values["cocycle.kind"]
         dim = int(self.values["cocycle.dim"])
         params = self.param_grid()
-        beta0 = float(self.values["cocycle.beta0"])
         if kind == "diagonal-exp":
             x_amp = self.values["cocycle.x_amp"] or (0.0,) * dim
             e_amp = self.values["cocycle.e_amp"] or (0.0,) * dim
             if len(x_amp) != dim or len(e_amp) != dim:
                 raise ConfigError("cocycle.x_amp / e_amp must have dim entries")
             return cocycle.DiagonalExpFamily(
-                base=base, dim=dim, param_values=params, beta0=beta0,
+                base=base, dim=dim, param_values=params,
                 x_amp=np.array(x_amp), e_amp=np.array(e_amp),
             )
         if kind in ("constant", "trig-poly"):
@@ -204,7 +202,7 @@ class ExperimentConfig:
                     f"cocycle.trig_sin needs {want_sin} values, got {len(sin_flat)}"
                 )
             return cocycle.TrigPolyFamily(
-                base=base, dim=dim, param_values=params, beta0=beta0,
+                base=base, dim=dim, param_values=params,
                 cos_coeffs=np.array(cos_flat).reshape(dim, dim, deg + 1),
                 sin_coeffs=np.array(sin_flat).reshape(dim, dim, deg),
             )
@@ -212,7 +210,7 @@ class ExperimentConfig:
         if dim != 2:
             raise ConfigError("cocycle.kind = schrodinger requires cocycle.dim = 2")
         return cocycle.SchrodingerFamily(
-            base=base, dim=2, param_values=params, beta0=beta0,
+            base=base, dim=2, param_values=params,
             coupling=float(self.values["cocycle.coupling"]),
             sampling_cos=np.array(self.values["cocycle.sampling_cos"]),
             sampling_sin=np.array(self.values["cocycle.sampling_sin"]),

@@ -16,9 +16,8 @@ from math import exp
 
 import numpy as np
 
-from .cocycle import QUADRATURE_TOL, CocycleFamily, grid_phasors
+from .cocycle import QUADRATURE_TOL, CocycleFamily
 from .errors import NumericalRefusal, ValidationError
-from .linalg import spectral_norm_batch
 from .util import dyadic_ladder
 
 
@@ -122,7 +121,7 @@ def r_sequence(series: RateSeries) -> RSequenceReport:
 class DichotomyVerdict:
     classification: str  # exponential | one_over_n | inconclusive
     c1: float
-    c1_est: float | None  # None: fewer than two second differences above noise_floor
+    c1_est: float | None  # None: one_over_n, or < 2 second differences above noise_floor
     trigger_scale: int | None
     evidence: tuple[tuple[int, float, float], ...]  # (l, second_difference, threshold)
     noise_floor: float = 0.0
@@ -170,16 +169,6 @@ def dichotomy(
             trigger = n
             break
 
-    # empirical decay rate of the second differences resolved above the floor
-    resolved = [(n, s) for n, s, _ in evidence if s > noise_floor]
-    if len(resolved) >= 2:
-        xs = np.array([n for n, _ in resolved], dtype=np.float64)
-        ys = np.log(np.array([s for _, s in resolved]))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        c1_est = max(-slope, 0.0)
-    else:
-        c1_est = None
-
     if trigger is not None:
         base_dev = devs[trigger]
         cascade_ok = True
@@ -202,6 +191,16 @@ def dichotomy(
         else:
             shrinking = True
         cls = "exponential" if (second_ok and shrinking) else "inconclusive"
+
+    # empirical decay rate of the second differences resolved above the
+    # floor; a 1/n series has no exponential rate to report
+    resolved = [(n, s) for n, s, _ in evidence if s > noise_floor]
+    c1_est = None
+    if cls != "one_over_n" and len(resolved) >= 2:
+        xs = np.array([n for n, _ in resolved], dtype=np.float64)
+        ys = np.log(np.array([s for _, s in resolved]))
+        slope = float(np.polyfit(xs, ys, 1)[0])
+        c1_est = max(-slope, 0.0)
     return DichotomyVerdict(classification=cls, c1=c1, c1_est=c1_est, trigger_scale=trigger,
                             evidence=tuple(evidence), noise_floor=noise_floor)
 
@@ -234,49 +233,12 @@ def gap_monitor(
 
 
 @dataclass(frozen=True)
-class CrudeContinuityReport:
-    lhs: float  # max_x || A^(n)_x(E) - A^(n)_x(E') ||
-    passes: bool  # lhs <= exp(C n) * d(E,E')^beta0
-
-
-def crude_continuity_check(
-    fam: CocycleFamily, E: float, E_prime: float, n: int, m: int
-) -> CrudeContinuityReport:
-    """Telescoped one-step Hölder continuity of the full product.
-
-    ``lhs`` is assembled from unscaled products (refused when the growth
-    budget would overflow); ``rhs = exp(C n) * |E - E'|^beta0`` with
-    ``C = max log||A|| + max log||A^-1|| + log(1 + K)`` over both
-    parameters, K the family's one-step Hölder constant.  The bound is a
-    documented telescoping estimate, generous by design.
-    """
-    if E == E_prime:
-        raise ValidationError("parameters must differ")
-    top1, inv1 = fam.one_step_log_extremes(E, m)
-    top2, inv2 = fam.one_step_log_extremes(E_prime, m)
-    growth = max(top1, top2, 0.0) + max(inv1, inv2, 0.0) + np.log1p(fam.e_holder_constant())
-    if n * max(top1, top2, 0.0) > 600.0:
-        raise NumericalRefusal(
-            "unscaled product difference would overflow at this scale"
-        )
-    prod_a = None
-    prod_b = None
-    for zeta in fam.base.orbit_phasors(grid_phasors(m), n):
-        fa = fam.evaluate_batch(zeta, E)
-        fb = fam.evaluate_batch(zeta, E_prime)
-        prod_a = fa if prod_a is None else np.matmul(fa, prod_a)
-        prod_b = fb if prod_b is None else np.matmul(fb, prod_b)
-    lhs = float(np.max(spectral_norm_batch(prod_a - prod_b)))
-    rhs = float(np.exp(growth * n) * abs(E - E_prime) ** fam.beta0)
-    return CrudeContinuityReport(lhs=lhs, passes=lhs <= rhs)
-
-
-@dataclass(frozen=True)
 class HolderEstimate:
     """Log-log regression of exponent differences against parameter
-    distance over deterministic low-discrepancy pairs.  ``gamma_est``
-    and ``residual`` are ``None`` under ``zero_variation`` (fewer than two
-    resolved pairs leave nothing to regress)."""
+    distance over deterministic low-discrepancy pairs; the exponents alone
+    determine it, and the family declares no Hölder constant.
+    ``gamma_est`` and ``residual`` are ``None`` under ``zero_variation``
+    (fewer than two resolved pairs leave nothing to regress)."""
 
     j: int
     window: tuple[float, float]
@@ -287,7 +249,6 @@ class HolderEstimate:
     pairs_used: int
     pairs_excluded: int
     zero_variation: bool
-    beta0_check: CrudeContinuityReport | None
     stretched_sigma: float | None = None  # weaker-modulus fit, emitted for nu >= 2
     pair_rows: tuple[tuple[float, float], ...] = ()  # (distance, |dLambda|)
 
@@ -323,7 +284,6 @@ def holder_estimate(
     kappa: float = 0.05,
     seed: int = 0,
     decades: int = 4,
-    beta0_scale: int = 16,
 ) -> HolderEstimate:
     """Hölder exponent of ``E -> lambda_{j,n}(E)`` over a window.
 
@@ -331,7 +291,8 @@ def holder_estimate(
     window; only then are all pair endpoints run as one stacked ladder.
     Pairs with exponent difference below ten times the quadrature
     tolerance are excluded (and counted): they are below the resolution
-    of the grid averages.
+    of the grid averages.  The gap check is the only refusal: the family
+    declares no Hölder constant to hold the fit against.
     """
     if not 1 <= j <= fam.dim:
         raise ValidationError(f"exponent index j={j} out of range 1..{fam.dim}")
@@ -363,14 +324,12 @@ def holder_estimate(
     common = dict(j=j, window=(lo, hi), n=n, kappa_min=kappa_min, pairs_used=len(rows),
                   pairs_excluded=excluded, pair_rows=tuple(rows))
     if len(rows) < 2:
-        return HolderEstimate(gamma_est=None, residual=None, zero_variation=True,
-                              beta0_check=None, **common)
+        return HolderEstimate(gamma_est=None, residual=None, zero_variation=True, **common)
     x = np.log(np.array([r[0] for r in rows]))
     y = np.log(np.array([r[1] for r in rows]))
     a_mat = np.stack([x, np.ones_like(x)], axis=1)
     coef, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
     residual = float(np.sqrt(np.mean((a_mat @ coef - y) ** 2)))
-    beta_chk = crude_continuity_check(fam, pairs[0][0], pairs[0][1], beta0_scale, m)
     sigma = None
     if fam.base.nu >= 2:
         # weaker modulus |dLambda| ~ C exp(-c |log dist|^sigma)
@@ -383,4 +342,4 @@ def holder_estimate(
                 best = (res, float(sig))
         _, sigma = best
     return HolderEstimate(gamma_est=float(coef[0]), residual=residual, zero_variation=False,
-                          beta0_check=beta_chk, stretched_sigma=sigma, **common)
+                          stretched_sigma=sigma, **common)

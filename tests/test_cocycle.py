@@ -624,8 +624,7 @@ class TestStackedEnergies:
     def test_holder_makes_two_ladder_calls(self, golden, orbit_calls, budget):
         # the gap ladder runs orders 1 and 2; the pair ladder reads lambda_1,
         # which needs order 1 alone
-        est = rates.holder_estimate(split_exp(golden), 1, (1.0, 2.0), n=8, m=16,
-                                    pair_budget=budget, beta0_scale=2)
+        est = rates.holder_estimate(split_exp(golden), 1, (1.0, 2.0), n=8, m=16, pair_budget=budget)
         assert est.pairs_used + est.pairs_excluded == budget
         assert len(orbit_calls) == 2 + 1
 

@@ -15,6 +15,11 @@ cocycle.kind = schrodinger
 cocycle.coupling = 3.0
 """
 
+HOLDER_SUMMARY_COLUMNS = [
+    "j", "E_lo", "E_hi", "n", "gamma_est", "residual", "kappa_min",
+    "pairs_used", "pairs_excluded", "zero_variation", "stretched_sigma",
+]
+
 
 class TestParseConfig:
     def test_minimal_fills_defaults(self):
@@ -257,10 +262,10 @@ class TestCli:
                 f.stem: [l.split(",") for l in f.read_text().splitlines() if not l.startswith("#")]
                 for f in files
             }
+            assert rows["holder_summary"][0] == HOLDER_SUMMARY_COLUMNS
             summary = dict(zip(*rows["holder_summary"]))
             assert summary["zero_variation"] == "true"
             assert summary["gamma_est"] == summary["residual"] == summary["stretched_sigma"] == ""
-            assert summary["beta0_check_pass"] == ""
             d1 = dict(zip(*rows["holder_d1_summary"]))
             assert d1["kappa_min"] == "" and d1["zero_variation"] == "false"
             fit = dict(zip(*rows["ldt_fit"]))
@@ -268,15 +273,16 @@ class TestCli:
             assert [fit[k] for k in ("c", "C", "b", "tau", "residual")] == [""] * 5
         else:
             doc = json.loads((out / "holder_summary.json").read_text())
+            assert doc["columns"] == HOLDER_SUMMARY_COLUMNS
             row = dict(zip(doc["columns"], doc["rows"][0]))
             assert row["gamma_est"] is None and row["stretched_sigma"] is None
-            assert row["beta0_check_pass"] is None
             doc = json.loads((out / "holder_d1_summary.json").read_text())
             assert dict(zip(doc["columns"], doc["rows"][0]))["kappa_min"] is None
 
     @pytest.mark.parametrize("line", [
         "random.bins = 64", "numerics.tol_quad = 1e-6", "output.precision = 17",
-    ], ids=["random.bins", "numerics.tol_quad", "output.precision"])
+        "cocycle.beta0 = 1.0",
+    ], ids=["random.bins", "numerics.tol_quad", "output.precision", "cocycle.beta0"])
     def test_removed_key_exit_1(self, tmp_path, line):
         cfg = _write(tmp_path, f"random.dist = single\n{line}\n")
         res = CliRunner().invoke(main, ["random", "--config", cfg, "--out", str(tmp_path / "o")])

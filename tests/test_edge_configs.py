@@ -37,6 +37,9 @@ FAMILIES = {
     # sqrt2 - 1 and 2 - sqrt2 are irrational, but Omega is exactly 1: a frozen orbit
     "schrodinger-nu2-omega-sum-1": (
         "shift.nu = 2\nshift.omega = 0.41421356237309515, 0.5857864376269049\n", 1, {}),
+    # gap >= 1 at every energy, while one step grows by up to e^80
+    "diagonal-exp-e_amp-40": ("cocycle.kind = diagonal-exp\ncocycle.e_amp = 40,39\n"
+                              "param.E_min = 1\nparam.E_max = 2\nparam.E_count = 2\n", 0, {}),
 }
 
 #: matrix files for ap-verify: blocks separated by blank lines

@@ -558,7 +558,8 @@ class TestBatchHelpers:
         assert np.max(np.abs(got - want) / want) <= 8 * EPS
 
     def test_spectral_norm_of_zero_is_zero(self):
-        # crude_continuity_check takes the norm of a difference that can be zero
+        # a zero lane has zero Gram trace and no top entry to scale by; it
+        # must read 0, not NaN, next to a nonzero lane
         b = np.zeros((3, 3, 3))
         b[1] = np.diag([0.0, 2.0, 0.0])
         assert linalg.spectral_norm_batch(b).tolist() == [0.0, 2.0, 0.0]
