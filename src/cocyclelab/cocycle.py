@@ -2,8 +2,8 @@
 
 A family is a map ``(x, E) -> A(x, E)`` in GL(d) over a torus shift.
 Scale-``n`` products go through :func:`linalg.scaled_product`, which
-rescales by exact powers of two at the end of each block of up to 8 steps
-and at every checkpoint, so orbits of length 10^5+ never overflow.  Every
+rescales by exact powers of two at the end of each block of 8 steps and
+at every checkpoint, so orbits of length 10^5+ never overflow.  Every
 kind depends on ``x`` only through the phase ``t(x) = sum x_i``, so a base
 point is its phasor ``zeta = e^{2 pi i t}`` throughout: ``evaluate_batch``
 and ``orbit_lognorms`` take 1-d phasors, whose powers give the harmonics.
@@ -35,7 +35,6 @@ how grid work is scheduled.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +54,8 @@ QUADRATURE_TOL = 1e-6
 #: phases of the grid (:func:`grid_phasors`) on which construction checks invertibility
 CHECK_GRID = 64
 
-#: lanes per orbit pass; larger stacks run in chunks of whole energies, and
-#: since lanes are independent the chunking moves no bits.  Two 2x2 stacks of
-#: 8192 lanes fit in linalg._BLOCK_BYTES, so scaled_product rescales every
-#: second step or less often; 12288-lane passes (2^15) rescaled at every step
+#: lanes per orbit pass, which bound its memory; larger stacks run in chunks
+#: of whole energies, and since lanes are independent the chunking moves no bits
 STACK_POINTS = 1 << 13
 
 
@@ -111,12 +108,6 @@ class ShiftBase:
         num, den = self._total_rotation
         steps = (np.array(steps, dtype=object) * num + den // 2) % den - den // 2
         return np.exp(2j * np.pi * (steps / den).astype(np.float64))
-
-    def orbit_phasors(self, z: np.ndarray, n: int):
-        """Yields the phasors of 1-d start phasors ``z`` after ``j = 1..n``
-        steps of the exact orbit: ``z`` times :meth:`rotations`."""
-        for w in self.rotations(n):
-            yield z * w
 
 
 def golden_base(dio_exponent: float = 2.0) -> ShiftBase:
@@ -239,20 +230,22 @@ class CocycleFamily:
         if zeta.ndim != 1 or not np.iscomplexobj(zeta):
             raise ValidationError("start points must be a 1-d array of phasors")
         energies = _energies(E)
-        nb = zeta.size
+        nb, rot = zeta.size, self.base.rotations(n)
         per_pass = max(1, STACK_POINTS // nb)
         out = []
         for start in range(0, energies.size, per_pass):
             chunk = energies[start:start + per_pass]
-            # map, unlike a generator expression, keeps no step's arrays alive
-            factors = map(functools.partial(self.evaluate_batch, E=chunk),
-                          self.base.orbit_phasors(zeta, n))
+
+            def factor(j):
+                # step j of the exact orbit, with the same bits at every call
+                return self.evaluate_batch(zeta * rot[j - 1], chunk)
+
             try:
                 if p == self.dim:
-                    out.append(linalg.log_det_sum(factors, n, checkpoints))
+                    out.append(linalg.log_det_sum(factor, n, checkpoints))
                 else:
-                    compounds = map(functools.partial(linalg.compound_batch, p=p), factors)
-                    out.append(linalg.scaled_product(compounds, n, checkpoints))
+                    out.append(linalg.scaled_product(
+                        lambda j: linalg.compound_batch(factor(j), p), n, checkpoints))
             except NumericalRefusal as exc:
                 raise NumericalRefusal(f"{exc} (E={chunk[exc.matrix // nb]})") from None
         return np.concatenate(out, axis=1)

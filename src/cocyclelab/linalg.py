@@ -15,14 +15,15 @@ matrix's characteristic cubic) loses about half the digits when ``sigma_1
 ~ sigma_2``, the case the 2x2 formula is built to avoid.
 
 :func:`scaled_product` is the one renormalised running product of the
-package: the orbit kernel and the random-product kernel both feed it
-their factor stacks (Benettin et al., Meccanica 15, 1980).  It rescales
-by exact powers of two in blocks of up to eight steps and at every
-checkpoint, keeping the exponents in an integer sum, and takes spectral
-norms only at the checkpoints.  A power of two commutes with every
-rounding while entries stay in range, so the blocks give the bits of
-rescaling after every step; a block that leaves the range is replayed
-one step at a time.
+package: the orbit kernel and the random-product kernel both hand it a
+producer of the factor stack of step ``j`` (Benettin et al., Meccanica
+15, 1980).  It rescales by exact powers of two in blocks of eight steps,
+cut short at every checkpoint, whatever the lane count, keeping the
+exponents in an integer sum, and takes spectral norms only at the
+checkpoints.  A power of two commutes with every rounding while entries
+stay in range, so the blocks give the bits of rescaling after every
+step; a block that leaves the range is replayed one step at a time,
+asking the producer again for each of its steps.
 
 Batch stacks are lanes-last in memory: a ``(B, k, k)`` stack is the
 transposed view of a C-contiguous ``(k, k, B)`` array, so each matrix
@@ -77,12 +78,8 @@ _LAPACK_FROM = 6
 _SAFE_EXPONENT = 250
 #: the sign pattern of a column pair turned a quarter, (p, q) -> (-q, p)
 _FLIP = np.array([-1.0, 1.0])[:, np.newaxis]
-#: scaled_product renormalises every _BLOCK_STEPS steps at most, and holds no
-#: more than _BLOCK_BYTES of factor stacks for the replay of a block: with
-#: 1 MiB, a Schroedinger pass on 8192 lanes held 1.25 MiB, ran slower (91
-#: against 86 ms) and raised peak memory by 1.1 MiB
+#: scaled_product renormalises every _BLOCK_STEPS steps, and at checkpoints
 _BLOCK_STEPS = 8
-_BLOCK_BYTES = 1 << 19
 #: the least normal float: a block must end with a squared norm at least this
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -450,6 +447,12 @@ def _step_refusal(problem: str, j: int, ok: np.ndarray) -> NumericalRefusal:
     return exc
 
 
+def _lanes(f) -> np.ndarray:
+    """A ``(B, k, k)`` factor stack as a C-contiguous ``(k, k, B)`` float
+    array: its own memory if it arrives lanes-last, else a copy."""
+    return np.ascontiguousarray(np.asarray(f).transpose(1, 2, 0), dtype=np.float64)
+
+
 def _times(prod, lanes: np.ndarray) -> np.ndarray:
     """One step of the running product: ``F P`` for a lanes-last factor
     ``F`` and product ``P``, each entry ``sum_j f_ij p_jk`` added in order
@@ -475,22 +478,21 @@ def _rescale(prod: np.ndarray, step: int | None):
     return e
 
 
-def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
+def scaled_product(factor, n: int, checkpoints=None) -> np.ndarray:
     """Log-norms of the renormalised running product ``F_n ... F_1`` of
     ``n`` factor stacks.
 
-    ``factors`` yields ``n`` real ``(B, k, k)`` stacks, ``F_1`` first.
-    The product is scaled by the power of two ``2^-e`` that brings its
-    Frobenius norm into ``[1/2, 1)``, and ``e`` is added to an integer
-    exponent sum; the scaling is exact, so no rounding and no logarithm is
-    spent on it.  The spectral norm is taken only at the checkpoints, where
-    ``log ||F_c ... F_1||`` is ``e_sum * log 2 + log ||scaled product||``.
+    ``factor(j)`` returns the real ``(B, k, k)`` stack ``F_j`` of step ``j
+    = 1..n``.  The product is scaled by the power of two ``2^-e`` that
+    brings its Frobenius norm into ``[1/2, 1)``, and ``e`` is added to an
+    integer exponent sum; the scaling is exact, so no rounding and no
+    logarithm is spent on it.  The spectral norm is taken only at the
+    checkpoints, where ``log ||F_c ... F_1||`` is ``e_sum * log 2 + log
+    ||scaled product||``.
 
-    The scaling happens at the end of each block of ``R`` steps and at
-    every checkpoint, not after every step.  ``R`` is the largest count up
-    to ``_BLOCK_STEPS`` whose factor stacks fit in ``_BLOCK_BYTES`` (for
-    2x2 factors, 8 up to 2048 lanes, 4 at 4000, 2 at 8192 and 1 above),
-    since a block holds its stacks until it ends.  While entries stay
+    The scaling happens at the end of each block of ``_BLOCK_STEPS`` steps,
+    cut short at every checkpoint, not after every step, and a block keeps
+    no factor stack: only the product at its start.  While entries stay
     normal floats, a power of two commutes with each rounding of the
     multiply, the squared norm and its root, so a block ends with the bits
     of scaling after every step; only an entry that is subnormal in one of
@@ -498,18 +500,20 @@ def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
     whose squared Frobenius norm at its end is not finite (an overflow or a
     NaN persists) or below the least normal float (a zero persists, and the
     root of a subnormal one can round to another exponent) is replayed from
-    its start one step at a time, through the same step code: factors of
-    norm ``1e60`` keep their bits, and a step whose own squared Frobenius
-    norm is zero or not finite is refused, naming the step and the first
-    such matrix of the stack (also kept as the refusal's ``matrix``
-    attribute).  That covers a zero or non-finite factor at every ``R``.
+    its start one step at a time, through the same step code, asking
+    ``factor`` again for each of its steps: factors of norm ``1e60`` keep
+    their bits, and a step whose own squared Frobenius norm is zero or not
+    finite is refused, naming the step and the first such matrix of the
+    stack (also kept as the refusal's ``matrix`` attribute).  So a factor
+    of norm above about ``1e154`` or below about ``1e-162`` is refused only
+    where it makes a block of one step (a checkpoint right after a block's
+    end); in a block whose later steps undo it (such a factor, then its
+    inverse) it passes, since only the block's end is checked.  Block
+    lengths follow the checkpoints alone, never ``B``.
 
-    Refusal of a factor of norm above about ``1e154`` or below about
-    ``1e-162`` depends on ``R``, and so on ``B``.  At ``R = 1`` it is
-    refused at its step.  Inside a longer block whose later steps undo it
-    (such a factor, then its inverse) it passes, since only the block's end
-    is checked; refusing it at every ``R`` would take the squared norm of
-    every step, the cost that blocks save.
+    ``factor`` is called once per step, in order, and once more per step
+    of a replayed block.  It must return the same bits on every call for
+    a step; the stacks it returns are never changed in place.
 
     The running product is a C-contiguous ``(k, k, B)`` array, and a
     factor that arrives lanes-last (the transposed view of such an array)
@@ -519,55 +523,42 @@ def scaled_product(factors, n: int, checkpoints=None) -> np.ndarray:
     ``np.matmul`` makes one BLAS call per small matrix instead, and BLAS
     uses fused multiply-adds, so the last bits of a product can differ
     from ``np.matmul``'s; they never depend on ``B``, on the layout of
-    the factors or on how the lanes are chunked, apart from the subnormal
-    entries and the factor norms beyond about ``1e+-154`` above, where ``R``
-    (which follows ``B``) decides.
+    the factors or on how the lanes are chunked.
 
     Returns the log-norm per matrix at each checkpoint (default ``(n,)``;
-    increasing, ending at ``n``), shape ``(len(checkpoints), B)``.  The
-    factor stacks are never changed in place; a producer must not change a
-    yielded stack either, as it is held until the end of its block.
+    increasing, ending at ``n``), shape ``(len(checkpoints), B)``.
     """
     cps = _checkpoints(n, checkpoints)
-    rows, block, steps = [], [], None
-    expo, start, prod = np.int64(0), None, None
-    for j, f in zip(range(1, n + 1), factors):
-        lanes = np.ascontiguousarray(np.asarray(f).transpose(1, 2, 0), dtype=np.float64)
-        steps = steps or min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // max(lanes.nbytes, 1)))
-        block.append(lanes)
-        prod = _times(prod, lanes)
-        if len(block) < steps and j not in cps:
+    rows, expo, start, prod, first = [], np.int64(0), None, None, 1
+    for j in range(1, n + 1):
+        prod = _times(prod, _lanes(factor(j)))
+        if j - first + 1 < _BLOCK_STEPS and j not in cps:
             continue
-        e = _rescale(prod, j if len(block) == 1 else None)
+        e = _rescale(prod, j if j == first else None)
         if e is None:
             # the block left the range: replay it one step at a time from its start
             prod, e = start, 0
-            for step, lanes in enumerate(block, j - len(block) + 1):
-                prod = _times(prod, lanes)
+            for step in range(first, j + 1):
+                prod = _times(prod, _lanes(factor(step)))
                 e = e + _rescale(prod, step)
-        expo, start, block = expo + e, prod, []
+        expo, start, first = expo + e, prod, j + 1
         if j in cps:
             rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod.transpose(2, 0, 1))))
-    if len(rows) != len(cps):
-        raise ValidationError(f"expected {n} factor stacks")
     return np.array(rows)
 
 
-def log_det_sum(factors, n: int, checkpoints=None) -> np.ndarray:
+def log_det_sum(factor, n: int, checkpoints=None) -> np.ndarray:
     """``sum_j log |det F_j|``, the log-norm of the top compound of the
     product, as a running sum with no product; arguments, result and the
     refusal of a zero or non-finite determinant as in :func:`scaled_product`."""
-    cps, out, total, j = _checkpoints(n, checkpoints), None, 0.0, 0
-    for j, f in zip(range(1, n + 1), factors):
+    cps, rows, total = _checkpoints(n, checkpoints), [], 0.0
+    for j in range(1, n + 1):
         with np.errstate(all="ignore"):  # an inf, nan or 0 determinant refuses below
-            logdet = np.log(np.abs(det_batch(f)))
+            logdet = np.log(np.abs(det_batch(factor(j))))
         ok = np.isfinite(logdet)
         if not np.all(ok):
             raise _step_refusal("zero or non-finite determinant", j, ok)
         total += logdet
-        out = np.empty((len(cps), logdet.size)) if out is None else out
         if j in cps:
-            out[cps.index(j)] = total
-    if j != n:
-        raise ValidationError(f"expected {n} factor stacks")
-    return out
+            rows.append(total.copy())
+    return np.array(rows)

@@ -17,7 +17,7 @@ A factor is a function of one compact draw per step: the support index
 of a finite-support distribution (in the smallest unsigned integer type
 that holds it), or the angle of ``uniform_rotation``.  The kernel holds
 only the ``(n, T)`` draws of its ``T`` streams and turns each step's row
-of draws into a lanes-last factor stack as the product reaches it.
+of draws into a lanes-last factor stack when the product asks for it.
 
 Strong irreducibility and contraction of a distribution are not
 algorithmically certifiable; the shipped example distributions satisfy
@@ -206,12 +206,11 @@ def _batched_lognorms(
     dist: MatrixDistribution, n: int, streams, checkpoints=None
 ) -> np.ndarray:
     """``log||Y_n...Y_1||`` per stream, checkpointed; shape (len(cps), T).
-    Stream ``t`` fills column ``t`` of an ``(n, T)`` draw array, and each
-    step's row becomes one lanes-last factor stack only when the product
-    reaches it; :func:`linalg.scaled_product` holds the stacks of one
-    block at most, no more than ``linalg._BLOCK_BYTES``."""
+    Stream ``t`` fills column ``t`` of an ``(n, T)`` draw array, and step
+    ``j``'s row becomes one lanes-last factor stack only when the product
+    asks for it; :func:`linalg.scaled_product` holds no factor stack."""
     draws = dist.draw_table(streams, n)
-    return linalg.scaled_product((dist.factors(row) for row in draws), n, checkpoints)
+    return linalg.scaled_product(lambda j: dist.factors(draws[j - 1]), n, checkpoints)
 
 
 def _ld_fraction(logs: np.ndarray, n: int, delta: float, lambda1: float) -> float:

@@ -30,8 +30,9 @@ def finite_scale_exponents_qr(fam, E: float, n: int, m: int) -> np.ndarray:
     """
     q = np.broadcast_to(np.eye(fam.dim), (m, fam.dim, fam.dim)).copy()
     sums = np.zeros((m, fam.dim), dtype=np.float64)
-    for j, zeta in enumerate(fam.base.orbit_phasors(grid_phasors(m), n), 1):
-        q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(zeta, E), q))
+    z, w = grid_phasors(m), fam.base.rotations(n)
+    for j in range(1, n + 1):
+        q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(z * w[j - 1], E), q))
         diag = np.diagonal(r, axis1=1, axis2=2)
         q = q * np.where(diag < 0.0, -1.0, 1.0)[:, np.newaxis, :]
         assert np.all(diag != 0.0), f"rank collapse in QR accumulation at step {j}"
@@ -178,8 +179,8 @@ class TestEvaluate:
 def orbit_product(fam, x, E: float, n: int) -> float:
     """Log-norm of the scale-``n`` product over the orbit of one point,
     through the shared accumulator."""
-    factors = (fam.evaluate_batch(zeta, E) for zeta in fam.base.orbit_phasors(phasors(x), n))
-    logs = linalg.scaled_product(factors, n)
+    z, w = phasors(x), fam.base.rotations(n)
+    logs = linalg.scaled_product(lambda j: fam.evaluate_batch(z * w[j - 1], E), n)
     assert logs.shape == (1, 1)
     return float(logs[0, 0])
 
@@ -385,7 +386,8 @@ class TestNoPerMatrixLapack:
                              sin_coeffs=np.ones((3, 3, 1)) * 0.3)
         z = grid_phasors(8)
         n = 12
-        factors = [fam.evaluate_batch(zeta, 0.0) for zeta in base.orbit_phasors(z, n)]
+        w = base.rotations(n)
+        factors = [fam.evaluate_batch(z * w[j - 1], 0.0) for j in range(1, n + 1)]
         prod = factors[0]
         for f in factors[1:]:
             prod = f @ prod
@@ -437,7 +439,7 @@ class TestExactOrbitPhase:
     STEPS = (1, 100, 12345, 99999, 777777, 10**6)
 
     def entries_along_orbit(self, fam, xs):
-        # the phasors of orbit_phasors (see the last test), at the chosen steps only
+        # the phasors of an orbit pass (see the last test), at the chosen steps only
         z, w = phasors(xs), fam.base.rotations(max(self.STEPS))
         return {j: fam.evaluate_batch(z * w[j - 1], 0.0) for j in self.STEPS}
 
@@ -482,11 +484,23 @@ class TestExactOrbitPhase:
             assert abs(base.rotation([j])[0] - want) <= 1e-15, j
         assert base.rotation([99999]) == base.rotations(99999)[-1]
 
-    def test_orbit_phasors_are_start_phasors_times_rotations(self):
-        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+    def test_orbit_phasors_are_start_phasors_times_rotations(self, monkeypatch):
+        # what an orbit pass hands evaluate_batch at step j, for a product and
+        # for the determinant sum
+        fam = TrigPolyFamily(base=ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D), dim=2,
+                             cos_coeffs=np.eye(2)[..., np.newaxis] * [2.0, 0.5],
+                             sin_coeffs=np.ones((2, 2, 1)) * 0.3)
         z = phasors(torus_grid(2, 4))
-        got = np.stack(list(base.orbit_phasors(z, 5)))
-        assert np.array_equal(got, z * base.rotations(5)[:, np.newaxis])
+        seen = []
+        real = TrigPolyFamily.evaluate_batch
+        monkeypatch.setattr(TrigPolyFamily, "evaluate_batch",
+                            lambda self, zeta, E: seen.append(zeta) or real(self, zeta, E))
+        for p in (1, 2):
+            seen.clear()
+            fam.orbit_lognorms(0.0, z, 5, p=p)
+            assert len(seen) == 5
+            for j, zeta in enumerate(seen, 1):
+                assert np.array_equal(zeta, z * fam.base.rotation([j]))
 
 
 class TestTopOrderFromDeterminants:

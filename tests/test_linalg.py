@@ -68,6 +68,11 @@ def factor_stacks(k: int, lanes: int, n: int = 10) -> np.ndarray:
     return rng.standard_normal((n, lanes, k, k)) + 2.0 * np.eye(k)
 
 
+def producer(stacks):
+    """The producer ``factor(j)`` of a sequence of factor stacks, step 1 first."""
+    return lambda j: stacks[j - 1]
+
+
 def sequential_scaled_product(stacks: np.ndarray, cps) -> np.ndarray:
     """Loop reference for ``scaled_product``: every entry of every step is
     ``sum_j f_ij p_jk``, one multiply then one add per ``j`` in order, and
@@ -637,7 +642,7 @@ class TestScaledProduct:
     def test_matches_assembled_product_at_checkpoints(self):
         rng = np.random.default_rng(12)
         stacks = rng.standard_normal((6, 4, 3, 3)) + 2.0 * np.eye(3)
-        logs = linalg.scaled_product(iter(stacks), 6, checkpoints=(2, 5, 6))
+        logs = linalg.scaled_product(producer(stacks), 6, checkpoints=(2, 5, 6))
         assert logs.shape == (3, 4)
         for row, c in zip(logs, (2, 5, 6)):
             for b in range(4):
@@ -651,37 +656,35 @@ class TestScaledProduct:
         rng = np.random.default_rng(13)
         stacks = [rng.standard_normal((2, 2, 2)) for _ in range(3)]
         before = [s.copy() for s in stacks]
-        linalg.scaled_product(stacks, 3)
+        linalg.scaled_product(producer(stacks), 3)
         assert all(np.array_equal(a, b) for a, b in zip(stacks, before))
 
     @pytest.mark.parametrize("cps", [(2, 1, 3), (1, 2), (0, 3), (2, 2, 3), (1, 4)])
     def test_bad_checkpoints_rejected(self, cps):
         stacks = np.broadcast_to(np.eye(2), (3, 1, 2, 2))
         with pytest.raises(ValidationError, match="checkpoints"):
-            linalg.scaled_product(stacks, 3, checkpoints=cps)
+            linalg.scaled_product(producer(stacks), 3, checkpoints=cps)
 
     def test_length_validated(self):
         with pytest.raises(ValidationError):
-            linalg.scaled_product([], 0)
-        with pytest.raises(ValidationError, match="factor stacks"):
-            linalg.scaled_product([np.eye(2)[np.newaxis]], 2)
+            linalg.scaled_product(producer([]), 0)
 
     def test_zero_stack_refused(self):
         stacks = [np.eye(2)[np.newaxis], np.zeros((1, 2, 2))]
         with pytest.raises(NumericalRefusal, match="step 2"):
-            linalg.scaled_product(stacks, 2)
+            linalg.scaled_product(producer(stacks), 2)
 
     def test_refusal_names_first_refused_matrix(self):
         stacks = [np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])]
         with pytest.raises(NumericalRefusal, match="step 1, matrix 1") as info:
-            linalg.scaled_product(stacks, 1)
+            linalg.scaled_product(producer(stacks), 1)
         assert info.value.matrix == 1
 
     @pytest.mark.parametrize("factor, sign", [(np.diag([1e3, 1e-3]), 1.0), (1e-3 * np.eye(3), -1.0)])
     def test_products_beyond_float_range(self, factor, sign):
         # the product norms reach 1e+-9000, far outside the float64 range
         cps = (1, 2, 10, 100, 1000, 2999, 3000)
-        logs = linalg.scaled_product((factor[np.newaxis] for _ in range(3000)), 3000, cps)
+        logs = linalg.scaled_product(lambda j: factor[np.newaxis], 3000, cps)
         for row, c in zip(logs, cps):
             want = sign * c * np.log(1e3)
             assert abs(row[0] - want) <= 1e-12 * abs(want)
@@ -691,41 +694,59 @@ class TestScaledProduct:
         ones = [np.eye(2)[np.newaxis]] * 4
         stacks = ones + [np.full((1, 2, 2), bad)] + ones
         with pytest.raises(NumericalRefusal, match="step 5"):
-            linalg.scaled_product(stacks, 9, checkpoints=(2, 9))
+            linalg.scaled_product(producer(stacks), 9, checkpoints=(2, 9))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_lanes_and_chunks_move_no_bits(self, k):
         stacks = factor_stacks(k, lanes=37)
         cps = (1, 4, 9, 10)
-        whole = linalg.scaled_product(iter(stacks), 10, cps)
+        whole = linalg.scaled_product(producer(stacks), 10, cps)
         per_lane = np.concatenate(
-            [linalg.scaled_product(iter(stacks[:, b:b + 1]), 10, cps) for b in range(37)], axis=1)
-        chunks = np.concatenate(
-            [linalg.scaled_product(iter(stacks[:, b:b + 7]), 10, cps) for b in range(0, 37, 7)],
+            [linalg.scaled_product(producer(stacks[:, b:b + 1]), 10, cps) for b in range(37)],
             axis=1)
+        chunks = np.concatenate(
+            [linalg.scaled_product(producer(stacks[:, b:b + 7]), 10, cps)
+             for b in range(0, 37, 7)], axis=1)
         assert np.array_equal(per_lane, whole)
         assert np.array_equal(chunks, whole)
-        # a stack of _BLOCK_BYTES is renormalised every step, and chunks of a
-        # half, a quarter and an eighth of it every 2, 4 and 8 steps
-        lanes = linalg._BLOCK_BYTES // (8 * k * k)
+        # a wide stack, and chunks of a half, a quarter and an eighth of it,
+        # run the same blocks and get the bits of scaling after every step
+        lanes = 1 << 14
         wide = factor_stacks(k, lanes=lanes, n=20)
         cps = (1, 4, 9, 17, 20)
-        whole = linalg.scaled_product(iter(wide), 20, cps)
+        whole = linalg.scaled_product(producer(wide), 20, cps)
         assert np.array_equal(whole, sequential_scaled_product(wide, cps))
         for width in (lanes // 2, lanes // 4, lanes // 8):
             chunks = np.concatenate(
-                [linalg.scaled_product(iter(wide[:, b:b + width]), 20, cps)
+                [linalg.scaled_product(producer(wide[:, b:b + width]), 20, cps)
                  for b in range(0, lanes, width)], axis=1)
             assert np.array_equal(chunks, whole)
+
+    @pytest.mark.parametrize("lanes", [1, 1 << 14])
+    def test_producer_called_once_per_step(self, lanes, monkeypatch):
+        # three blocks (8, 8 and 4 steps) in range: no step is asked for twice
+        stacks = factor_stacks(2, lanes=lanes, n=20)
+        asked, rescales = [], []
+        real = linalg._rescale
+        monkeypatch.setattr(linalg, "_rescale", lambda *a: rescales.append(a[1]) or real(*a))
+        got = linalg.scaled_product(lambda j: asked.append(j) or stacks[j - 1], 20, (20,))
+        assert asked == list(range(1, 21))
+        assert len(rescales) == 3
+        assert np.array_equal(got, sequential_scaled_product(stacks, (20,)))
 
     def test_block_out_of_range_is_replayed_step_by_step(self):
         # factors of norm ~2^201: one step stays in range, eight overflow
         stacks = factor_stacks(2, lanes=5, n=20) * 2.0**200
         cps = (3, 8, 13, 20)
+        asked = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = linalg.scaled_product(iter(stacks), 20, cps)
+            got = linalg.scaled_product(lambda j: asked.append(j) or stacks[j - 1], 20, cps)
         assert np.array_equal(got, sequential_scaled_product(stacks, cps))
+        # every block (3, 5, 5 and 7 steps) overflows and asks again for its steps
+        blocks = [range(1, 4), range(4, 9), range(9, 14), range(14, 21)]
+        assert asked == [j for steps in blocks for j in [*steps, *steps]]
+        assert len(asked) == 20 + 3 + 5 + 5 + 7
         assert np.all(got[-1] > 20 * 200 * np.log(2.0))
 
     def test_block_ending_subnormal_is_replayed_step_by_step(self):
@@ -733,34 +754,34 @@ class TestScaledProduct:
         # whose root rounds to another exponent than the scaled one
         stacks = np.full((16, 3, 1, 1), 2.0**-66 * (1.0 - 2.0**-25))
         cps = (8, 16)
-        got = linalg.scaled_product(iter(stacks), 16, cps)
+        got = linalg.scaled_product(producer(stacks), 16, cps)
         assert np.array_equal(got, sequential_scaled_product(stacks, cps))
 
     def test_factor_beyond_1e154_refused_at_one_step_blocks_only(self):
         # its own squared norm overflows: a block that ends in range passes
-        # it, a stack that renormalises every step refuses it at its step
+        # it at every lane count, and a checkpoint at step 1, which makes
+        # step 1 a block of its own, refuses it at its step
         big, undo = np.diag([1e160, 1e-160]), np.diag([1e-160, 1e160])
-        for lanes, steps in ((1, linalg._BLOCK_STEPS), (linalg._BLOCK_BYTES // 32, 1)):
+        for lanes in (1, 1 << 14):
             stacks = np.broadcast_to(np.stack([big, undo])[:, np.newaxis], (2, lanes, 2, 2))
-            if steps > 1:
-                assert np.array_equal(linalg.scaled_product(iter(stacks), 2), np.zeros((1, 1)))
-                continue
+            assert np.array_equal(linalg.scaled_product(producer(stacks), 2),
+                                  np.zeros((1, lanes)))
             with pytest.raises(NumericalRefusal, match="step 1, matrix 0"):
-                linalg.scaled_product(iter(stacks), 2)
+                linalg.scaled_product(producer(stacks), 2, (1, 2))
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_degenerate_factor_inside_a_block_refused_at_its_step(self, bad):
         stacks = factor_stacks(2, lanes=4, n=20)
         stacks[10, 2] = bad
         with pytest.raises(NumericalRefusal, match="step 11, matrix 2") as info:
-            linalg.scaled_product(iter(stacks), 20)
+            linalg.scaled_product(producer(stacks), 20)
         assert info.value.matrix == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_multiply_is_sequential_multiply_add(self, k):
         stacks = factor_stacks(k, lanes=37)
         cps = (1, 2, 7, 10)
-        assert np.array_equal(linalg.scaled_product(iter(stacks), 10, cps),
+        assert np.array_equal(linalg.scaled_product(producer(stacks), 10, cps),
                               sequential_scaled_product(stacks, cps))
 
     @pytest.mark.parametrize("k", [2, 3, 6])
@@ -770,8 +791,8 @@ class TestScaledProduct:
                       for s in stacks]
         assert all(s.flags.c_contiguous for s in stacks)
         assert not any(s.flags.c_contiguous for s in lanes_last)
-        assert np.array_equal(linalg.scaled_product(iter(stacks), 10, (3, 10)),
-                              linalg.scaled_product(iter(lanes_last), 10, (3, 10)))
+        assert np.array_equal(linalg.scaled_product(producer(stacks), 10, (3, 10)),
+                              linalg.scaled_product(producer(lanes_last), 10, (3, 10)))
 
     def test_spectral_norm_taken_only_at_checkpoints(self, monkeypatch):
         calls = []
@@ -780,7 +801,7 @@ class TestScaledProduct:
         stacks = np.random.default_rng(14).standard_normal((40, 5, 3, 3))
         for cps in ((40,), (1, 8, 40), tuple(range(1, 41))):
             calls.clear()
-            linalg.scaled_product(iter(stacks), 40, checkpoints=cps)
+            linalg.scaled_product(producer(stacks), 40, checkpoints=cps)
             assert len(calls) == len(cps)
 
 
@@ -788,7 +809,7 @@ class TestLogDetSum:
     def test_matches_lapack_log_determinants(self):
         stacks = factor_stacks(3, lanes=9, n=12)
         cps = (1, 5, 12)
-        got = linalg.log_det_sum(iter(stacks), 12, cps)
+        got = linalg.log_det_sum(producer(stacks), 12, cps)
         assert got.shape == (3, 9)
         logs = np.cumsum(np.log(np.abs(np.linalg.det(stacks))), axis=0)
         for row, c in zip(got, cps):
@@ -798,7 +819,8 @@ class TestLogDetSum:
         v = np.random.default_rng(3).uniform(-6.0, 6.0, (50, 7))
         stacks = np.zeros((50, 7, 2, 2))
         stacks[..., 0, 0], stacks[..., 0, 1], stacks[..., 1, 0] = v, -1.0, 1.0
-        assert np.array_equal(linalg.log_det_sum(iter(stacks), 50, (10, 50)), np.zeros((2, 7)))
+        assert np.array_equal(linalg.log_det_sum(producer(stacks), 50, (10, 50)),
+                              np.zeros((2, 7)))
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
     def test_degenerate_determinant_refused_at_its_step(self, bad):
@@ -807,14 +829,12 @@ class TestLogDetSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalRefusal, match="step 3, matrix 1") as info:
-                linalg.log_det_sum(iter(stacks), 4)
+                linalg.log_det_sum(producer(stacks), 4)
         assert info.value.matrix == 1
 
     def test_validation(self):
         stacks = np.broadcast_to(np.eye(2), (3, 1, 2, 2))
         with pytest.raises(ValidationError, match="checkpoints"):
-            linalg.log_det_sum(stacks, 3, checkpoints=(2, 1, 3))
+            linalg.log_det_sum(producer(stacks), 3, checkpoints=(2, 1, 3))
         with pytest.raises(ValidationError, match="at least 1"):
-            linalg.log_det_sum(stacks, 0)
-        with pytest.raises(ValidationError, match="factor stacks"):
-            linalg.log_det_sum(stacks[:2], 3)
+            linalg.log_det_sum(producer(stacks), 0)

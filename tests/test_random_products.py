@@ -141,7 +141,7 @@ class TestDrawKernel:
         dist = KERNEL_DISTS[name]
         streams, n, cps = [4, 0, 9, 2, 17, 3, 30], 150, (1, 37, 64, 150)
         seqs = np.stack([dist.sample_sequence(s, n) for s in streams], axis=1)
-        want = linalg.scaled_product(iter(seqs), n, cps)
+        want = linalg.scaled_product(lambda j: seqs[j - 1], n, cps)
         assert np.array_equal(rp._batched_lognorms(dist, n, streams, cps), want)
 
     @pytest.mark.parametrize("name", KERNEL_DISTS)
