@@ -17,7 +17,8 @@ power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
 A^(n)_x||``, and consecutive differences recover each ``log sigma_j``.
 This is numerically stable where an SVD of the assembled product is not:
 the small singular values of a long product are unrecoverable directly.
-The top order ``p = d`` needs no product: ``sum_j log |det A_j|``.
+The top order ``p = d`` is the same product over the 1x1 stacks of
+``det A_j``, which reads ``sum_j log |det A_j|``.
 
 Energies stack into the batch: ``evaluate_batch`` takes one ``E`` or a
 1-d stack of ``K`` and returns ``K * B`` (energy, point) lanes, lane
@@ -223,8 +224,9 @@ class CocycleFamily:
         and ``E`` one energy or a 1-d array of ``K``; lane ``k * B + b`` is
         energy ``k`` at point ``b``.  Returns shape ``(len(checkpoints), K *
         B)``; ``checkpoints`` defaults to ``(n,)`` and must be increasing
-        with final entry ``n``.  Order ``p = d`` is :func:`linalg.log_det_sum`
-        of the factors, with no product.
+        with final entry ``n``.  Every order is :func:`linalg.scaled_product`
+        of the compound factors; for ``p = d`` they are the 1x1 stacks of
+        ``det A_j``.
         """
         zeta = np.asarray(zeta)
         if zeta.ndim != 1 or not np.iscomplexobj(zeta):
@@ -241,11 +243,8 @@ class CocycleFamily:
                 return self.evaluate_batch(zeta * rot[j - 1], chunk)
 
             try:
-                if p == self.dim:
-                    out.append(linalg.log_det_sum(factor, n, checkpoints))
-                else:
-                    out.append(linalg.scaled_product(
-                        lambda j: linalg.compound_batch(factor(j), p), n, checkpoints))
+                out.append(linalg.scaled_product(
+                    lambda j: linalg.compound_batch(factor(j), p), n, checkpoints))
             except NumericalRefusal as exc:
                 raise NumericalRefusal(f"{exc} (E={chunk[exc.matrix // nb]})") from None
         return np.concatenate(out, axis=1)

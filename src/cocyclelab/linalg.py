@@ -17,13 +17,16 @@ matrix's characteristic cubic) loses about half the digits when ``sigma_1
 :func:`scaled_product` is the one renormalised running product of the
 package: the orbit kernel and the random-product kernel both hand it a
 producer of the factor stack of step ``j`` (Benettin et al., Meccanica
-15, 1980).  It rescales by exact powers of two in blocks of eight steps,
-cut short at every checkpoint, whatever the lane count, keeping the
-exponents in an integer sum, and takes spectral norms only at the
-checkpoints.  A power of two commutes with every rounding while entries
-stay in range, so the blocks give the bits of rescaling after every
-step; a block that leaves the range is replayed one step at a time,
-asking the producer again for each of its steps.
+15, 1980), and every compound order runs through it, ``p = d`` as a
+stack of 1x1 determinants (:func:`compound_batch`).  It rescales by
+exact powers of two in blocks of eight steps, cut short at every
+checkpoint, whatever the lane count, keeping the exponents in an integer
+sum, and takes spectral norms only at the checkpoints.  A power of two
+commutes with every rounding while entries stay in range, so the blocks
+give the bits of rescaling after every step; a block that ends with an
+entry out of range is replayed one step at a time, asking the producer
+again for each of its steps.  A product is refused for its entries,
+never for their squares.
 
 Batch stacks are lanes-last in memory: a ``(B, k, k)`` stack is the
 transposed view of a C-contiguous ``(k, k, B)`` array, so each matrix
@@ -80,7 +83,7 @@ _SAFE_EXPONENT = 250
 _FLIP = np.array([-1.0, 1.0])[:, np.newaxis]
 #: scaled_product renormalises every _BLOCK_STEPS steps, and at checkpoints
 _BLOCK_STEPS = 8
-#: the least normal float: a block must end with a squared norm at least this
+#: the least normal float: a block must end with its largest entry at least this
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -400,7 +403,8 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
 
     Multiplicative in its argument, and its spectral norm is the product
     of the ``p`` largest singular values.  ``p = 1`` returns the input
-    itself, not a copy.  Otherwise the result is lanes-last: the ``p = 2``
+    itself, not a copy, and ``p = d`` the 1x1 stack of :func:`det_batch`,
+    with no gathers.  Otherwise the result is lanes-last: the ``p = 2``
     minors are built from the entry vectors of the stack as ``a d - b c``,
     the operations of :func:`det_batch`, straight into a ``(k, k, B)``
     array whose transposed view is returned.  For ``p >= 3`` each row
@@ -413,6 +417,8 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
         raise ValidationError(f"compound order p={p} out of range 1..{d}")
     if p == 1:
         return b
+    if p == d:
+        return det_batch(b)[:, np.newaxis, np.newaxis]
     basis = np.array(tuple(combinations(range(d), p)))
     if p == 2:
         lanes = b.transpose(1, 2, 0)
@@ -428,23 +434,6 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
             minors = lanes[rows[:, np.newaxis, np.newaxis], cols].reshape(p, p, -1)
             out[i] = det_batch(minors.transpose(2, 0, 1)).reshape(len(basis), -1)
     return out.transpose(2, 0, 1)
-
-
-def _checkpoints(n: int, checkpoints) -> tuple[int, ...]:
-    if n < 1:
-        raise ValidationError("product length must be at least 1")
-    cps = tuple(checkpoints) if checkpoints is not None else (n,)
-    if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
-        raise ValidationError("checkpoints must be increasing and end at n")
-    return cps
-
-
-def _step_refusal(problem: str, j: int, ok: np.ndarray) -> NumericalRefusal:
-    """Step ``j``'s refusal, naming (and keeping) its first matrix not ``ok``."""
-    i = int(np.argmin(ok))
-    exc = NumericalRefusal(f"{problem} at step {j}, matrix {i}")
-    exc.matrix = i
-    return exc
 
 
 def _lanes(f) -> np.ndarray:
@@ -463,17 +452,29 @@ def _times(prod, lanes: np.ndarray) -> np.ndarray:
 def _rescale(prod: np.ndarray, step: int | None):
     """Scales a lanes-last product in place by ``2^-e``, ``e`` per lane the
     exponent that brings its Frobenius norm into ``[1/2, 1)``, and returns
-    ``e``.  Given the ``step`` that made the product, it refuses a squared
-    Frobenius norm that is zero or not finite.  At a block end (``step``
-    None) it returns None where one is not finite or below the least normal
-    float, whose root can round to another exponent than per-step scaling."""
+    ``e``; where the squared norm alone leaves the float range, ``e`` is
+    read off a copy scaled by the power of two of the largest entry.  Given
+    the ``step`` that made the product, it refuses a matrix with an entry
+    not finite or none nonzero; at a block end (``step`` None) it returns
+    None where an entry is not finite or the largest is below ``_TINY``."""
     fro2 = np.einsum("ijb,ijb->b", prod, prod)
-    ok = np.isfinite(fro2) & (fro2 > 0.0 if step is not None else fro2 >= _TINY)
-    if not np.all(ok):
-        if step is None:
-            return None
-        raise _step_refusal("degenerate factor in scaled product", step, ok)
-    e = np.frexp(np.sqrt(fro2))[1]
+    in_range, shift = (fro2 >= _TINY) & (fro2 < np.inf), 0
+    if not in_range.all():
+        top = np.max(np.abs(prod), axis=(0, 1))
+        ok = np.isfinite(top) & (top > 0.0 if step is not None else top >= _TINY)
+        if not np.all(ok):
+            if step is None:
+                return None
+            # the refusal names (and keeps) its first matrix not ok
+            i = int(np.argmin(ok))
+            exc = NumericalRefusal(
+                f"degenerate factor in scaled product at step {step}, matrix {i}")
+            exc.matrix = i
+            raise exc
+        shift = np.where(in_range, 0, np.frexp(top)[1])
+        scaled = np.ldexp(prod, -shift)
+        fro2 = np.einsum("ijb,ijb->b", scaled, scaled)
+    e = np.frexp(np.sqrt(fro2))[1] + shift
     np.ldexp(prod, -e, out=prod)
     return e
 
@@ -494,22 +495,21 @@ def scaled_product(factor, n: int, checkpoints=None) -> np.ndarray:
     cut short at every checkpoint, not after every step, and a block keeps
     no factor stack: only the product at its start.  While entries stay
     normal floats, a power of two commutes with each rounding of the
-    multiply, the squared norm and its root, so a block ends with the bits
-    of scaling after every step; only an entry that is subnormal in one of
-    the two, far below the product's norm, can round differently.  A block
-    whose squared Frobenius norm at its end is not finite (an overflow or a
-    NaN persists) or below the least normal float (a zero persists, and the
-    root of a subnormal one can round to another exponent) is replayed from
-    its start one step at a time, through the same step code, asking
-    ``factor`` again for each of its steps: factors of norm ``1e60`` keep
-    their bits, and a step whose own squared Frobenius norm is zero or not
-    finite is refused, naming the step and the first such matrix of the
-    stack (also kept as the refusal's ``matrix`` attribute).  So a factor
-    of norm above about ``1e154`` or below about ``1e-162`` is refused only
-    where it makes a block of one step (a checkpoint right after a block's
-    end); in a block whose later steps undo it (such a factor, then its
-    inverse) it passes, since only the block's end is checked.  Block
-    lengths follow the checkpoints alone, never ``B``.
+    multiply, so a block ends with the bits of scaling after every step;
+    only an entry that is subnormal in one of the two, far below the
+    product's norm, can round differently.  A product is judged by its
+    entries, never by their squares (:func:`_rescale`).  A block that ends
+    with an entry not finite (an overflow or a NaN persists) or with its
+    largest entry below the least normal float (a zero persists, and a
+    subnormal product has lost bits) is replayed from its start one step at
+    a time, asking ``factor`` again for each of its steps: factors of norm
+    ``2^350`` keep their bits, and a step whose product has an entry not
+    finite or none nonzero is refused, naming the step and the first such
+    matrix of the stack (also kept as the refusal's ``matrix`` attribute).
+    Block lengths follow the checkpoints alone, never ``B``; where factor
+    entries are finite and below about ``1e300``, neither decides whether a
+    run is refused.  An overflow, in the multiply or in ``factor``, raises
+    no warning (``np.errstate``): it is refused at its step.
 
     ``factor`` is called once per step, in order, and once more per step
     of a replayed block.  It must return the same bits on every call for
@@ -528,37 +528,26 @@ def scaled_product(factor, n: int, checkpoints=None) -> np.ndarray:
     Returns the log-norm per matrix at each checkpoint (default ``(n,)``;
     increasing, ending at ``n``), shape ``(len(checkpoints), B)``.
     """
-    cps = _checkpoints(n, checkpoints)
+    if n < 1:
+        raise ValidationError("product length must be at least 1")
+    cps = tuple(checkpoints) if checkpoints is not None else (n,)
+    if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
+        raise ValidationError("checkpoints must be increasing and end at n")
     rows, expo, start, prod, first = [], np.int64(0), None, None, 1
-    for j in range(1, n + 1):
-        prod = _times(prod, _lanes(factor(j)))
-        if j - first + 1 < _BLOCK_STEPS and j not in cps:
-            continue
-        e = _rescale(prod, j if j == first else None)
-        if e is None:
-            # the block left the range: replay it one step at a time from its start
-            prod, e = start, 0
-            for step in range(first, j + 1):
-                prod = _times(prod, _lanes(factor(step)))
-                e = e + _rescale(prod, step)
-        expo, start, first = expo + e, prod, j + 1
-        if j in cps:
-            rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod.transpose(2, 0, 1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n + 1):
+            prod = _times(prod, _lanes(factor(j)))
+            if j - first + 1 < _BLOCK_STEPS and j not in cps:
+                continue
+            e = _rescale(prod, j if j == first else None)
+            if e is None:
+                # the block left the range: replay it one step at a time from its start
+                prod, e = start, 0
+                for step in range(first, j + 1):
+                    prod = _times(prod, _lanes(factor(step)))
+                    e = e + _rescale(prod, step)
+            expo, start, first = expo + e, prod, j + 1
+            if j in cps:
+                rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod.transpose(2, 0, 1))))
     return np.array(rows)
 
-
-def log_det_sum(factor, n: int, checkpoints=None) -> np.ndarray:
-    """``sum_j log |det F_j|``, the log-norm of the top compound of the
-    product, as a running sum with no product; arguments, result and the
-    refusal of a zero or non-finite determinant as in :func:`scaled_product`."""
-    cps, rows, total = _checkpoints(n, checkpoints), [], 0.0
-    for j in range(1, n + 1):
-        with np.errstate(all="ignore"):  # an inf, nan or 0 determinant refuses below
-            logdet = np.log(np.abs(det_batch(factor(j))))
-        ok = np.isfinite(logdet)
-        if not np.all(ok):
-            raise _step_refusal("zero or non-finite determinant", j, ok)
-        total += logdet
-        if j in cps:
-            rows.append(total.copy())
-    return np.array(rows)

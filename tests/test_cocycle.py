@@ -485,8 +485,8 @@ class TestExactOrbitPhase:
         assert base.rotation([99999]) == base.rotations(99999)[-1]
 
     def test_orbit_phasors_are_start_phasors_times_rotations(self, monkeypatch):
-        # what an orbit pass hands evaluate_batch at step j, for a product and
-        # for the determinant sum
+        # what an orbit pass hands evaluate_batch at step j, for order 1 and
+        # for the top order
         fam = TrigPolyFamily(base=ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D), dim=2,
                              cos_coeffs=np.eye(2)[..., np.newaxis] * [2.0, 0.5],
                              sin_coeffs=np.ones((2, 2, 1)) * 0.3)
@@ -509,18 +509,30 @@ class TestTopOrderFromDeterminants:
                                            p=2, checkpoints=(1, 16, 64))
         assert np.array_equal(logs, np.zeros((3, 32)))
 
-    def test_top_order_makes_no_product(self, schrodinger3, monkeypatch):
-        def product(*args, **kwargs):
-            raise AssertionError("p = d ran a renormalised product")
-
-        monkeypatch.setattr(linalg, "scaled_product", product)
-        schrodinger3.orbit_lognorms(0.0, grid_phasors(8), 16, p=2)
+    def test_non_unit_determinant_against_mpmath(self, golden):
+        # log det A = (0.5 + 0.3) cos 2 pi t + (e_1 + e_2) E in closed form,
+        # summed in mpmath along the exact orbit t + j Omega, j = 1..n; the
+        # product errs by at most 5.6e-16 per step here
+        x_amp, e_amp = np.array([0.5, 0.3]), np.array([0.7, -0.2])
+        fam = DiagonalExpFamily(base=golden, dim=2, x_amp=x_amp, e_amp=e_amp)
+        energies, m, cps = np.array([-1.0, 2.5]), 16, (1, 7, 64)
+        got = fam.orbit_lognorms(energies, grid_phasors(m), 64, p=2, checkpoints=cps)
+        with mp.workdps(30):
+            amp = mp.fsum(mp.mpf(a) for a in x_amp)
+            rate = mp.fsum(mp.mpf(a) for a in e_amp)
+            omega = mp.mpf(golden.omega[0])
+            for k, b in np.ndindex(energies.size, m):
+                logdet = [amp * mp.cos(2 * mp.pi * (mp.mpf(b) / m + j * omega))
+                          + rate * energies[k] for j in range(1, 65)]
+                for row, c in zip(got, cps):
+                    want = float(mp.fsum(logdet[:c]))
+                    assert abs(row[k * m + b] - want) <= 2e-15 * c, (k, b, c)
 
     def test_refusal_names_step_matrix_and_energy(self, golden):
         # exp(1 + E) * exp(1 + E) leaves the float range at E = 400 only
         fam = split_exp(golden, e_amp=(1.0, 1.0))
         with pytest.raises(NumericalRefusal,
-                           match=r"determinant at step 1, matrix 4 \(E=400\.0\)$"):
+                           match=r"scaled product at step 1, matrix 4 \(E=400\.0\)$"):
             fam.orbit_lognorms(np.array([0.0, 400.0]), grid_phasors(4), 3, p=2)
 
 

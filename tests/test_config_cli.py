@@ -352,8 +352,9 @@ class TestCli:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_family_beyond_square_range_refused_by_the_product(self, tmp_path):
-        # construction sees a well-conditioned diag(1e200, 1e190); the product's
-        # squared Frobenius norm leaves the float range, which is exit 2
+        # construction sees a well-conditioned diag(1e200, 1e190); the order-1
+        # product runs on its entries, but the top order's factor, the 1x1
+        # determinant 1e390, is not a float, which is exit 2
         cfg = _write(tmp_path, "cocycle.kind = constant\ncocycle.entries = 1e200,0,0,1e190\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -362,6 +363,21 @@ class TestCli:
         assert res.exit_code == 2
         assert "degenerate factor in scaled product at step 1" in res.stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_top_exponent_beyond_square_range(self, tmp_path):
+        # rates reads lambda_1 alone: ln 1e200 at every scale, with no warning
+        cfg = _write(tmp_path, "cocycle.kind = constant\ncocycle.entries = 1e200,0,0,1e190\n"
+                               "numerics.grid = 8\nnumerics.n_max = 32\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = CliRunner().invoke(main, ["rates", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "rates_series.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[0][:2] == ["n", "lambda"] and len(rows) > 2
+        for n, lam, *_ in rows[1:]:
+            assert abs(float(lam) - np.log(1e200)) <= 1e-15 * np.log(1e200), n
 
     def test_numerical_refusal_exit_2(self, tmp_path):
         cfg = _write(

@@ -735,8 +735,9 @@ class TestScaledProduct:
         assert np.array_equal(got, sequential_scaled_product(stacks, (20,)))
 
     def test_block_out_of_range_is_replayed_step_by_step(self):
-        # factors of norm ~2^201: one step stays in range, eight overflow
-        stacks = factor_stacks(2, lanes=5, n=20) * 2.0**200
+        # factors of norm ~2^351: one step's squared norm stays in range, and
+        # three steps' entries overflow
+        stacks = factor_stacks(2, lanes=5, n=20) * 2.0**350
         cps = (3, 8, 13, 20)
         asked = []
         with warnings.catch_warnings():
@@ -747,27 +748,56 @@ class TestScaledProduct:
         blocks = [range(1, 4), range(4, 9), range(9, 14), range(14, 21)]
         assert asked == [j for steps in blocks for j in [*steps, *steps]]
         assert len(asked) == 20 + 3 + 5 + 5 + 7
-        assert np.all(got[-1] > 20 * 200 * np.log(2.0))
+        assert np.all(got[-1] > 20 * 350 * np.log(2.0))
 
-    def test_block_ending_subnormal_is_replayed_step_by_step(self):
-        # eight steps of 2^-66 (1 - 2^-25) end with a subnormal squared norm,
-        # whose root rounds to another exponent than the scaled one
-        stacks = np.full((16, 3, 1, 1), 2.0**-66 * (1.0 - 2.0**-25))
-        cps = (8, 16)
-        got = linalg.scaled_product(producer(stacks), 16, cps)
+    @pytest.mark.parametrize("scale, cps", [(2.0**300, (2, 5, 8, 10)), (2.0**-66, (8, 10))],
+                             ids=["square-overflows", "square-subnormal"])
+    def test_block_with_square_out_of_range_is_not_replayed(self, scale, cps):
+        # the blocks end with finite entries, the largest a normal float, and
+        # a squared norm that overflows (2^300: 2 or 3 steps) or is subnormal
+        # (2^-66: 8 steps); the exponent comes from the entries
+        stacks = factor_stacks(2, lanes=5, n=10) * scale
+        asked = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.scaled_product(lambda j: asked.append(j) or stacks[j - 1], 10, cps)
+        assert asked == list(range(1, 11))
         assert np.array_equal(got, sequential_scaled_product(stacks, cps))
 
-    def test_factor_beyond_1e154_refused_at_one_step_blocks_only(self):
-        # its own squared norm overflows: a block that ends in range passes
-        # it at every lane count, and a checkpoint at step 1, which makes
-        # step 1 a block of its own, refuses it at its step
+    def test_block_ending_subnormal_is_replayed_step_by_step(self):
+        # eight steps of 2^-130 (1 - 2^-25) end with a subnormal entry, which
+        # has lost bits that scaling after every step keeps
+        stacks = np.full((16, 3, 1, 1), 2.0**-130 * (1.0 - 2.0**-25))
+        cps = (8, 16)
+        asked = []
+        got = linalg.scaled_product(lambda j: asked.append(j) or stacks[j - 1], 16, cps)
+        assert asked == [j for steps in (range(1, 9), range(9, 17)) for j in [*steps, *steps]]
+        assert np.array_equal(got, sequential_scaled_product(stacks, cps))
+
+    def test_factor_beyond_1e154_accepted_at_every_block_layout(self):
+        # 1e200 times a rotation, and 1e200 itself: finite, well-conditioned
+        # entries whose squared norm overflows; no checkpoints refuse them
+        c, s = np.cos(0.3), np.sin(0.3)
         big, undo = np.diag([1e160, 1e-160]), np.diag([1e-160, 1e160])
         for lanes in (1, 1 << 14):
+            for f in (1e200 * np.array([[c, -s], [s, c]]), np.full((1, 1), 1e200)):
+                stacks = np.broadcast_to(f, (3, lanes) + f.shape)
+                for cps in ((3,), (1, 3), (1, 2, 3)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = linalg.scaled_product(producer(stacks), 3, cps)
+                    want = np.array(cps)[:, np.newaxis] * np.log(1e200)
+                    assert np.max(np.abs(got - want) / want) <= 1e-15, (f.shape, cps)
+            # such a factor then its inverse: exact at (2,); a checkpoint at
+            # step 1 scales diag(1e160, 1e-160) to norm ~1, where 1e-160 becomes
+            # a subnormal ~1e-320 with few bits left, so step 2 reads about
+            # 2.4e-4, not 0: a float limit, not a refusal
             stacks = np.broadcast_to(np.stack([big, undo])[:, np.newaxis], (2, lanes, 2, 2))
             assert np.array_equal(linalg.scaled_product(producer(stacks), 2),
                                   np.zeros((1, lanes)))
-            with pytest.raises(NumericalRefusal, match="step 1, matrix 0"):
-                linalg.scaled_product(producer(stacks), 2, (1, 2))
+            got = linalg.scaled_product(producer(stacks), 2, (1, 2))
+            assert np.max(np.abs(got[0] - np.log(1e160))) <= 1e-15 * np.log(1e160)
+            assert np.all(np.abs(got[1]) < 1e-3)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_degenerate_factor_inside_a_block_refused_at_its_step(self, bad):
@@ -806,10 +836,18 @@ class TestScaledProduct:
 
 
 class TestLogDetSum:
+    """``sum_j log |det F_j|``, the top compound order, read off
+    ``scaled_product`` over the 1x1 stacks of ``compound_batch(F_j, d)``."""
+
+    @staticmethod
+    def top_order(stacks, n, cps=None):
+        d = stacks[0].shape[-1]
+        return linalg.scaled_product(lambda j: linalg.compound_batch(stacks[j - 1], d), n, cps)
+
     def test_matches_lapack_log_determinants(self):
         stacks = factor_stacks(3, lanes=9, n=12)
         cps = (1, 5, 12)
-        got = linalg.log_det_sum(producer(stacks), 12, cps)
+        got = self.top_order(stacks, 12, cps)
         assert got.shape == (3, 9)
         logs = np.cumsum(np.log(np.abs(np.linalg.det(stacks))), axis=0)
         for row, c in zip(got, cps):
@@ -819,8 +857,7 @@ class TestLogDetSum:
         v = np.random.default_rng(3).uniform(-6.0, 6.0, (50, 7))
         stacks = np.zeros((50, 7, 2, 2))
         stacks[..., 0, 0], stacks[..., 0, 1], stacks[..., 1, 0] = v, -1.0, 1.0
-        assert np.array_equal(linalg.log_det_sum(producer(stacks), 50, (10, 50)),
-                              np.zeros((2, 7)))
+        assert np.array_equal(self.top_order(stacks, 50, (10, 50)), np.zeros((2, 7)))
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
     def test_degenerate_determinant_refused_at_its_step(self, bad):
@@ -829,12 +866,5 @@ class TestLogDetSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalRefusal, match="step 3, matrix 1") as info:
-                linalg.log_det_sum(producer(stacks), 4)
+                self.top_order(stacks, 4)
         assert info.value.matrix == 1
-
-    def test_validation(self):
-        stacks = np.broadcast_to(np.eye(2), (3, 1, 2, 2))
-        with pytest.raises(ValidationError, match="checkpoints"):
-            linalg.log_det_sum(producer(stacks), 3, checkpoints=(2, 1, 3))
-        with pytest.raises(ValidationError, match="at least 1"):
-            linalg.log_det_sum(producer(stacks), 0)
