@@ -193,18 +193,6 @@ def verify(matrices, mu: float | None = None) -> APReport:
     )
 
 
-def ap_discrepancy(matrices) -> float:
-    """``| log||A_n...A_1|| + sum_{j=2}^{n-1} log||A_j|| -
-    sum_{j=1}^{n-1} log||A_{j+1} A_j|| |``.
-
-    The full product and the pairs go through the same scaled
-    accumulation, so the ``n = 2`` case cancels exactly.  Unlike
-    :func:`verify` it takes 1x1 factors.
-    """
-    mats = _factors(matrices)
-    return _discrepancy(mats, *_decompose(mats)[1:])
-
-
 @dataclass(frozen=True)
 class OverlapBracket:
     """Consecutive stretch-direction overlaps against pair-norm ratios."""

@@ -182,7 +182,7 @@ def exponents(cfg: ExperimentConfig, run: _Run):
     grid = cfg.param_grid()
     ladder = fam.exponent_ladder(grid, scales, int(cfg["numerics.grid"]))
     run.stage("compute")
-    check_ladder(ladder, grid, fam.unit_determinant, QUADRATURE_TOL)
+    check_ladder(ladder, grid, QUADRATURE_TOL)
     run.emit("", ["E", "n", "j", "lambda"],
              [(E, n, j, v) for k, E in enumerate(grid) for n in scales
               for j, v in enumerate(ladder[n][k], start=1)])

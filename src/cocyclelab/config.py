@@ -74,7 +74,7 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "ap.mu": ("float", 0.0, None),  # 0 means: use the certified gap
     "ldt.p": ("int", 1, lambda v: v >= 1),
     "ldt.deltas": ("floats", (0.1,), None),
-    "ldt.scales": ("ints", (), None),  # empty: dyadic 16..n_max
+    "ldt.scales": ("ints", (), lambda v: all(s >= 1 for s in v)),  # empty: dyadic 16..n_max
     "ldt.model": ("str", "auto", ("auto", "exp_poly", "stretched")),
     "ldt.k": ("int", 1, lambda v: v >= 1),
     "rates.j": ("int", 1, lambda v: v >= 1),
@@ -95,9 +95,9 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "random.angle": ("float", 1.0, None),
     "random.support_file": ("str", "", None),
     "random.trials": ("int", 400, lambda v: v >= 2),
-    "random.scales": ("ints", (), None),  # empty: dyadic 8..n_max
+    "random.scales": ("ints", (), lambda v: all(s >= 1 for s in v)),  # empty: dyadic 8..n_max
     "random.deltas": ("floats", (), None),
-    "random.ld_scales": ("ints", (50, 400), None),
+    "random.ld_scales": ("ints", (50, 400), lambda v: all(s >= 1 for s in v)),
     "random.c1": ("float", 0.05, lambda v: v > 0.0),
 }
 

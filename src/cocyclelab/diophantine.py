@@ -1,11 +1,11 @@
-"""Continued fractions and Diophantine quality of shift frequencies.
+"""Diophantine quality of shift frequencies.
 
 The quantity of interest is how far multiples ``n*omega`` stay from the
 integers: the scan below takes ``min_n ||n w|| * n * (log n)^a``, whose
 positivity witnesses the arithmetic condition the torus-shift experiments
 assume.  Distances to the nearest integer are smallest at continued
-fraction convergent denominators, which the tests use as an independent
-oracle.
+fraction convergent denominators; the tests use the golden mean's
+convergents, the consecutive Fibonacci pairs, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -17,49 +17,20 @@ import numpy as np
 from .errors import ValidationError
 
 
-def continued_fraction(x: float, max_terms: int = 64) -> list[int]:
-    """Partial quotients of ``x`` by the Euclidean algorithm on its exact
-    binary-float value (terms after the float's resolution are meaningless
-    and the expansion of a float is finite)."""
-    frac = Fraction(x).limit_denominator(10**18)
-    terms: list[int] = []
-    num, den = frac.numerator, frac.denominator
-    while den and len(terms) < max_terms:
-        a, rem = divmod(num, den)
-        terms.append(int(a))
-        num, den = den, rem
-    return terms
-
-
-def convergents(x: float, max_terms: int = 64) -> list[tuple[int, int]]:
-    """Successive best rational approximations ``p/q`` of ``x``."""
-    out: list[tuple[int, int]] = []
-    pm2, pm1 = 0, 1
-    qm2, qm1 = 1, 0
-    for a in continued_fraction(x, max_terms):
-        p = a * pm1 + pm2
-        q = a * qm1 + qm2
-        out.append((p, q))
-        pm2, pm1 = pm1, p
-        qm2, qm1 = qm1, q
-    return out
-
-
 def rational_witness(x: float, max_denominator: int = 10**6, tol: float = 1e-15):
     """Return ``(p, q)`` if some rational with ``q <= max_denominator``
     matches ``x`` within ``tol``, else ``None``.
 
-    Only convergents need checking: they realize the minimal distance
-    among all denominators up to a bound.
+    The candidate is the closest such rational,
+    ``Fraction(x).limit_denominator(max_denominator)``.  At the defaults
+    the witness is unique: two distinct fractions with denominators up to
+    ``10^6`` lie at least ``1/(q q') >= 1e-12`` apart, so at most one is
+    within ``1e-15`` of ``x``, and that one is the closest.  Since ``1e-15 <
+    1/(2 q^2)``, it is a continued-fraction convergent of ``x`` (Legendre).
     """
-    best: tuple[int, int] | None = None
-    for p, q in convergents(x):
-        if q > max_denominator:
-            break
-        if abs(x - p / q) <= tol:
-            best = (p, q)
-            break
-    return best
+    frac = Fraction(x).limit_denominator(max_denominator)
+    p, q = frac.numerator, frac.denominator
+    return (p, q) if abs(x - p / q) <= tol else None
 
 
 def torus_distance(values: np.ndarray) -> np.ndarray:

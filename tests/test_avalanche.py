@@ -96,14 +96,7 @@ class TestDiscrepancy:
         rng = np.random.default_rng(7)
         for _ in range(100):
             mats = [rng.standard_normal((3, 3)) + 2 * np.eye(3) for _ in range(2)]
-            assert ap.ap_discrepancy(mats) == 0.0
-
-    def test_scalars_vanish(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            n = int(rng.integers(2, 12))
-            mats = [np.array([[rng.uniform(0.1, 10.0)]]) for _ in range(n)]
-            assert ap.ap_discrepancy(mats) <= 1e-12
+            assert ap.verify(mats).discrepancy == 0.0
 
     def test_seeded_pinned_value_and_extended_precision_oracle(self):
         mats = seeded_sequence()
@@ -132,11 +125,11 @@ class TestDiscrepancy:
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         mats = [rng.standard_normal((3, 3)) + 3 * np.eye(3) for _ in range(6)]
-        base = ap.ap_discrepancy(mats)
+        base = ap.verify(mats).discrepancy
         for k, c in ((0, 17.0), (3, -0.003), (5, 1e6)):
             scaled = list(mats)
             scaled[k] = c * scaled[k]
-            assert abs(ap.ap_discrepancy(scaled) - base) <= 1e-10
+            assert abs(ap.verify(scaled).discrepancy - base) <= 1e-10
 
 
 class TestBound:

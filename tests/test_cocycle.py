@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -348,7 +350,7 @@ class TestLadderCheck:
         fam = constant_family(golden, np.diag([2.0, 0.5]))
         ladder = fam.exponent_ladder(np.array([0.0, 1.0]), (1, 2, 4), 4)
         assert sorted(ladder) == [1, 2, 4] and ladder[4].shape == (2, 2)
-        check_ladder(ladder, [0.0, 1.0], True, 1e-9)
+        check_ladder(ladder, [0.0, 1.0], 1e-9)
         assert abs(ladder[4][0, 0] - LN2) <= 1e-12
         cfg = tmp_path / "c.cfg"
         cfg.write_text("cocycle.kind = constant\ncocycle.entries = 2,0,0,0.5\n"
@@ -366,11 +368,7 @@ class TestLadderCheck:
 
     def test_check_flags_bad_ordering(self):
         with pytest.raises(ValidationError, match="ordering violated at E=0.0, n=2"):
-            check_ladder({2: np.array([[0.1, 0.5]])}, [0.0], False, 1e-9)
-
-    def test_check_flags_sum_rule(self):
-        with pytest.raises(ValidationError, match="zero-sum"):
-            check_ladder({2: np.array([[0.5, 0.1]])}, [0.0], True, 1e-9)
+            check_ladder({2: np.array([[0.1, 0.5]])}, [0.0], 1e-9)
 
     def test_qr_method_table(self, golden):
         fam = constant_family(golden, np.diag([3.0, 1.0 / 3.0]))
@@ -719,51 +717,66 @@ class TestOrbitPasses:
             assert fam.exponent_ladder(0.3, (16,), 32, j)[16] == full[16][1, j - 1]
 
 
-# the benchmark's d = 3 family on T^2: strictly diagonally dominant, det != 1
-TRIG3_COS = np.array([[[4.0, 0.5], [0.3, 0.2], [0.1, 0.0]],
-                      [[0.2, 0.0], [2.5, 0.4], [0.3, 0.1]],
-                      [[0.0, 0.2], [0.1, 0.3], [1.5, 0.3]]])
-TRIG3_SIN = np.array([0.0, 0.2, 0.1, 0.1, 0.0, 0.2, 0.3, 0.0, 0.1]).reshape(3, 3, 1)
 # [[cos 2 pi t, -sin 2 pi t], [sin 2 pi t, cos 2 pi t]]
 ROTATION_COS = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 ROTATION_SIN = np.array([[[0.0], [-1.0]], [[1.0], [0.0]]])
 
 
-class TestMeasuredDeterminant:
-    """``unit_determinant`` is measured on the construction check grid,
-    whatever the kind."""
+def exponent_sums(csv_text: str) -> dict[tuple[float, int], float]:
+    """``sum_j lambda_{j,n}`` per ``(E, n)`` from an ``exponents.csv``."""
+    sums: dict[tuple[float, int], float] = {}
+    for line in csv_text.splitlines():
+        if line[0] not in "#E":
+            E, n, _, lam = line.split(",")
+            sums[float(E), int(n)] = sums.get((float(E), int(n)), 0.0) + float(lam)
+    return sums
 
-    def test_rotation_is_unit_and_passes_the_zero_sum_check(self, golden, tmp_path):
-        fam = TrigPolyFamily(base=golden, dim=2, cos_coeffs=ROTATION_COS,
-                             sin_coeffs=ROTATION_SIN)
-        assert fam.unit_determinant is True
-        cfg = tmp_path / "rot.cfg"
-        cfg.write_text("cocycle.kind = trig-poly\ncocycle.trig_degree = 1\n"
-                       "cocycle.trig_cos = " + ",".join(map(str, ROTATION_COS.ravel())) + "\n"
-                       "cocycle.trig_sin = " + ",".join(map(str, ROTATION_SIN.ravel())) + "\n"
-                       "numerics.n_max = 64\nnumerics.grid = 32\n")
+
+class TestMeasuredDeterminant:
+    """Construction measures nothing about ``det A``: the sum of a ladder
+    slot is the top order's mean of ``sum_j log |det A_j| / n``, whatever
+    the kind."""
+
+    def run_exponents(self, tmp_path, cos, sin, tail):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"cocycle.kind = trig-poly\ncocycle.trig_degree = {sin.shape[-1]}\n"
+                       "cocycle.trig_cos = " + ",".join(map(str, cos.ravel())) + "\n"
+                       "cocycle.trig_sin = " + ",".join(map(str, sin.ravel())) + "\n" + tail)
         res = CliRunner().invoke(cli_main, ["exponents", "--config", str(cfg),
                                             "--out", str(tmp_path / "o")])
         assert res.exit_code == 0, res.output
+        return exponent_sums((tmp_path / "o" / "exponents.csv").read_text())
 
-    def test_unit_kinds_stay_unit(self, golden):
-        assert SchrodingerFamily(base=golden, dim=2, coupling=3.0).unit_determinant is True
-        fam = DiagonalExpFamily(base=golden, dim=2, x_amp=np.array([1.5, -1.5]),
-                                e_amp=np.array([1.0, -1.0]),
-                                param_values=np.array([-1.0, 0.5, 2.0]))
-        assert fam.unit_determinant is True
+    def test_rotation_is_unit_and_passes_the_zero_sum_check(self, tmp_path):
+        sums = self.run_exponents(tmp_path, ROTATION_COS, ROTATION_SIN,
+                                  "numerics.n_max = 64\nnumerics.grid = 32\n")
+        assert len(sums) == 7 and all(abs(v) <= 1e-12 for v in sums.values())
 
-    def test_non_unit_families_stay_non_unit(self, golden):
-        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
-        trig3 = TrigPolyFamily(base=base, dim=3, cos_coeffs=TRIG3_COS, sin_coeffs=TRIG3_SIN)
-        assert trig3.unit_determinant is False
-        assert constant_family(golden, np.diag([2.0, 1.0])).unit_determinant is False
+    def test_aliased_determinant_sums_to_its_log_mean(self, tmp_path):
+        # det A = 1 + sin(2 pi 32 t) / 2 is 1 to 1e-16 at the 64 construction
+        # phases t = b/64, but not along the orbit; exponents runs, and each
+        # slot sums to the grid mean of (1/n) sum_j log|det A_j| on the exact
+        # orbit t_j = b/64 + j Omega, summed in mpmath
+        cos, sin = np.zeros((2, 2, 33)), np.zeros((2, 2, 32))
+        cos[0, 0, 0] = cos[1, 1, 0] = 1.0
+        sin[0, 0, 31] = 0.5
+        sums = self.run_exponents(tmp_path, cos, sin,
+                                  "cocycle.dim = 2\nnumerics.n_max = 64\nnumerics.grid = 64\n")
+        m, omega = 64, mp.mpf(cocycle.GOLDEN_MEAN)
+        with mp.workdps(30):
+            logs = [[mp.log(1 + mp.sin(2 * mp.pi * 32 * (mp.mpf(b) / m + j * omega)) / 2)
+                     for j in range(1, 65)] for b in range(m)]
+            assert sorted(sums) == [(0.0, n) for n in (1, 2, 4, 8, 16, 32, 64)]
+            for (_, n), got in sums.items():
+                want = mp.fsum(mp.fsum(row[:n]) for row in logs) / (m * n)
+                assert abs(got - float(want)) <= 1e-12, n
+        assert abs(sums[0.0, 1]) > 0.1  # the sum the construction grid cannot see
 
     def test_determinant_beyond_the_float_range_is_not_unit(self, golden):
-        # 1e200 * 1e190 overflows in the determinant: no RuntimeWarning, and
-        # the family is not declared unit
-        fam = constant_family(golden, np.diag([1e200, 1e190]))
-        assert fam.unit_determinant is False
+        # 1e200 * 1e190 is not a float: construction still raises no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            constant_family(golden, np.diag([1e200, 1e190]))
 
 
 class TestConstantIsDegreeZero:

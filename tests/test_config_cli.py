@@ -33,6 +33,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"numerics\.grid"):
             cfgmod.parse_config(MINIMAL + "numerics.grid = 0\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("ldt.scales = 0\n", "ldt.scales"),
+        ("random.scales = 0,8\n", "random.scales"),
+        ("random.deltas = 0.1\nrandom.ld_scales = 0\n", "random.ld_scales"),
+    ], ids=["ldt", "random", "random-ld"])
+    def test_non_positive_scale_names_key_and_line(self, text, key):
+        line = (MINIMAL + text).count("\n")  # the last line
+        with pytest.raises(ConfigError, match=rf"line {line}: value .* for {key} out of range"):
+            cfgmod.parse_config(MINIMAL + text)
+
     def test_unknown_key_with_line_number(self):
         text = "cocycle.kind = schrodinger\nnumerics.gird = 8\n"
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
