@@ -164,7 +164,8 @@ class CocycleFamily:
     (products, exponents, profiles) is generic.
     ``param_values`` is the declared parameter grid, used for
     construction-time checks and CLI sweeps; operations accept any ``E``
-    in its range."""
+    in its range.  Construction checks GL(d) on the ``CHECK_GRID`` phases
+    only, not between them."""
 
     base: ShiftBase
     dim: int
@@ -193,6 +194,7 @@ class CocycleFamily:
     # -- generic machinery ----------------------------------------------------
 
     def _validate_invertibility(self):
+        """GL(d) at each declared ``E`` on the ``CHECK_GRID`` phases only."""
         zeta = grid_phasors(CHECK_GRID)
         for E in self.param_values:
             with np.errstate(over="ignore", invalid="ignore"):

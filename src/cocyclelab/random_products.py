@@ -2,8 +2,8 @@
 large-deviation probabilities and the rate verdict of :func:`rate_report`.
 
 Randomness is counter-based and splittable: every trial owns a Philox
-stream keyed ``(seed, stream_id)``, so results are independent of worker
-count and schedule, and identical ``(seed, stream_id, n)`` always
+stream keyed ``(seed, stream_id)``, so results are independent of how
+streams are chunked, and identical ``(seed, stream_id, n)`` always
 reproduces the same draw.  The streams of a pass come from one Philox
 re-keyed per stream (:meth:`MatrixDistribution.draw_table`), with the
 bits of a new generator per stream.  Ladders reuse the same streams
@@ -106,7 +106,8 @@ class MatrixDistribution:
         of its cost (no new generator, no discarded OS-entropy seed).  Up to
         ``_CHUNK_UNIFORMS`` uniforms at a time go through one buffer; ``u``
         picks the index ``#{i < K - 1: cum_i <= u}`` (the inverse CDF, with
-        a ``u`` past the rounded total on the last matrix) or the angle
+        a ``u`` past the rounded total on the last matrix), exactly, by the
+        ``ceil(log2 K)``-level bisection :func:`_bisect_right`, or the angle
         ``2 pi u``."""
         streams = [int(sid) & _KEY_MASK for sid in streams]
         bitgen = np.random.Philox(key=np.array([self.seed & _KEY_MASK, 0], dtype=np.uint64))
@@ -126,7 +127,7 @@ class MatrixDistribution:
             if self.support is None:
                 np.multiply(chunk.T, 2.0 * np.pi, out=cols)
             else:
-                cols[...] = np.searchsorted(self._cum[:-1], chunk, side="right").T
+                cols[...] = _bisect_right(self._cum[:-1], chunk).T
         return out
 
     def factors(self, draws: np.ndarray) -> np.ndarray:
@@ -142,6 +143,27 @@ class MatrixDistribution:
     def sample_sequence(self, stream_id: int, n: int) -> np.ndarray:
         """The first ``n`` factors of stream ``stream_id``, shape (n, d, d)."""
         return self.factors(self.draw_table((stream_id,), n)[:, 0])
+
+
+def _bisect_right(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``#{i : thresholds[i] <= u}`` per entry of ``u`` for ascending
+    thresholds: a branch-free bisection over the lanes (Khuong and Morin,
+    ACM JEA 22, 2017) on the table padded with ``+inf`` to a power of two."""
+    size = 1 << len(thresholds).bit_length()
+    pad = np.full(size, np.inf)
+    pad[:len(thresholds)] = thresholds
+    step = size >> 1  # level one probes one scalar: the +inf pad if step is 0
+    mask = np.greater_equal(u, pad[step - 1])
+    count = np.multiply(mask, step, dtype=np.intp)
+    vals, probe, step = np.empty(u.shape), np.empty_like(count), step >> 1
+    while step:
+        np.add(count, step - 1, out=probe)
+        np.take(pad, probe, out=vals, mode="clip")
+        np.less_equal(vals, u, out=mask)
+        np.multiply(mask, step, out=probe)
+        count += probe
+        step >>= 1
+    return count
 
 
 # -- shipped example distributions ----------------------------------------------

@@ -779,6 +779,22 @@ class TestMeasuredDeterminant:
             constant_family(golden, np.diag([1e200, 1e190]))
 
 
+class TestConstructionGrid:
+    """Construction checks GL(d) on the ``CHECK_GRID`` phases only."""
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="invertibility is sampled on the CHECK_GRID phases, "
+                              "not certified between them")
+    def test_determinant_vanishing_between_grid_phases_is_refused(self, golden):
+        # det diag(1 + sin 2 pi 32 t, 1) is 1 at every t = b/64 and 0 at
+        # t = 3/128 + k/32, so the family is not in GL(2) at every phase
+        cos, sin = np.zeros((2, 2, 33)), np.zeros((2, 2, 32))
+        cos[0, 0, 0] = cos[1, 1, 0] = 1.0
+        sin[0, 0, 31] = 1.0
+        with pytest.raises(ValidationError):
+            TrigPolyFamily(base=golden, dim=2, cos_coeffs=cos, sin_coeffs=sin)
+
+
 class TestConstantIsDegreeZero:
     """``cocycle.kind = constant`` is the degree-0 ``trig-poly`` family."""
 

@@ -215,6 +215,58 @@ class TestDrawKernel:
         assert peak <= 4 * 2**20
 
 
+def _thresholds(k: int, zeros: bool) -> np.ndarray:
+    """The ``k - 1`` inverse-CDF thresholds ``cum[:-1]`` of a ``k``-matrix
+    support, as ``draw_table`` searches them; with ``zeros``, the first,
+    middle and last probabilities are 0, so the table has ties (and a
+    threshold at 0.0 and one at the rounded total)."""
+    probs = np.random.default_rng(k).uniform(0.5, 1.5, k)
+    if zeros:
+        probs[[0, k // 2, k - 1]] = 0.0
+    return np.cumsum(probs / probs.sum())[:-1]
+
+
+class TestBisectRight:
+    """The support index is the count ``#{i : thresholds[i] <= u}`` that
+    ``np.searchsorted(thresholds, u, side="right")`` gives, exactly."""
+
+    @pytest.mark.parametrize("k", [*range(1, 41), 255, 256, 257, 4096])
+    def test_equals_searchsorted(self, k):
+        tables = [_thresholds(k, False)] + ([_thresholds(k, True)] if k >= 4 else [])
+        for th in tables:
+            # every threshold, the float just below it, both ends of [0, 1),
+            # and a random (16, 64) chunk
+            u = np.concatenate([th, np.nextafter(th, -np.inf), [0.0, np.nextafter(1.0, 0.0)],
+                                np.random.default_rng(k).random(1024)]).reshape(-1, 1)
+            got = rp._bisect_right(th, u)
+            assert got.dtype == np.intp and got.shape == u.shape
+            assert np.array_equal(got, np.searchsorted(th, u, side="right"))
+            chunk = u[-1024:].reshape(16, 64)
+            assert np.array_equal(rp._bisect_right(th, chunk),
+                                  np.searchsorted(th, chunk, side="right"))
+
+    def test_ties_count_every_equal_threshold(self):
+        th = np.array([0.0, 0.0, 0.25, 0.5, 0.5, 0.5, 1.0])
+        u = np.array([0.0, 0.1, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0])
+        assert rp._bisect_right(th, u).tolist() == [2, 2, 3, 3, 6, 6, 7]
+
+    def test_draw_table_on_4096_matrices_is_the_reference(self):
+        # uint16 indices over a support with zero-probability matrices first,
+        # in the middle and last, against a new Philox and searchsorted per stream
+        rng = np.random.default_rng(27)
+        probs = rng.uniform(0.5, 1.5, 4096)
+        probs[[0, 2048, 4095]] = 0.0
+        probs /= probs.sum()
+        mats = 1.0 + rng.uniform(0.0, 1.0, (4096, 1, 1))
+        dist = rp.MatrixDistribution(dim=1, seed=27, support=tuple(zip(mats, probs)))
+        streams, n = [3, 0, 2**40 + 1, 11], 5000
+        got = dist.draw_table(streams, n)
+        want = np.stack([reference_draws(dist, s, n) for s in streams], axis=1)
+        assert got.dtype == np.uint16 and got.max() > 4000
+        assert np.array_equal(got, want)
+        assert not np.isin(got, [0, 2048]).any()
+
+
 class TestTopExponent:
     def test_single_matrix_exact(self):
         dist = rp.single_matrix(np.diag([2.0, 0.5]), seed=1)
