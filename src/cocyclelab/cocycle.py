@@ -10,7 +10,9 @@ and ``orbit_lognorms`` take 1-d phasors, whose powers give the harmonics.
 An orbit pass multiplies the start phasors by one rotation ``e^{2 pi i (j
 Omega mod 1)}``, ``Omega = sum omega_i``, per step, with ``j Omega mod 1``
 reduced exactly (:meth:`ShiftBase.rotations`), so no phase error grows
-with ``j`` either.
+with ``j`` either.  A pass of few lanes evaluates several steps per call
+(``STACK_POINTS``), each step's phasors formed alone, with the bits of one
+step per call.
 
 Per-point log singular values come from the top-growth of the exterior
 power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
@@ -55,8 +57,9 @@ QUADRATURE_TOL = 1e-6
 #: phases of the grid (:func:`grid_phasors`) on which construction checks invertibility
 CHECK_GRID = 64
 
-#: lanes per orbit pass, which bound its memory; larger stacks run in chunks
-#: of whole energies, and since lanes are independent the chunking moves no bits
+#: points per factor evaluation of an orbit pass, which bound its memory: more
+#: lanes run in passes of whole energies, fewer evaluate several steps per call;
+#: lanes and steps are independent, so neither chunking moves a bit
 STACK_POINTS = 1 << 13
 
 
@@ -220,6 +223,12 @@ class CocycleFamily:
         with final entry ``n``.  Every order is :func:`linalg.scaled_product`
         of the compound factors; for ``p = d`` they are the 1x1 stacks of
         ``det A_j``.
+
+        Factors come ``S = min(n, STACK_POINTS // (K * B))`` steps (at least
+        one) per ``evaluate_batch`` and ``compound_batch`` call, never past
+        ``n``; step ``j``'s phasors are ``zeta * w_j`` formed alone, so the bits
+        do not depend on ``S``.  A replayed block that asks for steps of an
+        earlier chunk evaluates them again.
         """
         zeta = np.asarray(zeta)
         if zeta.ndim != 1 or not np.iscomplexobj(zeta):
@@ -230,14 +239,26 @@ class CocycleFamily:
         out = []
         for start in range(0, energies.size, per_pass):
             chunk = energies[start:start + per_pass]
+            steps = max(1, min(n, STACK_POINTS // (chunk.size * nb)))
+            points, first, held = np.empty((steps, nb), np.result_type(zeta, rot)), 0, ()
 
             def factor(j):
-                # step j of the exact orbit, with the same bits at every call
-                return self.evaluate_batch(zeta * rot[j - 1], chunk)
+                # steps j .. j + S - 1 of the exact orbit in one call, each
+                # step's phasors formed alone, so a step has the same bits in
+                # every chunk; held as (S, k, k, K * B) lanes-last stacks
+                nonlocal first, held
+                if not first <= j < first + len(held):
+                    first, s = j, min(steps, n + 1 - j)
+                    for i in range(s):
+                        np.multiply(zeta, rot[j - 1 + i], out=points[i])
+                    stack = linalg.compound_batch(self.evaluate_batch(points[:s].ravel(), chunk), p)
+                    k = stack.shape[-1]
+                    held = np.ascontiguousarray(stack.transpose(1, 2, 0).reshape(
+                        k, k, chunk.size, s, nb).transpose(3, 0, 1, 2, 4)).reshape(s, k, k, -1)
+                return held[j - first].transpose(2, 0, 1)
 
             try:
-                out.append(linalg.scaled_product(
-                    lambda j: linalg.compound_batch(factor(j), p), n, checkpoints))
+                out.append(linalg.scaled_product(factor, n, checkpoints))
             except NumericalRefusal as exc:
                 raise NumericalRefusal(f"{exc} (E={chunk[exc.matrix // nb]})") from None
         return np.concatenate(out, axis=1)

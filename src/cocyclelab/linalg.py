@@ -18,15 +18,15 @@ matrix's characteristic cubic) loses about half the digits when ``sigma_1
 package: the orbit kernel and the random-product kernel both hand it a
 producer of the factor stack of step ``j`` (Benettin et al., Meccanica
 15, 1980), and every compound order runs through it, ``p = d`` as a
-stack of 1x1 determinants (:func:`compound_batch`).  It rescales by
-exact powers of two in blocks of eight steps, cut short at every
-checkpoint, whatever the lane count, keeping the exponents in an integer
-sum, and takes spectral norms only at the checkpoints.  A power of two
-commutes with every rounding while entries stay in range, so the blocks
-give the bits of rescaling after every step; a block that ends with an
-entry out of range is replayed one step at a time, asking the producer
-again for each of its steps.  A product is refused for its entries,
-never for their squares.
+stack of 1x1 determinants (:func:`compound_batch`) whose step is a plain
+multiply.  It rescales by exact powers of two in blocks of eight steps,
+cut short at every checkpoint, whatever the lane count, keeping the
+exponents in an integer sum, and takes spectral norms only at the
+checkpoints.  A power of two commutes with every rounding while entries
+stay in range, so the blocks give the bits of rescaling after every step;
+a block that ends with an entry out of range is replayed one step at a
+time, asking the producer again for each of its steps.  A product is
+refused for its entries, never for their squares.
 
 Batch stacks are lanes-last in memory: a ``(B, k, k)`` stack is the
 transposed view of a C-contiguous ``(k, k, B)`` array, so each matrix
@@ -445,8 +445,11 @@ def _lanes(f) -> np.ndarray:
 def _times(prod, lanes: np.ndarray) -> np.ndarray:
     """One step of the running product: ``F P`` for a lanes-last factor
     ``F`` and product ``P``, each entry ``sum_j f_ij p_jk`` added in order
-    of ``j``; the first step (``prod`` None) is a copy of ``F``."""
-    return lanes.copy() if prod is None else np.einsum("ijb,jkb->ikb", lanes, prod)
+    of ``j``, and a 1x1 ``F`` (the top order) one plain multiply; the first
+    step (``prod`` None) is a copy of ``F``."""
+    if prod is None:
+        return lanes.copy()
+    return lanes * prod if lanes.shape[0] == 1 else np.einsum("ijb,jkb->ikb", lanes, prod)
 
 
 def _rescale(prod: np.ndarray, step: int | None):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import mpmath as mp
@@ -40,6 +41,19 @@ def finite_scale_exponents_qr(fam, E: float, n: int, m: int) -> np.ndarray:
         assert np.all(diag != 0.0), f"rank collapse in QR accumulation at step {j}"
         sums += np.log(np.abs(diag))
     return np.array([pairwise_mean(sums[:, j]) for j in range(fam.dim)]) / n
+
+
+#: constant, cosine and sine coefficients of the benchmark's trig3 family
+TRIG3 = (np.array([[4.0, 0.3, 0.1], [0.2, 2.5, 0.3], [0.0, 0.1, 1.5]]),
+         np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.2, 0.3, 0.3]]),
+         np.array([[0.0, 0.2, 0.1], [0.1, 0.0, 0.2], [0.3, 0.0, 0.1]]))
+
+
+def trig3_family() -> TrigPolyFamily:
+    """The benchmark's trig3 family: d = 3 on the two-torus, degree 1."""
+    c0, c1, s1 = TRIG3
+    return TrigPolyFamily(base=ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D), dim=3,
+                          cos_coeffs=np.stack([c0, c1], axis=-1), sin_coeffs=s1[..., np.newaxis])
 
 
 def mp_norm_2x2(m):
@@ -445,13 +459,9 @@ class TestExactOrbitPhase:
         return sum(mp.mpf(float(c)) for c in x) + j * sum(mp.mpf(w) for w in base.omega)
 
     def test_trig3_entries(self):
-        # d = 3 on the two-torus, with the coefficients of the benchmark's trig3 family
-        c0 = np.array([[4.0, 0.3, 0.1], [0.2, 2.5, 0.3], [0.0, 0.1, 1.5]])
-        c1 = np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.2, 0.3, 0.3]])
-        s1 = np.array([[0.0, 0.2, 0.1], [0.1, 0.0, 0.2], [0.3, 0.0, 0.1]])
-        base = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
-        fam = TrigPolyFamily(base=base, dim=3, cos_coeffs=np.stack([c0, c1], axis=-1),
-                             sin_coeffs=s1[..., np.newaxis])
+        c0, c1, s1 = TRIG3
+        fam = trig3_family()
+        base = fam.base
         xs = torus_grid(2, 64)[::97]
         assert xs.shape == (43, 2)
         mp.mp.dps = 30
@@ -483,21 +493,23 @@ class TestExactOrbitPhase:
         assert base.rotation([99999]) == base.rotations(99999)[-1]
 
     def test_orbit_phasors_are_start_phasors_times_rotations(self, monkeypatch):
-        # what an orbit pass hands evaluate_batch at step j, for order 1 and
-        # for the top order
+        # what an orbit pass hands evaluate_batch for step j, for order 1 and
+        # for the top order: z * w_j, in step order, at 1, 2 and 5 steps a call
         fam = TrigPolyFamily(base=ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D), dim=2,
                              cos_coeffs=np.eye(2)[..., np.newaxis] * [2.0, 0.5],
                              sin_coeffs=np.ones((2, 2, 1)) * 0.3)
-        z = phasors(torus_grid(2, 4))
+        z = phasors(torus_grid(2, 5))  # phases k/5, whose phasors are not exact
         seen = []
         real = TrigPolyFamily.evaluate_batch
         monkeypatch.setattr(TrigPolyFamily, "evaluate_batch",
-                            lambda self, zeta, E: seen.append(zeta) or real(self, zeta, E))
-        for p in (1, 2):
+                            lambda self, zeta, E: seen.append(zeta.copy()) or real(self, zeta, E))
+        for steps, p in itertools.product((1, 2, 5), (1, 2)):
+            monkeypatch.setattr(cocycle, "STACK_POINTS", steps * z.size)
             seen.clear()
             fam.orbit_lognorms(0.0, z, 5, p=p)
-            assert len(seen) == 5
-            for j, zeta in enumerate(seen, 1):
+            assert len(seen) == -(-5 // steps)
+            rows = np.concatenate(seen).reshape(5, z.size)
+            for j, zeta in enumerate(rows, 1):
                 assert np.array_equal(zeta, z * fam.base.rotation([j]))
 
 
@@ -571,8 +583,10 @@ class TestPhaseGrid:
 
         monkeypatch.setattr(TrigPolyFamily, "evaluate_batch", counted)
         ladder = fam.exponent_ladder(energies, scales, m)
-        # m * K lanes on every step of the three passes, not m^nu * K
-        assert lanes == [m * energies.size] * 3 * scales[-1]
+        # m * K lanes on every step of the three passes, not m^nu * K; a
+        # call evaluates whole steps
+        assert sum(lanes) == m * energies.size * 3 * scales[-1]
+        assert all(k % (m * energies.size) == 0 for k in lanes)
         monkeypatch.undo()
         z = phasors(torus_grid(fam.base.nu, m))
         assert z.size == m ** fam.base.nu
@@ -673,6 +687,69 @@ class TestStackedEnergies:
         _, rep, mono = ldt.reports(schrodinger3, 0.0, (8, 16), (0.1,), 64, k=3,
                                    ladder=(4, 8, 16, 32))
         assert rep.ok and mono.scales == (4, 8, 16, 32) and len(orbit_calls) == 1
+
+
+def per_step_lognorms(fam, E, zeta, n, p, checkpoints):
+    """The orbit pass with one ``evaluate_batch`` call per step, the
+    reference for the chunked producer: step ``j`` evaluates ``zeta * w_j``."""
+    rot = fam.base.rotations(n)
+    return linalg.scaled_product(
+        lambda j: linalg.compound_batch(fam.evaluate_batch(zeta * rot[j - 1], E), p),
+        n, checkpoints)
+
+
+class TestStepChunks:
+    """With few lanes an orbit pass evaluates ``S`` steps per
+    ``evaluate_batch`` call, ``S * K * B <= STACK_POINTS``; every step keeps
+    the bits of one step per call.  ``n = 37`` is no multiple of ``S`` and
+    the checkpoints lie off chunk and block boundaries."""
+
+    N, CPS = 37, (5, 16, 37)
+
+    def families(self, golden):
+        return {
+            "trig3": trig3_family(),
+            "schrodinger": SchrodingerFamily(base=golden, dim=2, coupling=3.0),
+            # exp(90) per step: every 8-step block at E = 90 leaves the float
+            # range at orders 1 and 2, and is replayed one step at a time
+            "overflowing": split_exp(golden, e_amp=(1.0, 1.0)),
+        }
+
+    def chunked(self, fam, energies, zeta, p, monkeypatch):
+        """The pass and the points of each of its ``evaluate_batch`` calls."""
+        points = []
+        real = type(fam).evaluate_batch
+        with monkeypatch.context() as patch:
+            patch.setattr(type(fam), "evaluate_batch",
+                          lambda self, z, E: points.append(z.size * np.size(E)) or real(self, z, E))
+            logs = fam.orbit_lognorms(energies, zeta, self.N, p=p, checkpoints=self.CPS)
+        return logs, points
+
+    @pytest.mark.parametrize("steps", [1, 3, 8, None], ids=["S1", "S3", "S8", "default"])
+    @pytest.mark.parametrize("kind, energies, orders", [
+        ("trig3", (0.0, 0.5), (1, 2, 3)),
+        ("schrodinger", (-1.3, 0.0, 2.2), (1, 2)),
+        ("overflowing", (0.0, 90.0), (1, 2)),
+    ], ids=["trig3", "schrodinger", "overflowing"])
+    def test_chunked_pass_is_the_per_step_pass(self, golden, monkeypatch, kind, energies,
+                                               orders, steps):
+        fam, energies, zeta = self.families(golden)[kind], np.array(energies), grid_phasors(16)
+        lanes = energies.size * zeta.size
+        if steps is not None:
+            monkeypatch.setattr(cocycle, "STACK_POINTS", steps * lanes)
+        s = min(self.N, cocycle.STACK_POINTS // lanes)
+        for p in orders:
+            want = per_step_lognorms(fam, energies, zeta, self.N, p, self.CPS)
+            got, points = self.chunked(fam, energies, zeta, p, monkeypatch)
+            assert np.array_equal(got, want), (p, s)
+            if kind == "overflowing" and s < self.N:
+                # a replayed block asks again for steps of earlier chunks,
+                # which are evaluated again
+                assert sum(points) > self.N * lanes, (p, s)
+            else:
+                # no step is evaluated twice, and a call evaluates S steps
+                assert sum(points) == self.N * lanes, (p, s)
+                assert points == [s * lanes] * (self.N // s) + [self.N % s * lanes] * (self.N % s > 0)
 
 
 class TestOrbitPasses:
