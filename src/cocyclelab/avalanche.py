@@ -23,8 +23,9 @@ gives both the reported pair norms and the pair terms of the
 discrepancy.  The running product of the full sequence, renormalised by
 its norm after every factor, starts from the first factor and the first
 scaled pair product; each of its ``n - 2`` later steps is one
-single-matrix call, which :func:`linalg.svd` sweeps in Python floats with
-the bits of a stack of one.
+single-matrix call, which :func:`linalg.svd` runs wholly in Python floats
+with the bits of a stack of one.  :func:`overlap_bracket` forms the
+images of the ``n - 1`` top directions in one batched matmul.
 """
 
 from __future__ import annotations
@@ -215,7 +216,9 @@ def overlap_bracket(report: APReport) -> OverlapBracket:
 
     For each factor, the top right-singular direction is where the
     dominant stretch happens; its image line must nearly align with the
-    next factor's top direction for the product to avalanche.  Refuses
+    next factor's top direction for the product to avalanche.  The images
+    are one batched matmul; each is normalised and projected alone, since
+    a batched norm or dot product would move bits.  Refuses
     when a factor's top singular value is degenerate (relative gap below
     ``1e-8``): the mechanism requires lines, not planes.
     """
@@ -227,11 +230,12 @@ def overlap_bracket(report: APReport) -> OverlapBracket:
                 f"AP hypotheses unverifiable: factor {i} has a degenerate "
                 f"top singular value (relative gap {(s1[i]-s2[i])/s1[i]:.2e})"
             )
-    overlaps = np.empty(n - 1)
-    for j in range(n - 1):
-        img = mats[j] @ report.directions[j]
-        img = np.ldexp(img, -np.frexp(np.max(np.abs(img)))[1])  # exact; squares stay in range
-        overlaps[j] = abs(float(np.vdot(report.directions[j + 1], img / np.linalg.norm(img))))
+    dirs = report.directions
+    imgs = np.matmul(np.array(mats[:-1]), dirs[:-1, :, np.newaxis])[..., 0]
+    # exact; squares stay in range
+    imgs = np.ldexp(imgs, -np.frexp(np.abs(imgs).max(axis=-1, keepdims=True))[1])
+    overlaps = np.array([abs(float(np.vdot(v, img / np.linalg.norm(img))))
+                         for v, img in zip(dirs[1:], imgs)])
     lower = report.pair_ratios - 2.0 / report.mu
     upper = report.pair_ratios + 1.0 / report.mu
     slack = 1e-12

@@ -33,10 +33,15 @@ from .util import dyadic_ladder, format_float
 
 
 class _Run:
-    """Collects data files and stage timings for one invocation."""
+    """Collects data files and stage timings for one invocation.  The config
+    is final (seeded) when it starts, so its canonical text and hash are
+    formatted once, for every file's header and for the manifest."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str, subcommand: str):
         self.cfg = cfg
+        self.config_hash = cfg.config_hash()
+        self.header = [f"# config_hash = {self.config_hash}"]
+        self.header += [f"# {l}" for l in cfg.canonical_text().splitlines()]
         self.out = Path(out_dir)
         self.subcommand = subcommand
         self.base = str(cfg["output.path"]) or subcommand.replace("-", "_")
@@ -67,16 +72,14 @@ class _Run:
         name = f"{self.base}_{section}" if section else self.base
         if self.fmt == "csv":
             path = self.out / f"{name}.csv"
-            lines = [f"# config_hash = {self.cfg.config_hash()}"]
-            lines += [f"# {l}" for l in self.cfg.canonical_text().splitlines()]
-            lines.append(",".join(columns))
+            lines = self.header + [",".join(columns)]
             for row in rows:
                 lines.append(",".join(self._fmt_cell(v) for v in row))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
             path = self.out / f"{name}.json"
             doc = {
-                "config_hash": self.cfg.config_hash(),
+                "config_hash": self.config_hash,
                 "config": {k: self.cfg.values[k] for k in sorted(self.cfg.values)},
                 "columns": columns,
                 "rows": [[_jsonable(v) for v in row] for row in rows],
@@ -91,7 +94,7 @@ class _Run:
         manifest = {
             "tool_version": __version__,
             "subcommand": self.subcommand,
-            "config_hash": self.cfg.config_hash(),
+            "config_hash": self.config_hash,
             "stages_seconds": self.stages,
             "row_counts": self.row_counts,
         }

@@ -40,12 +40,12 @@ client: a cyclic one-sided Jacobi iteration, not a LAPACK call, because
 it keeps high relative accuracy on strongly graded matrices
 (Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and the checker
 reads singular value *ratios*, ``sigma_2`` and the top right singular
-direction.  A stack of real matrices is swept lanes-last; one matrix is
-swept over Python floats by the same operations in the same order, so it
-gets the bits it would get in a stack of one without paying numpy's
-per-call cost on arrays of one lane.  It returns the singular values
-and the orthogonal right factor, the only parts the checker reads.
-Membership in GL(d) is one rule on the extreme singular values,
+direction.  A stack of real matrices is swept lanes-last; one matrix
+runs wholly in Python floats, checks, scaling, sweeps and sorted norms,
+by the same operations in the same order, so it gets the bits of a stack
+of one without numpy's per-call cost on arrays of one lane.  It returns
+the singular values and the orthogonal right factor, all the checker
+reads.  Membership in GL(d) is one rule on the extreme singular values,
 :func:`invertible`, which the checker, the family construction check and
 the random supports share.
 """
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import copysign, sqrt
+from math import copysign, frexp, isfinite, ldexp, sqrt
 
 import numpy as np
 
@@ -97,9 +97,9 @@ class SvdResult:
     right_factor: np.ndarray
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``x[0] + x[1] + ...``, added in row order, so that a column dot
-    product of lanes-last matrices has bits that no other lane moves."""
+def _row_sum(x):
+    """``x[0] + x[1] + ...`` in row order, of arrays or of Python floats, so
+    that a column dot product of lanes-last matrices has bits no lane moves."""
     acc = x[0]
     for row in x[1:]:
         acc = acc + row
@@ -154,21 +154,31 @@ def _sweep_lanes(x: np.ndarray) -> None:
             raise NumericalRefusal("Jacobi SVD failed to converge")
 
 
-def _sweep_one(x: np.ndarray) -> None:
-    """The sweeps of :func:`svd` on the one lane of ``x``, shape ``(rows, d,
-    1)``, in place and in Python floats: each quantity is the lanes' formula
-    in the lanes' order, so the bits are those of a stack of one, without
-    numpy's per-call cost on arrays of one lane.  The hypot is ``np.hypot``,
-    the lanes' own; ``math.hypot`` differs from it in the last place."""
-    d = x.shape[1]
-    cols = x[..., 0].T.tolist()  # column p of the matrix, then of V
+def _svd_one(a: np.ndarray, compute_uv: bool) -> SvdResult | np.ndarray:
+    """:func:`svd` of one real matrix, wholly in Python floats.  Each
+    quantity is the lanes' formula in the lanes' order, so the bits are
+    those of a stack of one, without numpy's per-call cost on arrays of one
+    lane.  The hypot is ``np.hypot``, the lanes' own; ``math.hypot`` differs
+    from it in the last place."""
+    d = a.shape[0]
+    cols = np.asarray(a.T, np.float64).tolist()  # column p of the matrix, then of V
+    flat = sum(cols, [])
+    if not all(map(isfinite, flat)):
+        raise ValidationError("matrix has non-finite entries")
+    e = frexp(max(map(abs, flat)))[1]
+    e = max(e, -1022) if abs(e) > _SAFE_EXPONENT else 0  # as for a stack
+    if e:
+        cols = [[ldexp(v, -e) for v in col] for col in cols]
+    if compute_uv:  # V's rows go below the matrix's, as in a stack
+        cols = [col + row for col, row in zip(cols, np.eye(d).tolist())]
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p, q in combinations(range(d), 2):
             cp, cq = cols[p], cols[q]
-            app, aqq, g = cp[0] * cp[0], cq[0] * cq[0], cp[0] * cq[0]
-            for r in range(1, d):  # in row order
-                app, aqq, g = app + cp[r] * cp[r], aqq + cq[r] * cq[r], g + cp[r] * cq[r]
+            # in row order from 0.0: only a zero g, which never rotates, can differ (in sign)
+            app = aqq = g = 0.0
+            for u, v in zip(cp[:d], cq[:d]):
+                app, aqq, g = app + u * u, aqq + v * v, g + u * v
             mag = abs(g)
             # a rotation needs mag > 0, so tau overflows to +-inf as the
             # lanes' does and never divides by zero
@@ -183,9 +193,18 @@ def _sweep_one(x: np.ndarray) -> None:
             cols[p] = [c * u - s * v for u, v in zip(cp, cq)]
             cols[q] = [c * v + s * u for u, v in zip(cp, cq)]
         if not rotated:
-            x[..., 0] = np.array(cols).T
-            return
-    raise NumericalRefusal("Jacobi SVD failed to converge")
+            break
+    else:
+        raise NumericalRefusal("Jacobi SVD failed to converge")
+    sigma = [sqrt(_row_sum([v * v for v in col[:d]])) for col in cols]
+    if e:  # numpy's ldexp, which overflows to inf as the lanes' does
+        sigma = np.ldexp(sigma, e).tolist()
+    # a stable sort: tied values keep their column order, as in a stack
+    order = sorted(range(d), key=sigma.__getitem__, reverse=True)
+    s = np.array([sigma[k] for k in order])
+    if not compute_uv:
+        return s
+    return SvdResult(s, np.array([cols[k][d:] for k in order]).T.copy())
 
 
 def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
@@ -199,10 +218,10 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
     A stack is swept lanes-last, each lane by the same vector operations,
     and a lane leaves the sweeps after its first sweep without a rotation,
     so every matrix gets the bits it would get in a stack of one.  One
-    matrix (a 2-d input) runs the same sweeps over Python floats, with the
-    same operations in the same order, so it too gets the bits of a stack
-    of one, without numpy's per-call cost.  A matrix that has not
-    converged after ``_MAX_SWEEPS`` sweeps refuses the whole call.
+    matrix (a 2-d input) runs wholly in Python floats, by the same
+    operations in the same order (:func:`_svd_one`), so it too gets the
+    bits of a stack of one, without numpy's per-call cost.  A matrix that
+    has not converged after ``_MAX_SWEEPS`` sweeps refuses the whole call.
     Identical input yields byte-identical output.
     """
     a = np.asarray(m)
@@ -210,6 +229,8 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if np.iscomplexobj(a):
         raise ValidationError("svd takes real matrices")
+    if a.ndim == 2:
+        return _svd_one(a, compute_uv)
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     d = a.shape[-1]
@@ -230,16 +251,15 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
     else:
         e = 0
 
-    (_sweep_one if a.ndim == 2 else _sweep_lanes)(x)
+    _sweep_lanes(x)
 
     sigma = np.ldexp(np.sqrt(_row_sum(x[:d] * x[:d])), e).T
-    if not compute_uv:
-        # negation is exact, so these are the values in stable descending order
-        return -np.sort(-sigma, axis=-1).reshape(a.shape[:-1])
     order = np.argsort(-sigma, axis=-1, kind="stable")
-    s = np.take_along_axis(sigma, order, axis=-1)
+    s = np.take_along_axis(sigma, order, axis=-1).reshape(a.shape[:-1])
+    if not compute_uv:
+        return s
     right = np.take_along_axis(x[d:].transpose(2, 0, 1), order[:, np.newaxis], axis=-1)
-    return SvdResult(singular_values=s.reshape(a.shape[:-1]), right_factor=right.reshape(a.shape))
+    return SvdResult(s, right.reshape(a.shape))
 
 
 def invertible(top, low):

@@ -178,6 +178,29 @@ class TestOverlapBracket:
             checked += len(br.overlaps)
         assert checked > 1000
 
+    def test_batched_images_have_the_bits_of_the_per_pair_loop(self):
+        def per_pair(report):
+            # the overlaps as overlap_bracket took them one pair at a time
+            overlaps = np.empty(report.n - 1)
+            for j in range(report.n - 1):
+                img = report.factors[j] @ report.directions[j]
+                img = np.ldexp(img, -np.frexp(np.max(np.abs(img)))[1])
+                overlaps[j] = abs(float(np.vdot(report.directions[j + 1],
+                                                img / np.linalg.norm(img))))
+            return overlaps
+
+        rng = np.random.default_rng(2029)
+        reports = [ap.verify(admissible_sequence(rng)) for _ in range(80)]
+        reports += [ap.verify(seeded_sequence(seed, n)) for seed, n in ((1, 2), (2, 9), (3, 40))]
+        reports += [projection_report(rng.uniform(0.05, 0.6, 12), eps, "rank1")
+                    for eps in (0.5, 1e-3, 1e-6)]
+        assert {r.dim for r in reports} == {2, 3}
+        for report in reports:
+            assert ap.overlap_bracket(report).overlaps.tobytes() == per_pair(report).tobytes()
+        # a rank-2 projection's dominant subspace is a plane: refused before any image
+        with pytest.raises(NumericalRefusal, match="unverifiable"):
+            ap.overlap_bracket(projection_report([0.4, 1.1, 0.2], 1e-3, "rank2"))
+
     def test_degenerate_top_value_refused(self):
         with pytest.raises(NumericalRefusal, match="unverifiable"):
             mats = [rot(0.3), np.diag([2.0, 1.0])]

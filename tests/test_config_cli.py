@@ -442,6 +442,29 @@ class TestCli:
         h2 = (tmp_path / "s2" / "random_rates.csv").read_text().splitlines()[0]
         assert h1 != h2
 
+    def test_every_header_and_the_manifest_carry_the_seeded_config(self, tmp_path):
+        # the seed override comes before the run formats its config text
+        mats = tmp_path / "mats.txt"
+        mats.write_text("3 0\n0 0.25\n\n1 1\n0.5 2\n\n2 1\n0 0.5\n")
+        path = _write(tmp_path, f"ap.matrix_file = {mats}\n")
+        out = tmp_path / "o"
+        res = CliRunner().invoke(main, ["ap-verify", "--config", path, "--out", str(out),
+                                        "--seed", "5"])
+        assert res.exit_code == 0, res.output
+        resolved = cfgmod.parse_config_file(path)
+        assert resolved["numerics.seed"] != 5
+        resolved.values["numerics.seed"] = 5
+        header = [f"# config_hash = {resolved.config_hash()}"]
+        header += [f"# {line}" for line in resolved.canonical_text().splitlines()]
+        assert "# numerics.seed = 5" in header
+        files = sorted(out.glob("*.csv"))
+        assert [f.name for f in files] == [
+            "ap_verify_factors.csv", "ap_verify_pairs.csv", "ap_verify_summary.csv"]
+        for f in files:
+            assert f.read_text().splitlines()[:len(header)] == header
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == resolved.config_hash()
+
     def test_manifest_contents(self, tmp_path):
         cfg = _write(
             tmp_path,

@@ -249,8 +249,9 @@ class TestStackedSvd:
     @pytest.mark.parametrize("compute_uv", [True, False])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_one_matrix_route_has_the_bits_of_a_stack_of_one(self, d, compute_uv):
-        # one matrix runs its sweeps in Python floats, a stack lanes-last
+        # one matrix runs wholly in Python floats, a stack lanes-last
         rng = np.random.default_rng(100 + d)
+        cases = []
         for i in range(48):
             m = rng.standard_normal((d, d))
             if i % 4 == 1:  # graded columns
@@ -259,16 +260,69 @@ class TestStackedSvd:
                 m = np.outer(*rng.standard_normal((2, d))) + 10.0 ** rng.uniform(-18, -6) * m
             if i % 3 == 0:  # beyond 2^+-250, scaled exactly
                 m *= 2.0 ** rng.choice([-900, -400, 300, 700])
-            one = linalg.svd(m, compute_uv)
+            cases.append(m)
+        # a largest entry just below, at and just above 2^250, 2^-250 and
+        # 2^-251: the edges of the scaled range (frexp exponents 250 / 251
+        # and -250 / -251); in the graded copy a column near 2^-801 has
+        # squares that underflow unless the matrix is scaled.  The sweeps may
+        # never settle such a column, nor the zero row at d >= 3: these alone
+        # may be refused, and then a stack of one must refuse them too
+        may_refuse = []
+        for k in (250, -250, -251):
+            for top in (np.nextafter(2.0 ** k, 0.0), 2.0 ** k, np.nextafter(2.0 ** k, np.inf)):
+                m = rng.uniform(-1.0, 1.0, (d, d)) * 2.0 ** (k - 1)
+                m[0, 0] = -top
+                graded = m.copy()
+                graded[:, d - 1] *= 2.0 ** (-800 - k)
+                cases.append(m)
+                may_refuse.append(graded)
+        # subnormal entries, whose exponent is clipped at -1022, alone and
+        # beside a normal one
+        tiny = rng.uniform(-1.0, 1.0, (d, d)) * 2.0 ** -1060
+        cases += [tiny, tiny + np.diag(np.r_[2.0 ** -1000, np.zeros(d - 1)])]
+        # a zero matrix, a zero column, a -0.0 row and -0.0 entries
+        zero_col, zero_row, neg_zero = rng.standard_normal((3, d, d))
+        zero_col[:, 1] = 0.0
+        zero_row[0] = -0.0
+        neg_zero[[0, d - 1], [d - 1, 0]] = -0.0
+        cases += [np.zeros((d, d)), -np.zeros((d, d)), zero_col, neg_zero]
+        may_refuse.append(zero_row)
+        # tied singular values keep their column order in s and V
+        cases += [np.eye(d), np.diag([2.0, 2.0, 1.0, 1.0, 1.0][:d]),
+                  np.diag([1.0, 2.0, 2.0, 1.0, 1.0][:d]), 3.0 * np.eye(d)[::-1]]
+        cases += [np.array([[-3.5]]), np.array([[-0.0]]), np.array([[5e-324]])]  # 1x1
+
+        def assert_same_bits(m, one):
             stacked = linalg.svd(m[np.newaxis], compute_uv)
             if compute_uv:
                 assert one.singular_values.tobytes() == stacked.singular_values[0].tobytes()
                 assert one.right_factor.tobytes() == stacked.right_factor[0].tobytes()
             else:
                 assert one.tobytes() == stacked[0].tobytes()
+
+        for m in cases:
+            assert_same_bits(m, linalg.svd(m, compute_uv))
+        for m in may_refuse:
+            try:
+                one = linalg.svd(m, compute_uv)
+            except NumericalRefusal:
+                with pytest.raises(NumericalRefusal, match="failed to converge"):
+                    linalg.svd(m[np.newaxis], compute_uv)
+            else:
+                assert_same_bits(m, one)
         for m in (JACOBI_REFUSAL, JACOBI_REFUSAL[np.newaxis]):
             with pytest.raises(NumericalRefusal, match="failed to converge"):
                 linalg.svd(m, compute_uv)
+        # one matrix is refused as a stack is, with the same messages
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.eye(d)
+            m[d - 1, 0] = bad
+            for a in (m, m[np.newaxis]):
+                with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+                    linalg.svd(a, compute_uv)
+        for a in (np.eye(d) + 0j, np.eye(d)[np.newaxis] + 0j):
+            with pytest.raises(ValidationError, match="^svd takes real matrices$"):
+                linalg.svd(a, compute_uv)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_reconstruction_and_orthonormality_on_a_stack(self, d):

@@ -7,7 +7,13 @@ of ``--root``, default this checkout), runs every CLI invocation of the
 workload once, in process, on the package in ``--root``'s ``src/``, and
 prints one line per invocation: its name, its exit code and the SHA-256
 of its data files (``manifest.json`` excluded, as the benchmark does).
-Two checkouts whose lines agree wrote the same bytes.
+Two checkouts whose lines agree wrote the same bytes.  Compare them with
+one run per checkout, each in its own process, since a process imports
+one ``cocyclelab``::
+
+    python3 tools/output_digest.py --workload ap-certify --seed 31 --root A > a.txt
+    python3 tools/output_digest.py --workload ap-certify --seed 31 --root B > b.txt
+    diff a.txt b.txt
 
 Config files embed the relative paths of generated files (the support
 file of ``file3``, the matrix files of ``ap-verify``), so the tool works
