@@ -14,6 +14,10 @@ with ``j`` either.  A pass of few lanes evaluates several steps per call
 (``STACK_POINTS``), each step's phasors formed alone, with the bits of one
 step per call.
 
+Each step multiplies by :func:`linalg.scaled_product`'s generic ``F P``,
+but the ``p = 1`` pass of the Schrödinger kind steps by its three-term
+recurrence (:func:`_recurrence_times`), with the same log-norms, bit for bit.
+
 Per-point log singular values come from the top-growth of the exterior
 power (compound) cocycles: ``log sigma_1...sigma_p = log ||Lambda^p
 A^(n)_x||``, and consecutive differences recover each ``log sigma_j``.
@@ -130,25 +134,49 @@ def grid_phasors(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(m, dtype=np.float64) / m))
 
 
-def _fourier(zeta: np.ndarray, cos_coeffs, sin_coeffs) -> np.ndarray:
-    """``sum_k cos_coeffs[..., k] cos(2 pi k t) + sin_coeffs[..., k-1]
-    sin(2 pi k t)`` at 1-d phasors ``zeta = e^{2 pi i t}``, shape
-    ``cos_coeffs.shape[:-1] + zeta.shape``.  Each harmonic is ``Re`` or
-    ``Im`` of ``zeta^k``, shared by every entry; an entry adds one
-    elementwise product per nonzero coefficient, as its own series would."""
+def _fourier_series(cos_coeffs, sin_coeffs) -> tuple[np.ndarray, tuple]:
+    """``sum_k cos_coeffs[..., k] cos(2 pi k t) + sin_coeffs[..., k-1] sin(2
+    pi k t)``, listed once for :func:`_fourier`: the constant term of each
+    row (the leading axes flattened) and the nonzero ``(k, sine, row,
+    coeff)`` terms by harmonic, cosine first, in the order a row adds them."""
     cos_rows = np.reshape(cos_coeffs, (-1, np.shape(cos_coeffs)[-1]))
     sin_rows = np.reshape(sin_coeffs, (len(cos_rows), -1))
-    out = np.empty((len(cos_rows), zeta.size))
-    out[:] = cos_rows[:, :1]
-    term, power = np.empty(zeta.size), None
-    for k in range(1, max(cos_rows.shape[1], sin_rows.shape[1] + 1)):
-        power = zeta if power is None else power * zeta
-        # cosine column k and sine column k - 1, where present
-        for coeffs, part in ((cos_rows[:, k:k + 1], power.real), (sin_rows[:, k - 1:k], power.imag)):
-            for row, c in zip(out, coeffs.ravel()):
-                if c:
-                    row += np.multiply(part, c, out=term)
-    return out.reshape(np.shape(cos_coeffs)[:-1] + zeta.shape)
+    terms = tuple((k, sine, row, float(c))
+                  for k in range(1, max(cos_rows.shape[1], sin_rows.shape[1] + 1))
+                  for sine, coeffs in ((False, cos_rows[:, k:k + 1]), (True, sin_rows[:, k - 1:k]))
+                  for row, c in enumerate(coeffs.ravel()) if c)
+    return cos_rows[:, :1].copy(), terms
+
+
+def _fourier(zeta: np.ndarray, series) -> np.ndarray:
+    """A :func:`_fourier_series` at 1-d phasors ``zeta = e^{2 pi i t}``,
+    shape ``(rows, zeta.size)``: ``Re`` or ``Im`` of ``zeta^k`` shared by
+    every row, which adds one elementwise product per term, as its own
+    series would."""
+    const, terms = series
+    out = np.empty((len(const), zeta.size))
+    out[:] = const
+    rows, term, power, k_power = list(out), np.empty(zeta.size), zeta, 1
+    for k, sine, row, c in terms:
+        while k_power < k:
+            power, k_power = power * zeta, k_power + 1
+        rows[row] += np.multiply(power.imag if sine else power.real, c, out=term)
+    return out
+
+
+def _recurrence_times(prod: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``F P`` for Schrödinger factors ``F = [[a, -1], [1, 0]]`` (``a``
+    read from the evaluated stack) and a lanes-last product ``P``: rows ``a
+    P[0] - P[1]`` and ``P[0]``, the recurrence ``psi_{n+1} = (v_n - E)
+    psi_n - psi_{n-1}`` (Goldstein-Schlag, Ann. of Math. 154, 2001).  The
+    generic step's products with ``+-1`` and 0 are exact, so the two differ
+    only in the sign of a zero, which no norm reads, or where ``P`` has an
+    entry not finite, which both refuse.  ``P`` is never written."""
+    out = np.empty_like(prod)
+    np.multiply(f[:, 0, 0], prod[0], out=out[0])
+    np.subtract(out[0], prod[1], out=out[0])
+    out[1] = prod[0]
+    return out
 
 
 def _energies(E) -> np.ndarray:
@@ -164,7 +192,8 @@ class CocycleFamily:
     """Analytic GL(d) cocycle family over a torus shift.
 
     A kind defines only :meth:`evaluate_batch`; everything else
-    (products, exponents, profiles) is generic.
+    (products, exponents, profiles) is generic, apart from the Schrödinger
+    kind's step multiply at ``p = 1`` (:meth:`_times`).
     ``param_values`` is the declared parameter grid, used for
     construction-time checks and CLI sweeps; operations accept any ``E``
     in its range.  Construction checks GL(d) on the ``CHECK_GRID`` phases
@@ -193,6 +222,12 @@ class CocycleFamily:
         lanes-last, the transposed view of a C-contiguous ``(d, d, K * B)``
         array; entries are elementwise arithmetic on ``zeta``."""
         raise NotImplementedError
+
+    def _times(self, p: int):
+        """The step multiply of the order-``p`` pass, the ``times`` of
+        :func:`linalg.scaled_product`: None, its generic one, unless a kind
+        knows the form of its factors."""
+        return None
 
     # -- generic machinery ----------------------------------------------------
 
@@ -258,7 +293,7 @@ class CocycleFamily:
                 return held[j - first].transpose(2, 0, 1)
 
             try:
-                out.append(linalg.scaled_product(factor, n, checkpoints))
+                out.append(linalg.scaled_product(factor, n, checkpoints, self._times(p)))
             except NumericalRefusal as exc:
                 raise NumericalRefusal(f"{exc} (E={chunk[exc.matrix // nb]})") from None
         return np.concatenate(out, axis=1)
@@ -341,6 +376,8 @@ class TrigPolyFamily(CocycleFamily):
 
     cos_coeffs: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 1)))
     sin_coeffs: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 0)))
+    #: the entries' series, listed once (:func:`_fourier_series`)
+    _series: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cc = np.asarray(self.cos_coeffs, dtype=np.float64)
@@ -351,10 +388,11 @@ class TrigPolyFamily(CocycleFamily):
             raise ValidationError("sin_coeffs must have shape (dim, dim, degree)")
         object.__setattr__(self, "cos_coeffs", cc)
         object.__setattr__(self, "sin_coeffs", sc)
+        object.__setattr__(self, "_series", _fourier_series(cc, sc))
         super().__post_init__()
 
     def evaluate_batch(self, zeta, E):
-        lanes = _fourier(zeta, self.cos_coeffs, self.sin_coeffs)
+        lanes = _fourier(zeta, self._series).reshape(self.dim, self.dim, -1)
         k = _energies(E).size
         return (lanes if k == 1 else np.tile(lanes, k)).transpose(2, 0, 1)
 
@@ -368,6 +406,8 @@ class SchrodingerFamily(CocycleFamily):
     coupling: float = 1.0
     sampling_cos: np.ndarray = field(default_factory=lambda: np.array([0.0, 2.0]))
     sampling_sin: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: the sampling's series, listed once (:func:`_fourier_series`)
+    _series: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim != 2:
@@ -378,10 +418,15 @@ class SchrodingerFamily(CocycleFamily):
         object.__setattr__(
             self, "sampling_sin", np.asarray(self.sampling_sin, dtype=np.float64)
         )
+        object.__setattr__(self, "_series", _fourier_series(self.sampling_cos, self.sampling_sin))
         super().__post_init__()
 
+    def _times(self, p: int):
+        # F = [[a, -1], [1, 0]] steps as its recurrence at p = 1; p = 2 is det F
+        return _recurrence_times if p == 1 else None
+
     def evaluate_batch(self, zeta, E):
-        v = self.coupling * _fourier(zeta, self.sampling_cos, self.sampling_sin)
+        v = self.coupling * _fourier(zeta, self._series)[0]
         energies = _energies(E)
         out = np.empty((2, 2, energies.size, v.size), dtype=np.float64)
         np.subtract(v, energies[:, np.newaxis], out=out[0, 0])

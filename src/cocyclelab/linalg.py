@@ -19,7 +19,12 @@ package: the orbit kernel and the random-product kernel both hand it a
 producer of the factor stack of step ``j`` (Benettin et al., Meccanica
 15, 1980), and every compound order runs through it, ``p = d`` as a
 stack of 1x1 determinants (:func:`compound_batch`) whose step is a plain
-multiply.  It rescales by exact powers of two in blocks of eight steps,
+multiply.  The multiply of a step is the generic ``F P`` unless the caller
+hands one in: the orbit kernel does so for a kind that knows the form of
+its factors (the Schrödinger recurrence at ``p = 1``).  Such a multiply
+returns a new product, never writes into the one it is given, and gives
+the same bits on every call for a step, as a block replay asks it again.
+It rescales by exact powers of two in blocks of eight steps,
 cut short at every checkpoint, whatever the lane count, keeping the
 exponents in an integer sum, and takes spectral norms only at the
 checkpoints.  A power of two commutes with every rounding while entries
@@ -154,6 +159,24 @@ def _sweep_lanes(x: np.ndarray) -> None:
             raise NumericalRefusal("Jacobi SVD failed to converge")
 
 
+def _unscaled(sigma, e) -> np.ndarray:
+    """Scaled singular values, ``(d,)`` or lanes-last ``(d, B)``, times
+    ``2^e``; refuses a matrix whose singular values leave the float range,
+    though its entries do not.  Of a stack, the refusal names (and keeps)
+    its first such matrix, as :func:`_rescale` does."""
+    with np.errstate(over="ignore"):
+        sigma = np.ldexp(sigma, e)
+    finite = np.isfinite(sigma).all(axis=0)
+    if not finite.all():
+        if finite.ndim == 0:
+            raise NumericalRefusal("singular value beyond the float range")
+        i = int(np.argmin(finite))
+        exc = NumericalRefusal(f"singular value beyond the float range, matrix {i}")
+        exc.matrix = i
+        raise exc
+    return sigma
+
+
 def _svd_one(a: np.ndarray, compute_uv: bool) -> SvdResult | np.ndarray:
     """:func:`svd` of one real matrix, wholly in Python floats.  Each
     quantity is the lanes' formula in the lanes' order, so the bits are
@@ -197,8 +220,8 @@ def _svd_one(a: np.ndarray, compute_uv: bool) -> SvdResult | np.ndarray:
     else:
         raise NumericalRefusal("Jacobi SVD failed to converge")
     sigma = [sqrt(_row_sum([v * v for v in col[:d]])) for col in cols]
-    if e:  # numpy's ldexp, which overflows to inf as the lanes' does
-        sigma = np.ldexp(sigma, e).tolist()
+    if e:  # numpy's ldexp, as for the lanes
+        sigma = _unscaled(sigma, e).tolist()
     # a stable sort: tied values keep their column order, as in a stack
     order = sorted(range(d), key=sigma.__getitem__, reverse=True)
     s = np.array([sigma[k] for k in order])
@@ -248,12 +271,11 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
     if outside.any():
         e = np.where(outside, np.maximum(e, -1022), 0)
         np.ldexp(x[:d], -e, out=x[:d])
-    else:
-        e = 0
 
     _sweep_lanes(x)
 
-    sigma = np.ldexp(np.sqrt(_row_sum(x[:d] * x[:d])), e).T
+    sigma = np.sqrt(_row_sum(x[:d] * x[:d]))
+    sigma = (_unscaled(sigma, e) if outside.any() else sigma).T
     order = np.argsort(-sigma, axis=-1, kind="stable")
     s = np.take_along_axis(sigma, order, axis=-1).reshape(a.shape[:-1])
     if not compute_uv:
@@ -502,7 +524,7 @@ def _rescale(prod: np.ndarray, step: int | None):
     return e
 
 
-def scaled_product(factor, n: int, checkpoints=None) -> np.ndarray:
+def scaled_product(factor, n: int, checkpoints=None, times=None) -> np.ndarray:
     """Log-norms of the renormalised running product ``F_n ... F_1`` of
     ``n`` factor stacks.
 
@@ -538,6 +560,12 @@ def scaled_product(factor, n: int, checkpoints=None) -> np.ndarray:
     of a replayed block.  It must return the same bits on every call for
     a step; the stacks it returns are never changed in place.
 
+    ``times(prod, f)``, the caller's multiply, returns ``F P`` for every
+    step after the first as a new C-contiguous ``(k, k, B)`` array, ``f``
+    as ``factor`` returned it.  It never writes into ``prod``, which a
+    replayed block restarts from, and gives the same bits on every call
+    for a step.  The default, and the first step, is :func:`_times`.
+
     The running product is a C-contiguous ``(k, k, B)`` array, and a
     factor that arrives lanes-last (the transposed view of such an array)
     is used as it is; any other layout is copied into it once.  Each
@@ -557,18 +585,23 @@ def scaled_product(factor, n: int, checkpoints=None) -> np.ndarray:
     if list(cps) != sorted(set(cps)) or cps[-1] != n or cps[0] < 1:
         raise ValidationError("checkpoints must be increasing and end at n")
     rows, expo, start, prod, first = [], np.int64(0), None, None, 1
+
+    def step(prod, j):
+        f = factor(j)
+        return _times(prod, _lanes(f)) if prod is None or times is None else times(prod, f)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, n + 1):
-            prod = _times(prod, _lanes(factor(j)))
+            prod = step(prod, j)
             if j - first + 1 < _BLOCK_STEPS and j not in cps:
                 continue
             e = _rescale(prod, j if j == first else None)
             if e is None:
                 # the block left the range: replay it one step at a time from its start
                 prod, e = start, 0
-                for step in range(first, j + 1):
-                    prod = _times(prod, _lanes(factor(step)))
-                    e = e + _rescale(prod, step)
+                for i in range(first, j + 1):
+                    prod = step(prod, i)
+                    e = e + _rescale(prod, i)
             expo, start, first = expo + e, prod, j + 1
             if j in cps:
                 rows.append(expo * _LN2 + np.log(spectral_norm_batch(prod.transpose(2, 0, 1))))

@@ -155,8 +155,8 @@ class TestEvaluate:
         zeta = grid_phasors(64)
         got = fam.evaluate_batch(zeta, 0.0)
         for i, j in np.ndindex(2, 2):
-            want = cocycle._fourier(zeta, cos_c[i, j], sin_c[i, j])
-            assert np.array_equal(got[:, i, j], want)
+            want = cocycle._fourier(zeta, cocycle._fourier_series(cos_c[i, j], sin_c[i, j]))
+            assert np.array_equal(got[:, i, j], want[0])
 
     @pytest.mark.parametrize("kind", ["constant", "diagonal-exp", "trig-poly", "schrodinger"])
     def test_energy_stack_is_per_energy_calls_lanes_last(self, kind):
@@ -190,6 +190,90 @@ class TestEvaluate:
     def test_construction_rejects_singular_family(self, golden):
         with pytest.raises(ValidationError, match=r"numerically singular at t=0\.0, E=0\.0"):
             constant_family(golden, np.diag([1.0, 0.0]))
+
+
+def fourier_loop(zeta, cos_coeffs, sin_coeffs):
+    """The reference series: the loop that rebuilt the coefficient rows and
+    walked them on every call, before the terms were listed once."""
+    cos_rows = np.reshape(cos_coeffs, (-1, np.shape(cos_coeffs)[-1]))
+    sin_rows = np.reshape(sin_coeffs, (len(cos_rows), -1))
+    out = np.empty((len(cos_rows), zeta.size))
+    out[:] = cos_rows[:, :1]
+    term, power = np.empty(zeta.size), None
+    for k in range(1, max(cos_rows.shape[1], sin_rows.shape[1] + 1)):
+        power = zeta if power is None else power * zeta
+        for coeffs, part in ((cos_rows[:, k:k + 1], power.real), (sin_rows[:, k - 1:k], power.imag)):
+            for row, c in zip(out, coeffs.ravel()):
+                if c:
+                    row += np.multiply(part, c, out=term)
+    return out.reshape(np.shape(cos_coeffs)[:-1] + zeta.shape)
+
+
+def sparse_coefficients(rng, shape, degree):
+    """Cosine and sine coefficients with about half of them zero (``-0.0``
+    among them), so that zeros lie between nonzero terms."""
+    def draw(k):
+        c = rng.standard_normal(shape + (k,))
+        c[rng.random(c.shape) < 0.5] = 0.0
+        c[rng.random(c.shape) < 0.1] = -0.0
+        return c
+    return draw(degree + 1), draw(degree)
+
+
+class TestFourierSeries:
+    """Each family lists its nonzero Fourier terms once; a row adds them in
+    the order of the reference loop, so every entry keeps its bits."""
+
+    SERIES = {
+        "zeros-between": ([1.0, 0.0, 0.5, 0.0, 0.25], [0.0, 0.3, 0.0, 0.1]),
+        "degree-0": ([2.0], []),
+        "cos-only": ([0.1, 0.2, 0.3], []),
+        "cos-only-zero-sines": ([0.1, 0.0, 0.3], [0.0, 0.0]),
+        "sin-only": ([0.0], [0.5, 0.0, 0.2]),
+        "trailing-zeros": ([1.0, 0.5, 0.0, 0.0], [0.0, -0.0, 0.0]),
+        "all-zero": ([0.0, 0.0], [-0.0]),
+    }
+
+    def zetas(self):
+        rng = np.random.default_rng(23)
+        return [grid_phasors(64), np.exp(2j * np.pi * rng.random(37)), phasors(0.3)]
+
+    @pytest.mark.parametrize("name", SERIES)
+    def test_one_row_has_the_bits_of_the_loop(self, name):
+        cos_c, sin_c = (np.array(c, dtype=np.float64) for c in self.SERIES[name])
+        series = cocycle._fourier_series(cos_c, sin_c)
+        for zeta in self.zetas():
+            got = cocycle._fourier(zeta, series)
+            assert got.shape == (1, zeta.size)
+            assert got.tobytes() == fourier_loop(zeta, cos_c, sin_c).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (2, 2), (3, 3)], ids=["1-row", "4-rows", "9-rows"])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_rows_have_the_bits_of_the_loop(self, shape, degree):
+        rng = np.random.default_rng(29 + degree)
+        cos_c, sin_c = sparse_coefficients(rng, shape, degree)
+        series = cocycle._fourier_series(cos_c, sin_c)
+        assert all(c != 0.0 for *_, c in series[1])
+        for zeta in self.zetas():
+            want = fourier_loop(zeta, cos_c, sin_c)
+            got = cocycle._fourier(zeta, series)
+            assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+    def test_families_evaluate_the_loop(self, golden):
+        rng = np.random.default_rng(31)
+        cos_c, sin_c = sparse_coefficients(rng, (3, 3), 2)
+        cos_c[..., 0] += 6.0 * np.eye(3)  # invertible on the construction grid
+        trig = TrigPolyFamily(base=golden, dim=3, cos_coeffs=cos_c, sin_coeffs=sin_c)
+        sch = SchrodingerFamily(base=golden, dim=2, coupling=1.5,
+                                sampling_cos=np.array([0.5, 1.0, 0.0, 0.3]),
+                                sampling_sin=np.array([0.0, 0.2, -0.4]))
+        energies = np.array([-1.0, 0.0, 2.5])
+        for zeta in self.zetas():
+            assert trig.evaluate_batch(zeta, 0.0).tobytes() == (
+                fourier_loop(zeta, cos_c, sin_c).transpose(2, 0, 1).tobytes())
+            v = sch.coupling * fourier_loop(zeta, sch.sampling_cos, sch.sampling_sin)
+            got = sch.evaluate_batch(zeta, energies)[:, 0, 0]
+            assert got.tobytes() == (v - energies[:, np.newaxis]).ravel().tobytes()
 
 
 def orbit_product(fam, x, E: float, n: int) -> float:
@@ -750,6 +834,103 @@ class TestStepChunks:
                 # no step is evaluated twice, and a call evaluates S steps
                 assert sum(points) == self.N * lanes, (p, s)
                 assert points == [s * lanes] * (self.N // s) + [self.N % s * lanes] * (self.N % s > 0)
+
+
+def schrodinger_configs(golden):
+    """``{name: (family, energies)}``: the Schrödinger families and energies
+    of the tier-1 configs and benchmark, and a sampling with sine terms."""
+    two_torus = ShiftBase(omega=cocycle.DEFAULT_OMEGA_2D)
+    sch = lambda coupling, **kw: SchrodingerFamily(base=kw.pop("base", golden), dim=2,
+                                                    coupling=coupling, **kw)
+    return {
+        "coupling-0": (sch(0.0), [0.0, 1.0]),
+        "coupling-1": (sch(1.0), [0.0, 1.9, 2.1]),
+        "coupling-2": (sch(2.0), [0.0, 0.7]),
+        "coupling-3": (sch(3.0), np.linspace(-3.5, 3.5, 8)),
+        "coupling-3-holder": (sch(3.0), [8.2, 9.2]),
+        "coupling-3-two-torus": (sch(3.0, base=two_torus), [0.0, 2.5]),
+        "coupling-50": (sch(50.0), [-100.0, 0.0, 100.0]),
+        "sampling-with-sines": (sch(1.5, sampling_cos=np.array([0.5, 1.0, 0.0, 0.3]),
+                                    sampling_sin=np.array([0.0, 0.2, -0.4])), [0.0, 1.0]),
+    }
+
+
+class TestRecurrenceStep:
+    """The ``p = 1`` pass of the Schrödinger kind steps by its recurrence:
+    the bits of the generic multiply's log-norms, and its products up to the
+    sign of a zero."""
+
+    N, CPS = 37, (1, 5, 16, 37)
+
+    @pytest.mark.parametrize("lanes", [16, 1024, 2048])
+    @pytest.mark.parametrize("name", list(schrodinger_configs(cocycle.golden_base())))
+    def test_log_norms_have_the_bits_of_the_generic_step(self, golden, monkeypatch, name,
+                                                         lanes):
+        fam, energies = schrodinger_configs(golden)[name]
+        # a strided energy stack, and one energy, whose 1024 and 2048 lanes
+        # evaluate S = 8 and 4 steps per call
+        stacks = [np.repeat(energies, 2)[::2], np.asarray(energies)[:1]]
+        zeta = grid_phasors(lanes)
+        steps = []
+        real = cocycle._recurrence_times
+        monkeypatch.setattr(cocycle, "_recurrence_times",
+                            lambda prod, f: steps.append(1) or real(prod, f))
+        fast = [fam.orbit_lognorms(E, zeta, self.N, checkpoints=self.CPS) for E in stacks]
+        # the first step of each pass is the generic copy, every later one the
+        # recurrence; more than STACK_POINTS lanes run in passes of whole energies
+        passes = sum(-(-np.size(E) // max(1, cocycle.STACK_POINTS // lanes)) for E in stacks)
+        assert len(steps) == passes * (self.N - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(SchrodingerFamily, "_times", lambda self, p: None)
+            generic = [fam.orbit_lognorms(E, zeta, self.N, checkpoints=self.CPS) for E in stacks]
+        for got, want in zip(fast, generic):
+            assert np.all(np.isfinite(got))
+            assert got.tobytes() == want.tobytes()
+        assert fam._times(2) is None  # p = 2 keeps the generic step
+
+    @pytest.mark.parametrize("name", list(schrodinger_configs(cocycle.golden_base())))
+    def test_products_equal_up_to_the_sign_of_a_zero(self, golden, name):
+        fam, energies = schrodinger_configs(golden)[name]
+        zeta, rot = grid_phasors(64), fam.base.rotations(12)
+        generic = fast = None
+        zeros_of_other_sign = 0
+        for j in range(1, 13):
+            f = fam.evaluate_batch(zeta * rot[j - 1], energies)
+            generic = linalg._times(generic, linalg._lanes(f))
+            if fast is None:
+                fast = generic.copy()
+                continue
+            before = fast.copy()
+            stepped = cocycle._recurrence_times(fast, f)
+            assert fast.tobytes() == before.tobytes()  # the product is not written
+            fast = stepped
+            assert np.array_equal(fast, generic)  # -0.0 == 0.0
+            differ = np.signbit(fast) != np.signbit(generic)
+            assert np.all(fast[differ] == 0.0)
+            zeros_of_other_sign += np.count_nonzero(differ)
+        # at coupling 0 and E = 0 the factors are quarter turns, whose
+        # products hold zeros; the einsum and the recurrence sign some apart
+        assert (zeros_of_other_sign > 0) == (name == "coupling-0")
+
+    def test_step_never_writes_the_product_a_replay_restarts_from(self):
+        # a = 1e300 at steps 11 and 12: the second block overflows and is
+        # replayed from the product that ended the first block
+        rng = np.random.default_rng(37)
+        a = rng.uniform(-3.0, 3.0, (20, 6))
+        a[10:12] = 1e300
+        stacks = np.zeros((20, 2, 2, 6))  # lanes-last factors [[a, -1], [1, 0]]
+        stacks[:, 0, 0], stacks[:, 0, 1], stacks[:, 1, 0] = a, -1.0, 1.0
+        factor = lambda j: stacks[j - 1].transpose(2, 0, 1)
+        cps = (4, 16, 20)  # blocks 1-4, 5-12, 13-16 and 17-20
+        asked = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.scaled_product(lambda j: asked.append(j) or factor(j), 20, cps,
+                                        cocycle._recurrence_times)
+        want = linalg.scaled_product(factor, 20, cps)
+        assert asked == [*range(1, 13), *range(5, 21)]  # only steps 5-12 are asked again
+        assert np.all(np.isfinite(got)) and np.all(got[1:] > 1300.0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOrbitPasses:

@@ -49,6 +49,8 @@ FAMILIES = {
 MATRICES = {
     "beyond-square-range": ("1e200 0\n0 1e190\n\n" * 3, 2),
     "below-square-range": ("1e-200 0\n0 1e-210\n\n" * 3, 2),
+    # finite entries, but sigma_1 leaves the float range: refused, no warning
+    "beyond-float-range": ("1.7e308 1.7e308\n0 1\n\n2 0\n0 1\n", 2),
     "one-by-one-zero": ("0\n\n2\n", 1),
     "one-by-one": ("2\n\n3\n", 1),
     "nan-entry": ("1 nan\n0 1\n\n2 0\n0 1\n", 1),

@@ -485,6 +485,27 @@ class TestInvertibility:
         assert tuple(res.singular_values) == sigma
 
 
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("route", ["one-matrix", "stack"])
+    def test_singular_values_beyond_the_float_range_are_refused(self, route, compute_uv):
+        # finite entries, but sigma_1 ~ 2.4e308 leaves the float range; the
+        # refusal says so, names the matrix of a stack (big is matrix 1),
+        # and no overflow warning precedes it
+        big, edge = np.array([[1.7e308, 1.7e308], [0.0, 1.0]]), np.diag([1.7e308, 1e200])
+        shape = (lambda m: m) if route == "one-matrix" else (lambda m: np.stack([np.eye(2), m]))
+        which = "$" if route == "one-matrix" else ", matrix 1$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalRefusal,
+                               match="singular value beyond the float range" + which) as info:
+                linalg.svd(shape(big), compute_uv=compute_uv)
+            assert getattr(info.value, "matrix", None) == (None if route == "one-matrix" else 1)
+            with pytest.raises(NumericalRefusal, match="beyond the float range" + which):
+                linalg.require_invertible(shape(big), context="factor")
+            got = linalg.svd(shape(edge), compute_uv=compute_uv)
+        s = got.singular_values if compute_uv else got
+        assert s.reshape(-1, 2)[-1].tolist() == [1.7e308, 1e200]
+
     def test_rule_on_extreme_singular_values(self):
         top = np.array([1.0, 1.0, 1.0, 0.0, 1e-305, 1e200])
         low = np.array([1e-10, 1e-13, 0.0, 0.0, 1e-310, 1e190])

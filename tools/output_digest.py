@@ -49,13 +49,20 @@ def file_digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
-def digests(workload: str, seed: int, root: Path = ROOT) -> dict[str, tuple[int, str]]:
-    """``{invocation: (exit code, data-file digest)}`` for one run of every
-    invocation of ``workload``.  Imports ``cocyclelab`` from ``root/src``
-    unless it is imported already; the working directory is restored."""
+def use_checkout(root: Path) -> None:
+    """Puts ``root``'s ``perfbench/`` and ``src/`` first on ``sys.path``;
+    a ``cocyclelab`` imported already stays the one in use."""
     for path in (root / "perfbench", root / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
+
+
+def invocations(workload: str, seed: int, root: Path = ROOT):
+    """Runs every invocation of ``workload`` once, in process, and yields
+    ``(invocation, out_dir, exit code)`` after each, while the working
+    directory is the fresh work directory that ``out_dir`` is relative to;
+    the working directory is restored when the generator ends."""
+    use_checkout(root)
     import run
     import workloads
     from cocyclelab.cli import main
@@ -66,16 +73,22 @@ def digests(workload: str, seed: int, root: Path = ROOT) -> dict[str, tuple[int,
         here = Path("work")  # the layout of a benchmark run, relative
         here.mkdir()
         inputs = workloads.WORKLOADS[workload].make_inputs(seed, here)
-        result = {}
         for inv in inputs.invocations:
             out_dir = here / "out" / inv.name
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run.invoke(main, inv.argv(out_dir))
-            result[inv.name] = (code, file_digest(out_dir))
-        return result
+            yield inv, out_dir, code
     finally:
         os.chdir(cwd)
         shutil.rmtree(work, ignore_errors=True)
+
+
+def digests(workload: str, seed: int, root: Path = ROOT) -> dict[str, tuple[int, str]]:
+    """``{invocation: (exit code, data-file digest)}`` for one run of every
+    invocation of ``workload``.  Imports ``cocyclelab`` from ``root/src``
+    unless it is imported already; the working directory is restored."""
+    return {inv.name: (code, file_digest(out_dir))
+            for inv, out_dir, code in invocations(workload, seed, root)}
 
 
 def main(argv=None) -> int:
