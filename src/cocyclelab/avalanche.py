@@ -201,10 +201,6 @@ class OverlapBracket:
     overlaps: np.ndarray  # |projection of A_j's stretched direction onto the next top direction|
     violations: np.ndarray  # outside [pair_ratio - 2/mu, pair_ratio + 1/mu], per adjacent pair
 
-    @property
-    def ok(self) -> bool:
-        return not bool(np.any(self.violations))
-
 
 def overlap_bracket(report: APReport) -> OverlapBracket:
     """Compute top-direction overlaps and check the two-sided pair-ratio

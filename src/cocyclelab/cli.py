@@ -254,7 +254,7 @@ def ldt_cmd(cfg: ExperimentConfig, run: _Run):
     fits = [(delta, ldt.fit_decay(prof, delta, model)) for delta in cfg["ldt.deltas"]]
     run.stage("compute")
     run.emit("profile", ["n", "delta", "measure", "grid"],
-             [(n, d, meas, m) for (n, d, meas) in prof.rows])
+             [(n, d, meas, m) for (n, d, meas) in prof])
     run.emit(
         "fit",
         ["delta", "model", "degenerate", "c", "C", "b", "tau", "residual"],

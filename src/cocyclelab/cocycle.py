@@ -9,7 +9,7 @@ point is its phasor ``zeta = e^{2 pi i t}`` throughout: ``evaluate_batch``
 and ``orbit_lognorms`` take 1-d phasors, whose powers give the harmonics.
 An orbit pass multiplies the start phasors by one rotation ``e^{2 pi i (j
 Omega mod 1)}``, ``Omega = sum omega_i``, per step, with ``j Omega mod 1``
-reduced exactly (:meth:`ShiftBase.rotations`), so no phase error grows
+reduced exactly (:meth:`ShiftBase.rotation`), so no phase error grows
 with ``j`` either.  A pass of few lanes evaluates several steps per call
 (``STACK_POINTS``), each step's phasors formed alone, with the bits of one
 step per call.
@@ -104,10 +104,6 @@ class ShiftBase:
         ratios = [w.as_integer_ratio() for w in self.omega]
         den = max(q for _, q in ratios)
         return sum(p * (den // q) for p, q in ratios) % den, den
-
-    def rotations(self, n: int) -> np.ndarray:
-        """:meth:`rotation` at every step ``j = 1..n``."""
-        return self.rotation(range(1, n + 1))
 
     def rotation(self, steps) -> np.ndarray:
         """``w_j = e^{2 pi i (j Omega mod 1)}`` at each integer step ``j`` of
@@ -269,7 +265,7 @@ class CocycleFamily:
         if zeta.ndim != 1 or not np.iscomplexobj(zeta):
             raise ValidationError("start points must be a 1-d array of phasors")
         energies = _energies(E)
-        nb, rot = zeta.size, self.base.rotations(n)
+        nb, rot = zeta.size, self.base.rotation(range(1, n + 1))
         per_pass = max(1, STACK_POINTS // nb)
         out = []
         for start in range(0, energies.size, per_pass):
@@ -382,7 +378,7 @@ class TrigPolyFamily(CocycleFamily):
     def __post_init__(self):
         cc = np.asarray(self.cos_coeffs, dtype=np.float64)
         sc = np.asarray(self.sin_coeffs, dtype=np.float64)
-        if cc.ndim != 3 or cc.shape[:2] != (self.dim, self.dim):
+        if cc.ndim != 3 or cc.shape[:2] != (self.dim, self.dim) or cc.shape[2] < 1:
             raise ValidationError("cos_coeffs must have shape (dim, dim, degree+1)")
         if sc.ndim != 3 or sc.shape[:2] != (self.dim, self.dim):
             raise ValidationError("sin_coeffs must have shape (dim, dim, degree)")
@@ -418,6 +414,8 @@ class SchrodingerFamily(CocycleFamily):
         object.__setattr__(
             self, "sampling_sin", np.asarray(self.sampling_sin, dtype=np.float64)
         )
+        if self.sampling_cos.size < 1:
+            raise ValidationError("sampling_cos needs at least its constant term")
         object.__setattr__(self, "_series", _fourier_series(self.sampling_cos, self.sampling_sin))
         super().__post_init__()
 

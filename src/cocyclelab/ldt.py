@@ -7,32 +7,21 @@ the fraction of the same uniform grid used for the quadrature, i.e. a
 Lebesgue-measure approximation with O(1/M) resolution; centering uses
 the grid-computed finite-scale means, not extrapolated limits.
 
-The three reports (deviation profile, almost invariance, monotonicity)
-reduce log-norm arrays of the one grid profile ``u_n(x) = n^-1
-log||A^(n)_x||``; :func:`reports` feeds them from one orbit pass.
+The three reports (the deviation profile's ``(n, delta, measure)`` rows,
+almost invariance, monotonicity) reduce log-norm arrays of the one grid
+profile ``u_n(x) = n^-1 log||A^(n)_x||``; :func:`reports` feeds them from
+one orbit pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycle import QUADRATURE_TOL, CocycleFamily, grid_phasors
 from .errors import ValidationError
 from .util import pairwise_mean
-
-
-@dataclass
-class DeviationProfile:
-    """Measured deviation-set measures over rows of ``(n, delta)``."""
-
-    rows: list[tuple[int, float, float]] = field(default_factory=list)  # (n, delta, measure)
-
-    def add(self, n: int, delta: float, measure: float):
-        if not 0.0 <= measure <= 1.0:
-            raise ValidationError(f"measure {measure} outside [0,1]")
-        self.rows.append((int(n), float(delta), float(measure)))
 
 
 @dataclass(frozen=True)
@@ -55,30 +44,32 @@ class DecayFit:
     residual: float | None = None
 
 
-def deviation_profile(lognorms, scales, deltas) -> DeviationProfile:
-    """Deviation measures on a ``scales x deltas`` grid, from the grid
-    log-norms ``lognorms[i]`` at scale ``scales[i]``."""
+def deviation_profile(lognorms, scales, deltas) -> list[tuple[int, float, float]]:
+    """Deviation measures on a ``scales x deltas`` grid, as rows ``(n,
+    delta, measure)``, from the grid log-norms ``lognorms[i]`` at scale
+    ``scales[i]``."""
     deltas = tuple(float(d) for d in deltas)
     if any(d <= 0.0 for d in deltas):
         raise ValidationError("deltas must be positive")
-    prof = DeviationProfile()
+    rows = []
     for n, row in zip(scales, lognorms):
         vals = row / n
         centered = vals - pairwise_mean(vals)
         for delta in deltas:
             frac = float(np.count_nonzero(np.abs(centered) > delta)) / centered.size
-            prof.add(n, delta, frac)
-    return prof
+            rows.append((int(n), delta, frac))
+    return rows
 
 
 _B_GRID = np.linspace(0.25, 4.0, 16)
 
 
-def fit_decay(profile: DeviationProfile, delta: float, model: str = "exp_poly") -> DecayFit:
-    """Fit the decay of ``measure`` against ``n`` over the rows at ``delta``."""
+def fit_decay(rows, delta: float, model: str = "exp_poly") -> DecayFit:
+    """Fit the decay of ``measure`` against ``n`` over the ``(n, delta,
+    measure)`` rows at ``delta``."""
     if model not in ("exp_poly", "stretched"):
         raise ValidationError(f"unknown decay model {model!r}")
-    usable = [(n, meas) for (n, d, meas) in profile.rows if d == delta and meas > 0.0]
+    usable = [(n, meas) for (n, d, meas) in rows if d == delta and meas > 0.0]
     if len(usable) < 4:
         return DecayFit(model=model, degenerate=True)
     ns = np.array([n for n, _ in usable], dtype=np.float64)
@@ -133,10 +124,6 @@ class MonotonicityReport:
     scales: tuple[int, ...]
     values: tuple[float, ...]  # lambda_{1,n} per scale
     violations: tuple[tuple[int, float], ...]  # (n, excess) per failed doubling
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def monotonicity_audit(lognorms, scales) -> MonotonicityReport:

@@ -45,12 +45,13 @@ client: a cyclic one-sided Jacobi iteration, not a LAPACK call, because
 it keeps high relative accuracy on strongly graded matrices
 (Demmel-Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and the checker
 reads singular value *ratios*, ``sigma_2`` and the top right singular
-direction.  A stack of real matrices is swept lanes-last; one matrix
-runs wholly in Python floats, checks, scaling, sweeps and sorted norms,
-by the same operations in the same order, so it gets the bits of a stack
-of one without numpy's per-call cost on arrays of one lane.  It returns
-the singular values and the orthogonal right factor, all the checker
-reads.  Membership in GL(d) is one rule on the extreme singular values,
+direction.  A stack of real matrices is swept lanes-last and returns the
+singular values and the orthogonal right factor, all the checker reads.
+The singular values alone of one matrix, all its running product reads,
+come wholly from Python floats, checks, scaling, sweeps and sorted norms,
+by the same operations in the same order, so they get the bits of a
+stack of one without numpy's per-call cost on arrays of one lane.
+Membership in GL(d) is one rule on the extreme singular values,
 :func:`invertible`, which the checker, the family construction check and
 the random supports share.
 """
@@ -177,14 +178,14 @@ def _unscaled(sigma, e) -> np.ndarray:
     return sigma
 
 
-def _svd_one(a: np.ndarray, compute_uv: bool) -> SvdResult | np.ndarray:
-    """:func:`svd` of one real matrix, wholly in Python floats.  Each
-    quantity is the lanes' formula in the lanes' order, so the bits are
-    those of a stack of one, without numpy's per-call cost on arrays of one
-    lane.  The hypot is ``np.hypot``, the lanes' own; ``math.hypot`` differs
-    from it in the last place."""
+def _svd_one(a: np.ndarray) -> np.ndarray:
+    """:func:`svd`'s singular values of one real matrix, wholly in Python
+    floats.  Each quantity is the lanes' formula in the lanes' order, so the
+    bits are those of a stack of one, without numpy's per-call cost on arrays
+    of one lane.  The hypot is ``np.hypot``, the lanes' own; ``math.hypot``
+    differs from it in the last place."""
     d = a.shape[0]
-    cols = np.asarray(a.T, np.float64).tolist()  # column p of the matrix, then of V
+    cols = np.asarray(a.T, np.float64).tolist()  # column p of the matrix
     flat = sum(cols, [])
     if not all(map(isfinite, flat)):
         raise ValidationError("matrix has non-finite entries")
@@ -192,15 +193,13 @@ def _svd_one(a: np.ndarray, compute_uv: bool) -> SvdResult | np.ndarray:
     e = max(e, -1022) if abs(e) > _SAFE_EXPONENT else 0  # as for a stack
     if e:
         cols = [[ldexp(v, -e) for v in col] for col in cols]
-    if compute_uv:  # V's rows go below the matrix's, as in a stack
-        cols = [col + row for col, row in zip(cols, np.eye(d).tolist())]
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p, q in combinations(range(d), 2):
             cp, cq = cols[p], cols[q]
             # in row order from 0.0: only a zero g, which never rotates, can differ (in sign)
             app = aqq = g = 0.0
-            for u, v in zip(cp[:d], cq[:d]):
+            for u, v in zip(cp, cq):
                 app, aqq, g = app + u * u, aqq + v * v, g + u * v
             mag = abs(g)
             # a rotation needs mag > 0, so tau overflows to +-inf as the
@@ -219,15 +218,10 @@ def _svd_one(a: np.ndarray, compute_uv: bool) -> SvdResult | np.ndarray:
             break
     else:
         raise NumericalRefusal("Jacobi SVD failed to converge")
-    sigma = [sqrt(_row_sum([v * v for v in col[:d]])) for col in cols]
+    sigma = [sqrt(_row_sum([v * v for v in col])) for col in cols]
     if e:  # numpy's ldexp, as for the lanes
         sigma = _unscaled(sigma, e).tolist()
-    # a stable sort: tied values keep their column order, as in a stack
-    order = sorted(range(d), key=sigma.__getitem__, reverse=True)
-    s = np.array([sigma[k] for k in order])
-    if not compute_uv:
-        return s
-    return SvdResult(s, np.array([cols[k][d:] for k in order]).T.copy())
+    return np.array(sorted(sigma, reverse=True))
 
 
 def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
@@ -241,19 +235,20 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
     A stack is swept lanes-last, each lane by the same vector operations,
     and a lane leaves the sweeps after its first sweep without a rotation,
     so every matrix gets the bits it would get in a stack of one.  One
-    matrix (a 2-d input) runs wholly in Python floats, by the same
-    operations in the same order (:func:`_svd_one`), so it too gets the
-    bits of a stack of one, without numpy's per-call cost.  A matrix that
-    has not converged after ``_MAX_SWEEPS`` sweeps refuses the whole call.
-    Identical input yields byte-identical output.
+    matrix (a 2-d input) runs as a stack of one, but its singular values
+    alone come wholly from Python floats, by the same operations in the
+    same order (:func:`_svd_one`), so they too get the bits of a stack of
+    one, without numpy's per-call cost.  A matrix that has not converged
+    after ``_MAX_SWEEPS`` sweeps refuses the whole call.  Identical input
+    yields byte-identical output.
     """
     a = np.asarray(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if np.iscomplexobj(a):
         raise ValidationError("svd takes real matrices")
-    if a.ndim == 2:
-        return _svd_one(a, compute_uv)
+    if a.ndim == 2 and not compute_uv:
+        return _svd_one(a)
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     d = a.shape[-1]

@@ -41,21 +41,14 @@ class RateSeries:
         if len(self.values) != len(s):
             raise ValidationError("values and scales disagree in length")
 
-    def value_at(self, n: int) -> float:
-        return self.values[self.scales.index(n)]
-
     @property
     def proxy_limit(self) -> float:
-        return richardson_proxy(self.values)
+        """``2 * top - second`` on the last two rungs; exact on ``a + b/n``."""
+        return 2.0 * self.values[-1] - self.values[-2]
 
     @property
     def proxy_scale(self) -> int:
         return self.scales[-1]
-
-
-def richardson_proxy(values: tuple[float, ...]) -> float:
-    """``2 * top - second`` on the last two rungs; exact on ``a + b/n``."""
-    return 2.0 * values[-1] - values[-2]
 
 
 def rate_series(
@@ -154,13 +147,8 @@ def dichotomy(
     scales = series.scales
     devs = {n: abs(v - series.proxy_limit) for n, v in zip(scales, series.values)}
 
-    evidence = []
-    for i, n in enumerate(scales):
-        if 2 * n in devs:
-            second = abs(
-                series.proxy_limit - 2.0 * series.value_at(2 * n) + series.value_at(n)
-            )
-            evidence.append((n, float(second), float(4.0 * exp(-c1 * n))))
+    evidence = [(n, abs(series.proxy_limit - 2.0 * v2 + v), 4.0 * exp(-c1 * n))
+                for n, v, v2 in zip(scales, series.values, series.values[1:])]
 
     # trigger scan
     trigger = None
@@ -182,14 +170,8 @@ def dichotomy(
     else:
         tail = [(n, s, thr) for n, s, thr in evidence if n >= l0]
         second_ok = all(s <= max(thr, noise_floor) for _, s, thr in tail)
-        weighted = [(n, n * devs[n]) for n in scales if n >= l0]
-        if weighted:
-            w_first = weighted[0][1]
-            w_last = weighted[-1][1]
-            dev_last = devs[weighted[-1][0]]
-            shrinking = (w_last <= 0.5 * w_first + 1e-14) or (dev_last <= noise_floor)
-        else:
-            shrinking = True
+        weighted = [n * devs[n] for n in scales if n >= l0]  # non-empty: the ladder reaches 4 l0
+        shrinking = weighted[-1] <= 0.5 * weighted[0] + 1e-14 or devs[scales[-1]] <= noise_floor
         cls = "exponential" if (second_ok and shrinking) else "inconclusive"
 
     # empirical decay rate of the second differences resolved above the
@@ -205,31 +187,7 @@ def dichotomy(
                             evidence=tuple(evidence), noise_floor=noise_floor)
 
 
-# -- gap monitoring and parameter regularity ------------------------------------
-
-
-@dataclass(frozen=True)
-class GapRecord:
-    min_gap: float
-    gaps: tuple[float, ...]
-    passes: bool
-
-
-def gap_monitor(
-    fam: CocycleFamily, E_values, n: int, m: int, kappa: float
-) -> list[GapRecord]:
-    """Per-parameter minimal consecutive exponent gap at scale ``n``,
-    tested against ``kappa``, from one stacked ladder.  For ``d = 1`` the
-    gap is vacuous (+inf)."""
-    out = []
-    for spec in fam.finite_scale_exponents(E_values, n, m):
-        if fam.dim == 1:
-            gaps: tuple[float, ...] = (float("inf"),)
-        else:
-            gaps = tuple(float(g) for g in spec[:-1] - spec[1:])  # equal: +0, not -0
-        min_gap = min(gaps)
-        out.append(GapRecord(min_gap=min_gap, gaps=gaps, passes=min_gap > kappa))
-    return out
+# -- parameter regularity ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -287,8 +245,10 @@ def holder_estimate(
 ) -> HolderEstimate:
     """Hölder exponent of ``E -> lambda_{j,n}(E)`` over a window.
 
-    Refuses unless a gap check at level ``kappa`` passes across the
-    window; only then are all pair endpoints run as one stacked ladder.
+    Refuses unless ``kappa_min``, the least consecutive gap of the
+    finite-scale exponents at five probes across the window, exceeds
+    ``kappa``; only then are all pair endpoints run as one stacked ladder.
+    For ``d = 1`` the gap is vacuous: no probe runs and ``kappa_min`` is None.
     Pairs with exponent difference below ten times the quadrature
     tolerance are excluded (and counted): they are below the resolution
     of the grid averages.  The gap check is the only refusal: the family
@@ -299,15 +259,14 @@ def holder_estimate(
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValidationError("window must have positive width")
-    probes = np.linspace(lo, hi, 5)
-    records = gap_monitor(fam, probes, n, m, kappa)
-    kappa_min = min(r.min_gap for r in records)
-    if not all(r.passes for r in records):
-        raise NumericalRefusal(
-            f"gap check failed on the window: min gap {kappa_min:.6g} <= kappa {kappa}"
-        )
-    if fam.dim == 1:
-        kappa_min = None
+    kappa_min = None
+    if fam.dim > 1:
+        spec = fam.finite_scale_exponents(np.linspace(lo, hi, 5), n, m)
+        kappa_min = float(np.min(spec[:, :-1] - spec[:, 1:]))
+        if not kappa_min > kappa:
+            raise NumericalRefusal(
+                f"gap check failed on the window: min gap {kappa_min:.6g} <= kappa {kappa}"
+            )
     decades = max(3, int(decades))
     per_decade = max(1, pair_budget // decades)
     pairs = _holder_pairs((lo, hi), decades, per_decade, seed)

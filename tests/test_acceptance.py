@@ -230,7 +230,7 @@ def test_10_r_sequence_bounded(schrodinger_ladder):
 def test_11_deviation_measure_trend(schrodinger3):
     t0 = time.monotonic()
     prof, _, _ = ldt.reports(schrodinger3, 0.0, (16, 23, 32, 45, 64, 4096), (0.1,), 8192)
-    measure = {n: meas for n, _, meas in prof.rows}
+    measure = {n: meas for n, _, meas in prof}
     m64, m4096 = measure[64], measure[4096]
     fit = ldt.fit_decay(prof, 0.1)
     elapsed = time.monotonic() - t0

@@ -152,7 +152,7 @@ class TestOverlapBracket:
         br = ap.overlap_bracket(report)
         assert np.allclose(br.overlaps, 1.0)
         assert np.allclose(report.pair_ratios, 1.0)
-        assert br.ok
+        assert not br.violations.any()
 
     def test_stretch_of_rotated_axis_closed_form(self):
         # second factor stretches the theta-rotated axis: the overlap of
@@ -174,7 +174,7 @@ class TestOverlapBracket:
             d = np.diag([10.0 ** rng.uniform(4, 6), rng.uniform(0.5, 2.0)])
             mats = [d @ rot(rng.uniform(-0.2, 0.2)) for _ in range(int(rng.integers(2, 8)))]
             br = ap.overlap_bracket(ap.verify(mats))
-            assert br.ok
+            assert not br.violations.any()
             checked += len(br.overlaps)
         assert checked > 1000
 

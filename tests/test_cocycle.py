@@ -33,7 +33,7 @@ def finite_scale_exponents_qr(fam, E: float, n: int, m: int) -> np.ndarray:
     """
     q = np.broadcast_to(np.eye(fam.dim), (m, fam.dim, fam.dim)).copy()
     sums = np.zeros((m, fam.dim), dtype=np.float64)
-    z, w = grid_phasors(m), fam.base.rotations(n)
+    z, w = grid_phasors(m), fam.base.rotation(range(1, n + 1))
     for j in range(1, n + 1):
         q, r = np.linalg.qr(np.matmul(fam.evaluate_batch(z * w[j - 1], E), q))
         diag = np.diagonal(r, axis1=1, axis2=2)
@@ -191,6 +191,13 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match=r"numerically singular at t=0\.0, E=0\.0"):
             constant_family(golden, np.diag([1.0, 0.0]))
 
+    def test_construction_rejects_a_series_without_its_constant_term(self, golden):
+        # a degree axis of length 0 has no term to evaluate: refused, not reshaped
+        with pytest.raises(ValidationError, match=r"shape \(dim, dim, degree\+1\)"):
+            TrigPolyFamily(base=golden, dim=2, cos_coeffs=np.zeros((2, 2, 0)))
+        with pytest.raises(ValidationError, match="sampling_cos needs at least its constant term"):
+            SchrodingerFamily(base=golden, dim=2, sampling_cos=np.zeros(0))
+
 
 def fourier_loop(zeta, cos_coeffs, sin_coeffs):
     """The reference series: the loop that rebuilt the coefficient rows and
@@ -279,7 +286,7 @@ class TestFourierSeries:
 def orbit_product(fam, x, E: float, n: int) -> float:
     """Log-norm of the scale-``n`` product over the orbit of one point,
     through the shared accumulator."""
-    z, w = phasors(x), fam.base.rotations(n)
+    z, w = phasors(x), fam.base.rotation(range(1, n + 1))
     logs = linalg.scaled_product(lambda j: fam.evaluate_batch(z * w[j - 1], E), n)
     assert logs.shape == (1, 1)
     return float(logs[0, 0])
@@ -380,7 +387,7 @@ class TestFiniteScaleExponents:
         n, m = 20, 12
         both = schrodinger3.orbit_lognorms(0.0, z, n + m)[0]
         first = schrodinger3.orbit_lognorms(0.0, z, m)[0]
-        shifted = schrodinger3.orbit_lognorms(0.0, z * schrodinger3.base.rotations(m)[-1], n)[0]
+        shifted = schrodinger3.orbit_lognorms(0.0, z * schrodinger3.base.rotation([m])[0], n)[0]
         assert np.all(both <= shifted + first + 1e-10)
 
     def test_monotone_decrease_and_superadditivity(self, schrodinger_ladder):
@@ -482,7 +489,7 @@ class TestNoPerMatrixLapack:
                              sin_coeffs=np.ones((3, 3, 1)) * 0.3)
         z = grid_phasors(8)
         n = 12
-        w = base.rotations(n)
+        w = base.rotation(range(1, n + 1))
         factors = [fam.evaluate_batch(z * w[j - 1], 0.0) for j in range(1, n + 1)]
         prod = factors[0]
         for f in factors[1:]:
@@ -536,7 +543,7 @@ class TestExactOrbitPhase:
 
     def entries_along_orbit(self, fam, xs):
         # the phasors of an orbit pass (see the last test), at the chosen steps only
-        z, w = phasors(xs), fam.base.rotations(max(self.STEPS))
+        z, w = phasors(xs), fam.base.rotation(range(1, max(self.STEPS) + 1))
         return {j: fam.evaluate_batch(z * w[j - 1], 0.0) for j in self.STEPS}
 
     def mp_phase(self, base, x, j):
@@ -574,7 +581,7 @@ class TestExactOrbitPhase:
             t = j * sum(mp.mpf(w) for w in base.omega)
             want = complex(mp.exp(2j * mp.pi * (t - mp.floor(t))))
             assert abs(base.rotation([j])[0] - want) <= 1e-15, j
-        assert base.rotation([99999]) == base.rotations(99999)[-1]
+        assert base.rotation([99999]) == base.rotation(range(1, 100000))[-1]
 
     def test_orbit_phasors_are_start_phasors_times_rotations(self, monkeypatch):
         # what an orbit pass hands evaluate_batch for step j, for order 1 and
@@ -755,6 +762,12 @@ class TestStackedEnergies:
             rates.holder_estimate(split_exp(golden), 1, (0.0, 1.0), n=8, m=16)
         assert len(orbit_calls) == 2
 
+    def test_holder_in_one_dimension_runs_no_gap_ladder(self, golden, orbit_calls):
+        # d = 1 has no gap to check: the pair ladder is the one pass
+        fam = DiagonalExpFamily(base=golden, dim=1, x_amp=np.ones(1), e_amp=np.ones(1))
+        est = rates.holder_estimate(fam, 1, (1.0, 2.0), n=8, m=16, kappa=5.0)
+        assert est.kappa_min is None and len(orbit_calls) == 1
+
     @pytest.mark.parametrize("count", [2, 5])
     def test_exponents_makes_one_ladder_call(self, tmp_path, orbit_calls, count):
         cfg = tmp_path / "d.cfg"
@@ -776,7 +789,7 @@ class TestStackedEnergies:
 def per_step_lognorms(fam, E, zeta, n, p, checkpoints):
     """The orbit pass with one ``evaluate_batch`` call per step, the
     reference for the chunked producer: step ``j`` evaluates ``zeta * w_j``."""
-    rot = fam.base.rotations(n)
+    rot = fam.base.rotation(range(1, n + 1))
     return linalg.scaled_product(
         lambda j: linalg.compound_batch(fam.evaluate_batch(zeta * rot[j - 1], E), p),
         n, checkpoints)
@@ -891,7 +904,7 @@ class TestRecurrenceStep:
     @pytest.mark.parametrize("name", list(schrodinger_configs(cocycle.golden_base())))
     def test_products_equal_up_to_the_sign_of_a_zero(self, golden, name):
         fam, energies = schrodinger_configs(golden)[name]
-        zeta, rot = grid_phasors(64), fam.base.rotations(12)
+        zeta, rot = grid_phasors(64), fam.base.rotation(range(1, 13))
         generic = fast = None
         zeros_of_other_sign = 0
         for j in range(1, 13):

@@ -3,7 +3,8 @@
 Each row is a config (and any matrix or support file it names) with the
 exit code it must give.  Every invocation must exit 0, 1 or 2 with no
 escaped exception and no RuntimeWarning; a success writes no ``nan`` or
-``inf`` cell, and exits 1 and 2 write no data file.
+``inf`` cell, and exits 1 and 2 write no data file and print an ``error:``
+or ``refused:`` line.
 """
 
 import time
@@ -43,6 +44,8 @@ FAMILIES = {
     # gap >= 1 at every energy, while one step grows by up to e^80
     "diagonal-exp-e_amp-40": ("cocycle.kind = diagonal-exp\ncocycle.e_amp = 40,39\n"
                               "param.E_min = 1\nparam.E_max = 2\nparam.E_count = 2\n", 0, {}),
+    # a sampling series without even its constant term
+    "schrodinger-empty-sampling": ("cocycle.sampling_cos =\n", 1, {}),
 }
 
 #: matrix files for ap-verify: blocks separated by blank lines
@@ -68,6 +71,24 @@ SUPPORTS = {
 
 RANDOM = "random.trials = 8\nrandom.ld_scales = 8\nnumerics.n_max = 32\n"
 
+#: random configs without a support file
+DISTS = {
+    "rotated-stretch-pair": (RANDOM, 0),  # the default random.dist
+    "uniform-rotation": (RANDOM + "random.dist = uniform_rotation\n", 0),
+    # its product runs on its entries, as the constant family's does
+    "single-beyond-square-range": (
+        RANDOM + "random.dist = single\nrandom.matrix = 1e200,0,0,1e190\n", 0),
+    # the ladder from 8 needs n_max >= 16
+    "n_max-8": (RANDOM.replace("n_max = 32", "n_max = 8"), 1),
+}
+
+#: the whole stderr line a case must start with, where its exit code alone
+#: does not show the cause
+MESSAGES = {
+    "ldt/n_max-16": "error: numerics.n_max too small for a ladder from 16\n",
+    "random/n_max-8": "error: numerics.n_max too small for a ladder from 8\n",
+}
+
 
 def _cases(tmp_path):
     """``(id, subcommand, config text, expected exit code)`` per invocation."""
@@ -75,7 +96,8 @@ def _cases(tmp_path):
     for name, (text, code, other) in FAMILIES.items():
         cases += [(f"{sub}/{name}", sub, SMALL + text, other.get(sub, code)) for sub in ORBIT]
     cases += [("dioph/golden", "dioph", SMALL, 0),
-              ("dioph/nu2", "dioph", SMALL + "shift.nu = 2\nshift.omega = sqrt2-sqrt3\n", 1)]
+              ("dioph/nu2", "dioph", SMALL + "shift.nu = 2\nshift.omega = sqrt2-sqrt3\n", 1),
+              ("ldt/n_max-16", "ldt", SMALL.replace("n_max = 32", "n_max = 16"), 1)]
     for name, (text, code) in MATRICES.items():
         path = tmp_path / f"matrices-{name}.txt"
         path.write_text(text)
@@ -86,9 +108,7 @@ def _cases(tmp_path):
         path.write_text(text)
         cases.append((f"random/{name}", "random",
                        RANDOM + f"random.dist = file\nrandom.support_file = {path}\n", code))
-    # its product runs on its entries, as the constant family's does
-    cases.append(("random/single-beyond-square-range", "random",
-                  RANDOM + "random.dist = single\nrandom.matrix = 1e200,0,0,1e190\n", 0))
+    cases += [(f"random/{name}", "random", text, code) for name, (text, code) in DISTS.items()]
     return cases
 
 
@@ -122,6 +142,9 @@ def test_edge_configs(tmp_path):
             problems.append(f"{ident}: escaped {res.exception!r}")
         if res.exit_code != want:
             problems.append(f"{ident}: exit {res.exit_code}, expected {want}: {res.output!r}")
+        line = MESSAGES.get(ident, {0: "", 1: "error: ", 2: "refused: "}.get(want))
+        if not res.stderr.startswith(line):
+            problems.append(f"{ident}: stderr {res.stderr!r}, expected {line!r}...")
         runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
         if runtime:
             problems.append(f"{ident}: RuntimeWarning {runtime}")

@@ -28,7 +28,7 @@ def diag_exp(golden):
 def measures(fam, n: int, p: int, deltas, m: int) -> list[float]:
     """Deviation measures of the ``ldt`` reports at the single scale ``n``."""
     prof, _, _ = ldt.reports(fam, 0.0, (n,), deltas, m, p=p)
-    return [meas for _, _, meas in prof.rows]
+    return [meas for _, _, meas in prof]
 
 
 def invariance(fam, n: int, k: int, m: int) -> ldt.AlmostInvarianceReport:
@@ -64,7 +64,7 @@ class TestDeviationMeasure:
             param_values=np.array([0.0, 0.7]),
         )
         deltas = (0.05, 0.1, 0.2, 0.4)
-        rows = [ldt.reports(fam, E, (2,), deltas, 256)[0].rows for E in (0.0, 0.7)]
+        rows = [ldt.reports(fam, E, (2,), deltas, 256)[0] for E in (0.0, 0.7)]
         assert rows[0] == rows[1]
         assert all(0.0 < meas < 1.0 for _, _, meas in rows[0])
 
@@ -79,62 +79,46 @@ class TestDeviationProfile:
     def test_rows_match_pointwise_op(self, schrodinger3):
         prof = ldt.reports(schrodinger3, 0.0, (16, 32), (0.05, 0.1), 128)[0]
         zeta = grid_phasors(128)
-        for n, delta, measure in prof.rows:
+        for n, delta, measure in prof:
             # reference: a separate orbit pass at this scale, centered here
             vals = schrodinger3.orbit_lognorms(0.0, zeta, n)[0] / n
             direct = np.count_nonzero(np.abs(vals - pairwise_mean(vals)) > delta) / vals.size
             assert measure == direct
 
-    def test_measure_bounds_enforced(self):
-        prof = ldt.DeviationProfile()
-        with pytest.raises(ValidationError):
-            prof.add(4, 0.1, 1.5)
-
 
 class TestFitDecay:
     def test_recovers_planted_exponential(self):
-        prof = ldt.DeviationProfile()
-        for n in (16, 32, 64, 128, 256, 512):
-            prof.add(n, 0.1, float(np.exp(-0.05 * n)))
+        prof = [(n, 0.1, float(np.exp(-0.05 * n))) for n in (16, 32, 64, 128, 256, 512)]
         fit = ldt.fit_decay(prof, 0.1)
         assert not fit.degenerate
         assert abs(fit.c - 0.05) <= 1e-6
         assert abs(fit.C) <= 1e-6
 
     def test_recovers_planted_stretched(self):
-        prof = ldt.DeviationProfile()
-        for n in (16, 32, 64, 128, 256):
-            prof.add(n, 0.1, float(np.exp(-(n**0.6))))
+        prof = [(n, 0.1, float(np.exp(-(n**0.6)))) for n in (16, 32, 64, 128, 256)]
         fit = ldt.fit_decay(prof, 0.1, model="stretched")
         assert abs(fit.tau - 0.6) <= 1e-9
 
     def test_picks_the_rows_of_its_delta(self):
-        single = ldt.DeviationProfile()
-        both = ldt.DeviationProfile()
+        single, both = [], []
         for n in (16, 32, 64, 128, 256):
-            both.add(n, 0.05, float(np.exp(-0.01 * n)))
-            single.add(n, 0.1, float(np.exp(-0.03 * n)))
-            both.add(n, 0.1, single.rows[-1][2])
+            single.append((n, 0.1, float(np.exp(-0.03 * n))))
+            both += [(n, 0.05, float(np.exp(-0.01 * n))), single[-1]]
         for model in ("exp_poly", "stretched"):
             assert ldt.fit_decay(both, 0.1, model) == ldt.fit_decay(single, 0.1, model)
         assert ldt.fit_decay(both, 0.05) != ldt.fit_decay(single, 0.1)
 
     def test_all_zero_rows_degenerate(self):
-        prof = ldt.DeviationProfile()
-        for n in (16, 32, 64, 128):
-            prof.add(n, 0.1, 0.0)
+        prof = [(n, 0.1, 0.0) for n in (16, 32, 64, 128)]
         assert ldt.fit_decay(prof, 0.1).degenerate
 
     def test_too_few_rows_degenerate(self):
-        prof = ldt.DeviationProfile()
-        for n in (16, 32, 64):
-            prof.add(n, 0.1, 0.5)
+        prof = [(n, 0.1, 0.5) for n in (16, 32, 64)]
         assert ldt.fit_decay(prof, 0.1).degenerate
 
     def test_unknown_model(self):
-        prof = ldt.DeviationProfile()
         with pytest.raises(ValidationError):
-            ldt.fit_decay(prof, 0.1, model="cubic")
+            ldt.fit_decay([], 0.1, model="cubic")
 
 
 class TestAlmostInvariance:
@@ -163,12 +147,11 @@ class TestAlmostInvariance:
 class TestMonotonicityAudit:
     def test_constant_equalities(self, const2):
         rep = audit(const2, (16, 32, 64), 16)
-        assert rep.ok
+        assert rep.violations == ()
         assert np.allclose(rep.values, np.log(2.0), atol=1e-13)
 
     def test_diagonal_exp_strictly_monotone(self, diag_exp):
         rep = audit(diag_exp, tuple(2**k for k in range(4, 10)), 256)
-        assert rep.ok
         assert rep.violations == ()
         assert all(b < a for a, b in zip(rep.values, rep.values[1:]))
 
@@ -189,7 +172,7 @@ class TestOnePass:
                                           ladder=ladder)
             assert prof == ldt.deviation_profile(
                 schrodinger3.orbit_lognorms(0.0, z, 64, checkpoints=scales), scales, deltas)
-            w_k = schrodinger3.base.rotations(k)[-1]
+            w_k = schrodinger3.base.rotation([k])[0]
             shifted = schrodinger3.orbit_lognorms(0.0, z * w_k, 64)[0]
             assert inv == ldt.almost_invariance(
                 here, shifted, 64, k, *schrodinger3.one_step_log_extremes(0.0, m))
@@ -208,7 +191,7 @@ class TestOnePass:
         # p = 2 is (1/n) log|det| = 0; invariance and monotonicity keep order 1
         prof, inv, mono = ldt.reports(schrodinger3, 0.0, (32,), (1e-9,), 64, p=2,
                                       ladder=(16, 32))
-        assert prof.rows == [(32, 1e-9, 0.0)]
+        assert prof == [(32, 1e-9, 0.0)]
         assert (inv, mono) == ldt.reports(schrodinger3, 0.0, (32,), (), 64, ladder=(16, 32))[1:]
 
 

@@ -223,8 +223,8 @@ JACOBI_REFUSAL = np.array([
 
 class TestStackedSvd:
     """``linalg.svd`` on a stack sweeps the lanes together; each lane gets
-    the bits of a stack of one, and so does one matrix, swept in Python
-    floats."""
+    the bits of a stack of one, and so do the singular values alone of one
+    matrix, swept in Python floats."""
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_stack_matches_one_matrix_at_a_time(self, d, monkeypatch):
@@ -249,7 +249,8 @@ class TestStackedSvd:
     @pytest.mark.parametrize("compute_uv", [True, False])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_one_matrix_route_has_the_bits_of_a_stack_of_one(self, d, compute_uv):
-        # one matrix runs wholly in Python floats, a stack lanes-last
+        # one matrix's singular values come wholly from Python floats; with V
+        # it runs as a stack of one
         rng = np.random.default_rng(100 + d)
         cases = []
         for i in range(48):
@@ -489,18 +490,21 @@ class TestInvertibility:
     @pytest.mark.parametrize("route", ["one-matrix", "stack"])
     def test_singular_values_beyond_the_float_range_are_refused(self, route, compute_uv):
         # finite entries, but sigma_1 ~ 2.4e308 leaves the float range; the
-        # refusal says so, names the matrix of a stack (big is matrix 1),
-        # and no overflow warning precedes it
+        # refusal says so, names the matrix of a stack (big is matrix 1, or
+        # matrix 0 of the stack of one that one matrix with V runs as), and
+        # no overflow warning precedes it
         big, edge = np.array([[1.7e308, 1.7e308], [0.0, 1.0]]), np.diag([1.7e308, 1e200])
         shape = (lambda m: m) if route == "one-matrix" else (lambda m: np.stack([np.eye(2), m]))
-        which = "$" if route == "one-matrix" else ", matrix 1$"
+        index = 1 if route == "stack" else 0 if compute_uv else None
+        which = "$" if index is None else f", matrix {index}$"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalRefusal,
                                match="singular value beyond the float range" + which) as info:
                 linalg.svd(shape(big), compute_uv=compute_uv)
-            assert getattr(info.value, "matrix", None) == (None if route == "one-matrix" else 1)
-            with pytest.raises(NumericalRefusal, match="beyond the float range" + which):
+            assert getattr(info.value, "matrix", None) == index
+            with pytest.raises(NumericalRefusal,
+                               match=f"beyond the float range, matrix {index or 0}$"):
                 linalg.require_invertible(shape(big), context="factor")
             got = linalg.svd(shape(edge), compute_uv=compute_uv)
         s = got.singular_values if compute_uv else got

@@ -410,6 +410,7 @@ class TestExactLimit:
         # 2 lambda_512 - lambda_256 cancels the C/n bias; its stderr is at
         # most 2 se_512 + se_256, the rungs sharing their streams
         rows = self.report_rows(tmp_path)
-        proxy = rates.richardson_proxy(tuple(est for _, est, _, _ in rows))
+        proxy = rates.RateSeries(j=1, scales=tuple(n for n, _, _, _ in rows),
+                                 values=tuple(est for _, est, _, _ in rows)).proxy_limit
         (_, _, se_low, _), (_, _, se_top, _) = rows[-2:]
         assert abs(proxy - self.lam1()) <= 4.0 * (2.0 * se_top + se_low)

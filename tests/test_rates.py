@@ -68,11 +68,11 @@ class TestRateSeries:
 class TestRichardson:
     def test_exact_on_one_over_n(self):
         s = planted_series(SCALES, limit=1.5, coeff=-3.7, law="one_over_n")
-        assert abs(rates.richardson_proxy(s.values) - 1.5) <= 1e-12
+        assert abs(s.proxy_limit - 1.5) <= 1e-12
 
     def test_exact_on_constant(self):
         s = planted_series(SCALES, limit=0.25, coeff=0.0, law="constant")
-        assert rates.richardson_proxy(s.values) == 0.25
+        assert s.proxy_limit == 0.25
 
 
 class TestCOverN:
@@ -110,6 +110,10 @@ class TestDichotomy:
         assert v.classification == "one_over_n"
         assert v.trigger_scale is not None and v.trigger_scale >= 16
         assert v.c1_est is None
+        # triggered at l0, then decaying faster than the halving cascade allows
+        s = planted_series(SCALES, limit=1.5, coeff=10.0, law="exponential", rate=0.1)
+        v = rates.dichotomy(s, c1=0.05, l0=16)
+        assert (v.classification, v.trigger_scale) == ("inconclusive", 16)
 
     def test_planted_exponential(self):
         s = planted_series(SCALES, limit=0.7, coeff=1.0, law="exponential", rate=0.5)
@@ -162,23 +166,23 @@ class TestDichotomy:
             rates.dichotomy(s, c1=0.05, l0=16)
 
 
-class TestGapMonitor:
+class TestGapCheck:
     def test_constant_gaps(self, golden):
         fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
-        recs = rates.gap_monitor(fam, [0.0, 0.5, 1.0], 16, 8, kappa=0.5)
-        for r in recs:
-            assert np.allclose(r.gaps, np.log(2.0), atol=1e-12)
-            assert r.passes
+        spec = fam.finite_scale_exponents([0.0, 0.5, 1.0], 16, 8)
+        assert np.allclose(spec[:, :-1] - spec[:, 1:], np.log(2.0), atol=1e-12)
+        est = rates.holder_estimate(fam, 1, (0.0, 1.0), n=16, m=8, kappa=0.5)
+        assert abs(est.kappa_min - np.log(2.0)) <= 1e-12
 
     def test_kappa_above_gap_fails(self, golden):
         fam = constant_family(golden, np.diag([2.0, 1.0, 0.5]))
-        recs = rates.gap_monitor(fam, [0.0], 16, 8, kappa=1.0)
-        assert not recs[0].passes
+        with pytest.raises(NumericalRefusal, match="gap check failed on the window: "
+                           "min gap 0.693147 <= kappa 1.0"):
+            rates.holder_estimate(fam, 1, (0.0, 1.0), n=16, m=8, kappa=1.0)
 
     def test_schrodinger_gap_exceeds_two(self, schrodinger3):
-        recs = rates.gap_monitor(schrodinger3, [0.0], 1024, 256, kappa=2.0)
-        assert recs[0].passes
-        assert recs[0].min_gap > 2.0
+        spec = schrodinger3.finite_scale_exponents(0.0, 1024, 256)
+        assert spec[0] - spec[1] > 2.0
 
 
 class TestHolderEstimate:
