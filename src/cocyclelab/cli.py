@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__, avalanche, ldt, random_products, rates
-from .cocycle import QUADRATURE_TOL, check_ladder
+from .cocycle import check_ladder
 from .config import ExperimentConfig, parse_config_file, read_matrix_blocks
 from .diophantine import diophantine_minima
 from .errors import ConfigError, NumericalRefusal, ValidationError
@@ -185,7 +185,7 @@ def exponents(cfg: ExperimentConfig, run: _Run):
     grid = cfg.param_grid()
     ladder = fam.exponent_ladder(grid, scales, int(cfg["numerics.grid"]))
     run.stage("compute")
-    check_ladder(ladder, grid, QUADRATURE_TOL)
+    check_ladder(ladder, grid)
     run.emit("", ["E", "n", "j", "lambda"],
              [(E, n, j, v) for k, E in enumerate(grid) for n in scales
               for j, v in enumerate(ladder[n][k], start=1)])
@@ -289,7 +289,7 @@ def rates_cmd(cfg: ExperimentConfig, run: _Run):
         "summary",
         ["j", "proxy_limit", "proxy_scale", "C_est", "r_tail_max",
          "r_median", "r_bounded"],
-        [(series.j, series.proxy_limit, series.proxy_scale, c_est,
+        [(series.j, series.proxy_limit, series.scales[-1], c_est,
           rseq.tail_max, rseq.median, rseq.bounded)],
     )
 
@@ -345,7 +345,7 @@ def random_cmd(cfg: ExperimentConfig, run: _Run):
         scales,
         int(cfg["random.trials"]),
         deltas=cfg["random.deltas"],
-        ld_scales=cfg["random.ld_scales"] if cfg["random.deltas"] else (),
+        ld_scales=cfg["random.ld_scales"],
         c1=float(cfg["random.c1"]),
     )
     run.stage("compute")
@@ -361,12 +361,12 @@ def dioph_cmd(cfg: ExperimentConfig, run: _Run):
     base = cfg.shift_base()
     if base.nu != 1:
         raise ConfigError("dioph requires shift.nu = 1")
-    n_max = int(cfg["numerics.n_max"])
-    records = diophantine_minima(base.omega[0], base.dio_exponent, n_max)
+    n_max, dio_exponent = int(cfg["numerics.n_max"]), float(cfg["shift.dio_exponent"])
+    records = diophantine_minima(base.omega[0], dio_exponent, n_max)
     worst, c_est = records[-1]
     run.stage("compute")
     run.emit("", ["omega", "dio_exponent", "n_max", "c_est", "worst_n"],
-             [(base.omega[0], base.dio_exponent, n_max, c_est, worst)])
+             [(base.omega[0], dio_exponent, n_max, c_est, worst)])
     run.emit("records", ["n", "value"], records)
 
 

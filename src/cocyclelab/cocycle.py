@@ -73,14 +73,11 @@ class ShiftBase:
     phase ``t(x) = sum x_i`` by ``Omega = sum omega_i`` per step."""
 
     omega: tuple[float, ...]
-    dio_exponent: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(float(w) for w in np.atleast_1d(self.omega)))
         if len(self.omega) < 1:
             raise ValidationError("shift needs at least one frequency")
-        if self.dio_exponent <= 1.0:
-            raise ValidationError("dio_exponent must exceed 1")
         for i, w in enumerate(self.omega):
             if not 0.0 < w < 1.0:
                 raise ValidationError(f"omega[{i}]={w} outside (0,1)")
@@ -114,8 +111,8 @@ class ShiftBase:
         return np.exp(2j * np.pi * (steps / den).astype(np.float64))
 
 
-def golden_base(dio_exponent: float = 2.0) -> ShiftBase:
-    return ShiftBase(omega=(GOLDEN_MEAN,), dio_exponent=dio_exponent)
+def golden_base() -> ShiftBase:
+    return ShiftBase(omega=(GOLDEN_MEAN,))
 
 
 def grid_phasors(m: int) -> np.ndarray:
@@ -437,13 +434,13 @@ class SchrodingerFamily(CocycleFamily):
 # -- exponent ladders ----------------------------------------------------------
 
 
-def check_ladder(ladder: dict[int, np.ndarray], energies, tol: float):
-    """Validate spectrum ordering at every ``(E, n)`` slot of a stacked
-    ladder.  The sum of each slot needs no check: ``exponent_ladder``'s
-    differences telescope, so it is the top order's mean of ``sum_j log
-    |det A_j| / n`` for every family."""
+def check_ladder(ladder: dict[int, np.ndarray], energies):
+    """Validate spectrum ordering, up to ``QUADRATURE_TOL``, at every ``(E,
+    n)`` slot of a stacked ladder.  The sum of each slot needs no check:
+    ``exponent_ladder``'s differences telescope, so it is the top order's
+    mean of ``sum_j log |det A_j| / n`` for every family."""
     for k, E in enumerate(energies):
         for n in sorted(ladder):
             spec = ladder[n][k]
-            if np.any(np.diff(spec) > tol):
+            if np.any(np.diff(spec) > QUADRATURE_TOL):
                 raise ValidationError(f"exponent ordering violated at E={E}, n={n}: {spec}")

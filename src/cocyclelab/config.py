@@ -166,7 +166,7 @@ class ExperimentConfig:
                 omega = tuple(float(p) for p in parts)
             except ValueError:
                 raise ConfigError(f"malformed shift.omega component in {raw!r}") from None
-        return cocycle.ShiftBase(omega=omega, dio_exponent=float(self.values["shift.dio_exponent"]))
+        return cocycle.ShiftBase(omega=omega)
 
     def family(self) -> cocycle.CocycleFamily:
         base = self.shift_base()

@@ -16,21 +16,24 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: the largest denominator and the distance of a rational_witness
+_WITNESS_DENOMINATOR, _WITNESS_TOL = 10**6, 1e-15
 
-def rational_witness(x: float, max_denominator: int = 10**6, tol: float = 1e-15):
-    """Return ``(p, q)`` if some rational with ``q <= max_denominator``
-    matches ``x`` within ``tol``, else ``None``.
+
+def rational_witness(x: float):
+    """Return ``(p, q)`` if some rational with ``q <= 10^6`` matches ``x``
+    within ``1e-15``, else ``None``.
 
     The candidate is the closest such rational,
-    ``Fraction(x).limit_denominator(max_denominator)``.  At the defaults
-    the witness is unique: two distinct fractions with denominators up to
-    ``10^6`` lie at least ``1/(q q') >= 1e-12`` apart, so at most one is
-    within ``1e-15`` of ``x``, and that one is the closest.  Since ``1e-15 <
-    1/(2 q^2)``, it is a continued-fraction convergent of ``x`` (Legendre).
+    ``Fraction(x).limit_denominator(10**6)``.  The witness is unique: two
+    distinct fractions with denominators up to ``10^6`` lie at least ``1/(q
+    q') >= 1e-12`` apart, so at most one is within ``1e-15`` of ``x``, and
+    that one is the closest.  Since ``1e-15 < 1/(2 q^2)``, it is a
+    continued-fraction convergent of ``x`` (Legendre).
     """
-    frac = Fraction(x).limit_denominator(max_denominator)
+    frac = Fraction(x).limit_denominator(_WITNESS_DENOMINATOR)
     p, q = frac.numerator, frac.denominator
-    return (p, q) if abs(x - p / q) <= tol else None
+    return (p, q) if abs(x - p / q) <= _WITNESS_TOL else None
 
 
 def torus_distance(values: np.ndarray) -> np.ndarray:

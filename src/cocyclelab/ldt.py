@@ -147,6 +147,8 @@ def reports(fam: CocycleFamily, E: float, scales, deltas, m: int, p: int = 1, k:
     one order-1 pass on the grid and its exact ``k``-shift (a second if ``p != 1``)."""
     if k < 1:
         raise ValidationError("k must be at least 1")
+    if not 1 <= p <= fam.dim:  # before the order-1 pass, as compound_batch would
+        raise ValidationError(f"compound order p={p} out of range 1..{fam.dim}")
     scales = tuple(sorted(set(int(s) for s in scales)))
     if not scales:
         raise ValidationError("scales must be non-empty")

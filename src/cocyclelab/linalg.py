@@ -114,19 +114,17 @@ def _row_sum(x):
 
 def _sweep_lanes(x: np.ndarray) -> None:
     """The sweeps of :func:`svd` over the lanes of ``x``, shape ``(rows, d,
-    B)``, in place; a lane leaves after its first sweep without a rotation."""
+    B)``, in place, until a sweep rotates no lane."""
     d = x.shape[1]
-    # columns p < q as one basic slice, so that work[pq] is a view
+    # columns p < q as one basic slice, so that x[pq] is a view
     pairs = [np.s_[:, p:q + 1:q - p] for p, q in combinations(range(d), 2)]
-    lanes = np.arange(x.shape[-1])  # the lanes still sweeping ...
-    work = x  # ... and their columns
     # tau overflows to +-inf where mag is subnormal, and t is then 0; no
     # other quantity of the sweeps can leave the float range
     with np.errstate(over="ignore"):
         for _ in range(_MAX_SWEEPS):
-            rotated = np.zeros(lanes.size, dtype=bool)
+            rotated = False
             for pq in pairs:
-                cols = work[:d][pq]
+                cols = x[:d][pq]
                 gram = _row_sum(cols[:, :, np.newaxis] * cols[:, np.newaxis])
                 app, aqq, g = gram[0, 0], gram[1, 1], gram[0, 1]
                 mag = np.abs(g)
@@ -135,7 +133,7 @@ def _sweep_lanes(x: np.ndarray) -> None:
                 n_rot = np.count_nonzero(rot)
                 if n_rot == 0:
                     continue
-                rotated |= rot
+                rotated = True
                 every = n_rot == rot.size
                 tau = (aqq - app) / (2.0 * mag if every else np.where(rot, 2.0 * mag, 1.0))
                 # tau is never -0: copysign is its sign, and t = 1 at tau = 0
@@ -144,18 +142,11 @@ def _sweep_lanes(x: np.ndarray) -> None:
                 # the rotation [[c, s], [-s, c]] of columns (p, q), with the
                 # sign of g folded into s: (p, q) -> c (p, q) + s (-q, p)
                 s = c * t * np.sign(g)
-                old = work[pq]
+                old = x[pq]
                 new = c * old + s * (old[:, ::-1] * _FLIP)
-                work[pq] = new if every else np.where(rot, new, old)
-            if not rotated.all():
-                # lanes without a rotation have converged: store any that
-                # were copied out, and sweep the rest
-                if work is not x:
-                    x[..., lanes[~rotated]] = work[..., ~rotated]
-                lanes = lanes[rotated]
-                if lanes.size == 0:
-                    break
-                work = work[..., rotated]
+                x[pq] = new if every else np.where(rot, new, old)
+            if not rotated:
+                break
         else:
             raise NumericalRefusal("Jacobi SVD failed to converge")
 
@@ -233,12 +224,13 @@ def svd(m, compute_uv: bool = True) -> SvdResult | np.ndarray:
     alone and skips the updates of ``V``, as ``np.linalg.svd`` does.
 
     A stack is swept lanes-last, each lane by the same vector operations,
-    and a lane leaves the sweeps after its first sweep without a rotation,
-    so every matrix gets the bits it would get in a stack of one.  One
-    matrix (a 2-d input) runs as a stack of one, but its singular values
-    alone come wholly from Python floats, by the same operations in the
-    same order (:func:`_svd_one`), so they too get the bits of a stack of
-    one, without numpy's per-call cost.  A matrix that has not converged
+    until a sweep rotates no lane.  A lane that has had a sweep without a
+    rotation is a fixed point of the next one (its Gram entries, and so its
+    rotation test, do not change), so every matrix gets the bits it would
+    get in a stack of one.  One matrix (a 2-d input) runs as a stack of
+    one, but its singular values alone come wholly from Python floats, by
+    the same operations in the same order (:func:`_svd_one`), so they too
+    get the bits of a stack of one, without numpy's per-call cost.  A matrix that has not converged
     after ``_MAX_SWEEPS`` sweeps refuses the whole call.  Identical input
     yields byte-identical output.
     """
@@ -441,12 +433,11 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
     Multiplicative in its argument, and its spectral norm is the product
     of the ``p`` largest singular values.  ``p = 1`` returns the input
     itself, not a copy, and ``p = d`` the 1x1 stack of :func:`det_batch`,
-    with no gathers.  Otherwise the result is lanes-last: the ``p = 2``
-    minors are built from the entry vectors of the stack as ``a d - b c``,
-    the operations of :func:`det_batch`, straight into a ``(k, k, B)``
-    array whose transposed view is returned.  For ``p >= 3`` each row
-    of the compound is one :func:`det_batch` call on the stack of its
-    minors, so ``p = 3`` minors get the scaled cofactor expansion.
+    with no gathers.  Below ``p = d`` each row of the compound is one
+    :func:`det_batch` call on the stack of its minors, written into a
+    ``(k, k, B)`` array whose transposed (lanes-last) view is returned:
+    ``p = 2`` minors are ``a d - b c`` and ``p = 3`` minors get the scaled
+    cofactor expansion.
     """
     b = np.asarray(batch)
     d = b.shape[-1]
@@ -457,19 +448,13 @@ def compound_batch(batch: np.ndarray, p: int) -> np.ndarray:
     if p == d:
         return det_batch(b)[:, np.newaxis, np.newaxis]
     basis = np.array(tuple(combinations(range(d), p)))
-    if p == 2:
-        lanes = b.transpose(1, 2, 0)
-        r0, r1 = basis[:, 0, np.newaxis], basis[:, 1, np.newaxis]
-        c0, c1 = basis[:, 0], basis[:, 1]
-        out = lanes[r0, c0] * lanes[r1, c1] - lanes[r0, c1] * lanes[r1, c0]
-    else:
-        # one det_batch per row of the compound, over all its minors at once:
-        # rows x every column subset is a lanes-last (p, p, k, B) stack
-        out = np.empty((len(basis), len(basis), b.shape[0]), dtype=b.dtype)
-        lanes, cols = b.transpose(1, 2, 0), basis.T[np.newaxis]
-        for i, rows in enumerate(basis):
-            minors = lanes[rows[:, np.newaxis, np.newaxis], cols].reshape(p, p, -1)
-            out[i] = det_batch(minors.transpose(2, 0, 1)).reshape(len(basis), -1)
+    # one det_batch per row of the compound, over all its minors at once:
+    # rows x every column subset is a lanes-last (p, p, k, B) stack
+    out = np.empty((len(basis), len(basis), b.shape[0]), dtype=b.dtype)
+    lanes, cols = b.transpose(1, 2, 0), basis.T[np.newaxis]
+    for i, rows in enumerate(basis):
+        minors = lanes[rows[:, np.newaxis, np.newaxis], cols].reshape(p, p, -1)
+        out[i] = det_batch(minors.transpose(2, 0, 1)).reshape(len(basis), -1)
     return out.transpose(2, 0, 1)
 
 

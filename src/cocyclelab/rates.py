@@ -46,10 +46,6 @@ class RateSeries:
         """``2 * top - second`` on the last two rungs; exact on ``a + b/n``."""
         return 2.0 * self.values[-1] - self.values[-2]
 
-    @property
-    def proxy_scale(self) -> int:
-        return self.scales[-1]
-
 
 def rate_series(
     fam: CocycleFamily, E: float, j: int, n_max: int, m: int, n_min: int = 4

@@ -442,6 +442,19 @@ class TestCli:
         h2 = (tmp_path / "s2" / "random_rates.csv").read_text().splitlines()[0]
         assert h1 != h2
 
+    @pytest.mark.parametrize("config, seed, message", [
+        ("exp.cfg", "-1", "error: --seed must fit in 64 bits\n"),
+        ("missing.cfg", "1", "error: cannot read config: [Errno 2] "),
+    ], ids=["negative-seed", "missing-config"])
+    def test_bad_option_exit_1(self, tmp_path, config, seed, message):
+        _write(tmp_path, "random.dist = two_rotations\nnumerics.n_max = 32\n")
+        res = CliRunner().invoke(main, ["random", "--config", str(tmp_path / config),
+                                        "--out", str(tmp_path / "o"), "--seed", seed])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith(message)
+        assert not (tmp_path / "o").exists()
+
     def test_every_header_and_the_manifest_carry_the_seeded_config(self, tmp_path):
         # the seed override comes before the run formats its config text
         mats = tmp_path / "mats.txt"

@@ -46,6 +46,13 @@ FAMILIES = {
                               "param.E_min = 1\nparam.E_max = 2\nparam.E_count = 2\n", 0, {}),
     # a sampling series without even its constant term
     "schrodinger-empty-sampling": ("cocycle.sampling_cos =\n", 1, {}),
+    "schrodinger-dim-3": ("cocycle.dim = 3\n", 1, {}),
+    "diagonal-exp-3-x_amp": ("cocycle.kind = diagonal-exp\ncocycle.x_amp = 1,2,3\n", 1, {}),
+    "trig-poly-short-sin": ("cocycle.kind = trig-poly\ncocycle.trig_cos = 1,0,0,0,0,0,1,0\n"
+                            "cocycle.trig_sin = 0,0\n", 1, {}),
+    "omega-sqrt2-sqrt3-nu1": ("shift.omega = sqrt2-sqrt3\n", 1, {}),
+    "omega-abc": ("shift.omega = abc\n", 1, {}),
+    "coupling-inf": ("cocycle.coupling = inf\n", 1, {}),
 }
 
 #: matrix files for ap-verify: blocks separated by blank lines
@@ -58,6 +65,8 @@ MATRICES = {
     "one-by-one": ("2\n\n3\n", 1),
     "nan-entry": ("1 nan\n0 1\n\n2 0\n0 1\n", 1),
     "inf-entry": ("1 0\n0 1\n\n2 inf\n0 1\n", 1),
+    "malformed-number": ("2 x\n0 1\n\n2 0\n0 1\n", 1),
+    "diagonal": ("2 0\n0 1\n\n2 0\n0 1\n", 0),
 }
 
 #: support files for random.dist = file: a probability line, then the rows
@@ -80,13 +89,36 @@ DISTS = {
         RANDOM + "random.dist = single\nrandom.matrix = 1e200,0,0,1e190\n", 0),
     # the ladder from 8 needs n_max >= 16
     "n_max-8": (RANDOM.replace("n_max = 32", "n_max = 8"), 1),
+    "single-3-entries": (RANDOM + "random.dist = single\nrandom.matrix = 1,2,3\n", 1),
+    "two-rotations-3-angles": (
+        RANDOM + "random.dist = two_rotations\nrandom.angles = 0.1,0.2,0.3\n", 1),
+    "file-without-support-file": (RANDOM + "random.dist = file\n", 1),
+    "negative-delta": (RANDOM + "random.deltas = -0.1\n", 1),
 }
 
-#: the whole stderr line a case must start with, where its exit code alone
-#: does not show the cause
+#: the start of the stderr a case must print, where its exit code alone does
+#: not show the cause; keyed by case id, or by a family name for every
+#: orbit subcommand of that family
 MESSAGES = {
     "ldt/n_max-16": "error: numerics.n_max too small for a ladder from 16\n",
     "random/n_max-8": "error: numerics.n_max too small for a ladder from 8\n",
+    "ldt/p-3": "error: compound order p=3 out of range 1..2\n",
+    "holder/E_count-1": "error: window must have positive width\n",
+    "dioph/dio_exponent-1": "error: line 4: value 1.0 for shift.dio_exponent out of range\n",
+    "ap-verify/mu-negative": "error: mu must be positive\n",
+    "ap-verify/no-matrix-file": "error: ap.matrix_file is required for ap-verify\n",
+    "ap-verify/missing-file": "error: cannot read matrix file: [Errno 2] ",
+    "ap-verify/malformed-number": "error: malformed number in matrix block 0\n",
+    "schrodinger-dim-3": "error: cocycle.kind = schrodinger requires cocycle.dim = 2\n",
+    "diagonal-exp-3-x_amp": "error: cocycle.x_amp / e_amp must have dim entries\n",
+    "trig-poly-short-sin": "error: cocycle.trig_sin needs 4 values, got 2\n",
+    "random/single-3-entries": "error: random.matrix must hold a square matrix\n",
+    "random/two-rotations-3-angles": "error: random.angles needs exactly two angles\n",
+    "random/file-without-support-file": "error: random.dist = file requires random.support_file\n",
+    "random/negative-delta": "error: delta must be positive\n",
+    "omega-sqrt2-sqrt3-nu1": "error: shift.omega = sqrt2-sqrt3 requires shift.nu = 2\n",
+    "omega-abc": "error: malformed shift.omega component in 'abc'\n",
+    "coupling-inf": "error: line 4: non-finite value for cocycle.coupling\n",
 }
 
 
@@ -97,11 +129,19 @@ def _cases(tmp_path):
         cases += [(f"{sub}/{name}", sub, SMALL + text, other.get(sub, code)) for sub in ORBIT]
     cases += [("dioph/golden", "dioph", SMALL, 0),
               ("dioph/nu2", "dioph", SMALL + "shift.nu = 2\nshift.omega = sqrt2-sqrt3\n", 1),
-              ("ldt/n_max-16", "ldt", SMALL.replace("n_max = 32", "n_max = 16"), 1)]
+              ("dioph/dio_exponent-1", "dioph", SMALL + "shift.dio_exponent = 1\n", 1),
+              ("ldt/n_max-16", "ldt", SMALL.replace("n_max = 32", "n_max = 16"), 1),
+              ("ldt/p-3", "ldt", SMALL + "ldt.p = 3\n", 1),
+              ("holder/E_count-1", "holder", SMALL + "param.E_count = 1\n", 1)]
     for name, (text, code) in MATRICES.items():
         path = tmp_path / f"matrices-{name}.txt"
         path.write_text(text)
         cases.append((f"ap-verify/{name}", "ap-verify", f"ap.matrix_file = {path}\n", code))
+    cases += [("ap-verify/mu-negative", "ap-verify",
+               f"ap.mu = -1\nap.matrix_file = {tmp_path / 'matrices-diagonal.txt'}\n", 1),
+              ("ap-verify/no-matrix-file", "ap-verify", "", 1),
+              ("ap-verify/missing-file", "ap-verify",
+               f"ap.matrix_file = {tmp_path / 'missing.txt'}\n", 1)]
     cases.append(("ap-demo-projections/rank2", "ap-demo-projections", "ap.mode = rank2\n", 0))
     for name, (text, code) in SUPPORTS.items():
         path = tmp_path / f"support-{name}.txt"
@@ -142,7 +182,8 @@ def test_edge_configs(tmp_path):
             problems.append(f"{ident}: escaped {res.exception!r}")
         if res.exit_code != want:
             problems.append(f"{ident}: exit {res.exit_code}, expected {want}: {res.output!r}")
-        line = MESSAGES.get(ident, {0: "", 1: "error: ", 2: "refused: "}.get(want))
+        line = MESSAGES.get(ident, MESSAGES.get(ident.split("/")[1],
+                                                {0: "", 1: "error: ", 2: "refused: "}[want]))
         if not res.stderr.startswith(line):
             problems.append(f"{ident}: stderr {res.stderr!r}, expected {line!r}...")
         runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,5 +1,6 @@
 """Smoke test of ``tools/src_lines.py``: it splits every line of a module
-into exactly one kind and counts the tokens the parser reads."""
+into exactly one kind, counts the tokens the parser reads and marks a module
+past the parser's 4096-token step."""
 
 import importlib.util
 from pathlib import Path
@@ -39,3 +40,16 @@ def test_table_of_this_checkout_adds_up():
     for row in rows.values():
         assert row["lines"] == row["code"] + row["docstring"] + row["comment"] + row["blank"]
     assert total == {c: sum(r[c] for r in rows.values()) for c in src_lines.COLUMNS}
+
+
+def test_marks_a_module_past_the_token_step(tmp_path, capsys):
+    pkg = tmp_path / "src" / "cocyclelab"
+    pkg.mkdir(parents=True)
+    # 1023 lines of NAME OP NUMBER NEWLINE, then 3 or 4 tokens and ENDMARKER
+    (pkg / "at_step.py").write_text("x = 1\n" * 1023 + "y;\n")
+    (pkg / "past_step.py").write_text("x = 1\n" * 1023 + "(y)\n")
+    src_lines.main(["--root", str(tmp_path)])
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert rows["at_step.py"].split()[-1] == "4096"
+    assert rows["past_step.py"].endswith(" 4097  past the 4096-token step")
+    assert not rows["total"].endswith("step")

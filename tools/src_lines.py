@@ -10,7 +10,8 @@ rest, a line holding only whitespace is blank, one whose first token is a
 comment is a comment line, and every other line is code.  Tokens are those
 of ``tokenize`` without comments and line breaks that end no statement,
 the tokens CPython's parser reads: compiling a module that holds more
-than 4096 of them grows the parser's token array a second time.
+than 4096 of them grows the parser's token array a second time, and its
+compile peak by about 0.2 MiB, so each such module's row ends with a mark.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COLUMNS = ("lines", "code", "docstring", "comment", "blank", "tokens")
+#: CPython 3.11's parser grows its token array a second time past this many tokens
+TOKEN_STEP = 4096
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -74,7 +77,9 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     print(f"{'module':<20}" + "".join(f"{c:>10}" for c in COLUMNS))
     for name, row in table(args.root).items():
-        print(f"{name:<20}" + "".join(f"{row[c]:>10}" for c in COLUMNS))
+        past = name != "total" and row["tokens"] > TOKEN_STEP
+        print(f"{name:<20}" + "".join(f"{row[c]:>10}" for c in COLUMNS)
+              + (f"  past the {TOKEN_STEP}-token step" if past else ""))
 
 
 if __name__ == "__main__":
